@@ -223,6 +223,45 @@ void BM_CoupledComponentChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_CoupledComponentChurn)->Arg(50)->Arg(200)->Arg(800);
 
+// --- fat-pipe churn: N flows, each on its own access link and on one shared
+// fat pipe (a cluster backbone or WAN link); one flow is released, re-added
+// and re-solved per iteration. Caps are read from the variable side and
+// releases unlink through twin links, so scanned_per_solve — and the time —
+// stays flat in N.
+void BM_FatpipeChurn(benchmark::State& state) {
+  const int n_flows = static_cast<int>(state.range(0));
+  sg::xbt::Rng rng(13);
+  MaxMinSystem sys;
+  const auto pipe = sys.new_constraint(1e4, /*shared=*/false);
+  std::vector<MaxMinSystem::CnstId> access;
+  std::vector<MaxMinSystem::VarId> flows;
+  auto start_flow = [&](size_t f) {
+    const auto var = sys.new_variable(1.0);
+    sys.expand(access[f], var);
+    sys.expand(pipe, var);
+    return var;
+  };
+  for (int f = 0; f < n_flows; ++f) {
+    access.push_back(sys.new_constraint(rng.uniform(10, 1e5)));
+    flows.push_back(start_flow(static_cast<size_t>(f)));
+  }
+  sys.solve();
+  const auto before = sys.solve_stats();
+  size_t cursor = 0;
+  for (auto _ : state) {
+    sys.release_variable(flows[cursor]);
+    flows[cursor] = start_flow(cursor);
+    sys.solve();
+    benchmark::DoNotOptimize(sys.value(flows[cursor]));
+    cursor = (cursor + 1) % flows.size();
+  }
+  const auto after = sys.solve_stats();
+  const double solves = static_cast<double>(std::max<size_t>(1, after.solves - before.solves));
+  state.counters["scanned_per_solve"] =
+      static_cast<double>(after.elements_scanned - before.elements_scanned) / solves;
+}
+BENCHMARK(BM_FatpipeChurn)->Arg(100)->Arg(1000)->Arg(10000);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -34,6 +34,18 @@ const std::string kDefaultNames[] = {"exec", "comm", "ptask", "sleep"};
                                   " departed at t=" + xbt::format("%g", pf.host_departed_at(host)) +
                                   " (rejoin_host() restores it)");
 }
+
+/// Work amounts and priorities handed to an activity start must be finite
+/// and >= 0 (NaN fails the comparison too); `signed_ok` admits negative
+/// values, for the rate limit whose negative default means "no limit".
+void check_amount(const char* call, const char* what, double v, const platform::Platform& pf,
+                  int host, bool signed_ok = false) {
+  if (signed_ok ? std::isfinite(v) : (v >= 0 && v < kInf))
+    return;
+  throw xbt::InvalidArgument(std::string(call) + ": " + what + " on host " + pf.host(host).name +
+                             " must be finite" + (signed_ok ? "" : " and non-negative") +
+                             " (got " + xbt::format("%g", v) + ")");
+}
 }  // namespace
 
 void declare_engine_config() {
@@ -387,6 +399,8 @@ ActionPtr Engine::exec_start(int host, double flops, double priority, const std:
 
 ActionPtr Engine::exec_start_impl(int host, double flops, double priority, const std::string* name) {
   HostRes& res = hosts_.at(static_cast<size_t>(host));
+  check_amount("exec_start", "flops", flops, platform_, host);
+  check_amount("exec_start", "priority", priority, platform_, host);
   if (!res.on) {
     if (!platform_.host_present(host))
       throw_host_departed("exec_start", platform_, host);
@@ -432,6 +446,8 @@ ActionPtr Engine::comm_start_impl(int src_host, int dst_host, double bytes, doub
   // anything crossing a zone boundary lives with the backbone.
   const std::int32_t src_shard = hosts_.at(static_cast<size_t>(src_host)).shard;
   const std::int32_t dst_shard = hosts_.at(static_cast<size_t>(dst_host)).shard;
+  check_amount("comm_start", "bytes", bytes, platform_, src_host);
+  check_amount("comm_start", "rate_limit", rate_limit, platform_, src_host, /*signed_ok=*/true);
   const std::int32_t shard = src_shard == dst_shard ? src_shard : 0;
 
   double latency = 0.0;
@@ -519,12 +535,24 @@ ActionPtr Engine::ptask_start(const std::vector<int>& hosts, const std::vector<d
     throw xbt::InvalidArgument("ptask_start: hosts/flops size mismatch");
   if (!bytes.empty() && bytes.size() != hosts.size())
     throw xbt::InvalidArgument("ptask_start: bytes matrix must be n x n");
-  for (int h : hosts)
-    if (!hosts_.at(static_cast<size_t>(h)).on) {
+  for (size_t i = 0; i < hosts.size(); ++i) {
+    const int h = hosts[i];
+    const HostRes& res = hosts_.at(static_cast<size_t>(h));
+    // Every argument is checked before the solver variable exists, so a
+    // rejected call leaves nothing behind.
+    check_amount("ptask_start", "flops", flops[i], platform_, h);
+    if (!bytes.empty()) {
+      if (bytes[i].size() != hosts.size())
+        throw xbt::InvalidArgument("ptask_start: bytes matrix must be n x n");
+      for (double b : bytes[i])
+        check_amount("ptask_start", "bytes", b, platform_, h);
+    }
+    if (!res.on) {
       if (!platform_.host_present(h))
         throw_host_departed("ptask_start", platform_, h);
       throw xbt::HostFailureException("ptask_start: host is down");
     }
+  }
 
   std::int32_t shard = hosts_[static_cast<size_t>(hosts[0])].shard;
   for (int h : hosts)
@@ -548,8 +576,6 @@ ActionPtr Engine::ptask_start(const std::vector<int>& hosts, const std::vector<d
       sys_.expand(hosts_[static_cast<size_t>(hosts[i])].cnst, action->var_, flops[i]);
   }
   for (size_t i = 0; i < bytes.size(); ++i) {
-    if (bytes[i].size() != hosts.size())
-      throw xbt::InvalidArgument("ptask_start: bytes matrix must be n x n");
     for (size_t j = 0; j < bytes[i].size(); ++j) {
       if (i == j || bytes[i][j] <= 0)
         continue;

@@ -171,13 +171,15 @@ public:
   // ActionBlockPool).
 
   /// Computation of `flops` on a host. Throws HostFailureException if the
-  /// host is currently down.
+  /// host is currently down. Work amounts (flops, bytes) and priorities must
+  /// be finite and >= 0, and a rate limit finite: every start throws
+  /// xbt::InvalidArgument, naming the call and the host, otherwise.
   ActionPtr exec_start(int host, double flops, double priority = 1.0);
   ActionPtr exec_start(int host, double flops, double priority, const std::string& name);
 
   /// Point-to-point transfer of `bytes` from src to dst along the platform
   /// route. rate_limit (> 0) additionally caps the transfer rate (sender
-  /// throttling). The TCP window cap gamma/(2*latency) applies automatically.
+  /// throttling; <= 0 means no cap). The TCP window cap gamma/(2*latency) applies automatically.
   ActionPtr comm_start(int src_host, int dst_host, double bytes, double rate_limit = -1.0);
   ActionPtr comm_start(int src_host, int dst_host, double bytes, double rate_limit,
                        const std::string& name);

@@ -7,12 +7,23 @@
 
 #include "core/workers.hpp"
 #include "xbt/exception.hpp"
+#include "xbt/str.hpp"
 
 namespace sg::core {
 
 namespace {
 constexpr double kEps = 1e-9;
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Capacities and weights must be finite and >= 0; coefficients finite and
+/// > 0. NaN fails every comparison, so it is rejected too.
+void check_amount(const char* call, const char* what, double v, bool positive = false) {
+  if ((positive ? v > 0 : v >= 0) && v < kInf)
+    return;
+  throw xbt::InvalidArgument(std::string(call) + ": " + what + " must be finite and " +
+                             (positive ? "positive" : "non-negative") + " (got " +
+                             xbt::format("%g", v) + ")");
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -33,6 +44,7 @@ std::int32_t MaxMinSystem::alloc_node() {
   ElemNode& nd = node(n);
   nd.count = 0;
   nd.next = kNoNode;
+  nd.prev = kNoNode;
   return n;
 }
 
@@ -42,49 +54,44 @@ void MaxMinSystem::free_node(std::int32_t n) {
   --nodes_in_use_;
 }
 
-void MaxMinSystem::list_insert(std::int32_t& head, std::int32_t peer, double coeff) {
+std::int32_t MaxMinSystem::list_insert(std::int32_t& head, std::int32_t peer, double coeff) {
   if (head == kNoNode || node(head).count == kNodeEntries) {
-    // Prepend a fresh node (order within a list is irrelevant to the math).
+    // Prepend a fresh node; entries then fill it from slot 0 up.
     const std::int32_t n = alloc_node();
-    ElemNode& nd = node(n);
-    nd.next = head;
-    nd.count = 1;
-    nd.id[0] = peer;
-    nd.coeff[0] = coeff;
+    node(n).next = head;
+    if (head != kNoNode)
+      node(head).prev = n;
     head = n;
-    return;
   }
   ElemNode& nd = node(head);
   nd.id[nd.count] = peer;
   nd.coeff[nd.count] = coeff;
   ++nd.count;
+  return head;
 }
 
-std::int32_t MaxMinSystem::list_remove_all(std::int32_t& head, std::int32_t peer) {
-  std::int32_t removed = 0;
-  std::int32_t* link = &head;
-  while (*link != kNoNode) {
-    ElemNode& nd = node(*link);
-    for (std::int32_t k = 0; k < nd.count;) {
-      if (nd.id[k] == peer) {
-        // Node-local swap-remove: other nodes stay untouched.
-        --nd.count;
-        nd.id[k] = nd.id[nd.count];
-        nd.coeff[k] = nd.coeff[nd.count];
-        ++removed;
-      } else {
-        ++k;
-      }
-    }
-    if (nd.count == 0) {
-      const std::int32_t dead = *link;
-      *link = nd.next;
-      free_node(dead);
-    } else {
-      link = &nd.next;
-    }
-  }
-  return removed;
+void MaxMinSystem::node_remove(std::int32_t& head, std::int32_t n, std::int32_t peer) {
+  // Removing the lowest slot each time is what a front-to-back scan that
+  // swap-removes every entry of `peer` does, so the node ends in the same
+  // order however its entries of `peer` are reached. Moved entries stay in
+  // their node, so no twin needs repointing.
+  ElemNode& nd = node(n);
+  std::int32_t k = 0;
+  while (nd.id[k] != peer)
+    ++k;
+  const std::int32_t last = --nd.count;
+  nd.id[k] = nd.id[last];
+  nd.coeff[k] = nd.coeff[last];
+  nd.twin[k] = nd.twin[last];
+  if (last > 0)
+    return;
+  if (nd.prev != kNoNode)
+    node(nd.prev).next = nd.next;
+  else
+    head = nd.next;
+  if (nd.next != kNoNode)
+    node(nd.next).prev = nd.prev;
+  free_node(n);
 }
 
 void MaxMinSystem::list_free(std::int32_t& head) {
@@ -141,8 +148,7 @@ void MaxMinSystem::mark_cnst_dirty(CnstId cnst, bool need_traverse) {
 }
 
 MaxMinSystem::CnstId MaxMinSystem::new_constraint(double capacity, bool shared) {
-  if (capacity < 0)
-    throw xbt::InvalidArgument("constraint capacity must be non-negative");
+  check_amount("new_constraint", "capacity", capacity);
   CnstId id;
   if (!free_cnsts_.empty()) {
     id = free_cnsts_.back();
@@ -172,17 +178,16 @@ void MaxMinSystem::release_constraint(CnstId cnst) {
   if (!(cnst_flags_[i] & kFlagAlive))
     return;
   cnst_flags_[i] &= static_cast<unsigned char>(~kFlagAlive);
-  // Every user loses a cap/share: remove the back-references and re-solve
-  // the freed variables' components.
+  // Every user loses a cap/share: unlink each twin entry and re-solve the
+  // freed variables' components.
   for (std::int32_t n = cnst_core_[i].head; n != kNoNode; n = node(n).next) {
     const ElemNode& nd = node(n);
     for (std::int32_t k = 0; k < nd.count; ++k) {
       const VarId v = nd.id[k];
-      const std::int32_t removed = list_remove_all(var_link_[static_cast<size_t>(v)].head, cnst);
-      if (removed > 0) {  // duplicates were already removed by an earlier pass
-        var_link_[static_cast<size_t>(v)].degree -= removed;
-        mark_var_dirty(v);
-      }
+      VarLink& vl = var_link_[static_cast<size_t>(v)];
+      node_remove(vl.head, nd.twin[k], cnst);
+      --vl.degree;
+      mark_var_dirty(v);
     }
   }
   list_free(cnst_core_[i].head);
@@ -192,8 +197,7 @@ void MaxMinSystem::release_constraint(CnstId cnst) {
 }
 
 MaxMinSystem::VarId MaxMinSystem::new_variable(double weight, double bound) {
-  if (weight < 0)
-    throw xbt::InvalidArgument("variable weight must be non-negative");
+  check_amount("new_variable", "weight", weight);
   VarId id;
   if (!free_vars_.empty()) {
     // Recycle in place: the SoA slots and the (just-freed, cache-hot) arena
@@ -220,8 +224,7 @@ MaxMinSystem::VarId MaxMinSystem::new_variable(double weight, double bound) {
 }
 
 void MaxMinSystem::expand(CnstId cnst, VarId var, double coeff) {
-  if (coeff <= 0)
-    throw xbt::InvalidArgument("element coefficient must be positive");
+  check_amount("expand", "coefficient", coeff, /*positive=*/true);
   check_cnst(cnst, "expand");
   check_var(var, "expand");
   if (!(var_flags_[static_cast<size_t>(var)] & kFlagAlive))
@@ -229,11 +232,14 @@ void MaxMinSystem::expand(CnstId cnst, VarId var, double coeff) {
   if (!(cnst_flags_[static_cast<size_t>(cnst)] & kFlagAlive))
     throw xbt::InvalidArgument("expand: constraint id " + std::to_string(cnst) + " was released");
   CnstCore& cc = cnst_core_[static_cast<size_t>(cnst)];
-  list_insert(cc.head, var, coeff);
+  ElemNode& on_cnst = node(list_insert(cc.head, var, coeff));
   ++cc.degree;
   VarLink& vl = var_link_[static_cast<size_t>(var)];
-  list_insert(vl.head, cnst, coeff);
+  ElemNode& on_var = node(list_insert(vl.head, cnst, coeff));
   ++vl.degree;
+  // Each new entry is the last of its list's head node.
+  on_cnst.twin[on_cnst.count - 1] = vl.head;
+  on_var.twin[on_var.count - 1] = cc.head;
   // The constraint's existing users must re-share with the newcomer
   // (membership change: fatpipes stay cap-only).
   mark_cnst_dirty(cnst, /*need_traverse=*/false);
@@ -250,17 +256,16 @@ void MaxMinSystem::release_variable(VarId var) {
   for (std::int32_t n = var_link_[i].head; n != kNoNode; n = node(n).next) {
     const ElemNode& nd = node(n);
     for (std::int32_t k = 0; k < nd.count; ++k) {
-      const CnstId c = nd.id[k];
       // Eager removal: a stale element would silently re-attach to whatever
-      // variable later recycles this id. The constraint is re-solved anyway
-      // (it is dirty), so the scan does not change the asymptotic cost.
-      const std::int32_t removed = list_remove_all(cnst_core_[static_cast<size_t>(c)].head, var);
-      if (removed > 0) {
-        cnst_core_[static_cast<size_t>(c)].degree -= removed;
-        // The freed share must be redistributed among the constraint's users
-        // (membership change: fatpipes stay cap-only).
-        mark_cnst_dirty(c, /*need_traverse=*/false);
-      }
+      // variable later recycles this id. The twin link makes it O(1) per
+      // incidence, however many users the constraint has.
+      const CnstId c = nd.id[k];
+      CnstCore& cc = cnst_core_[static_cast<size_t>(c)];
+      node_remove(cc.head, nd.twin[k], var);
+      --cc.degree;
+      // The freed share must be redistributed among the constraint's users
+      // (membership change: fatpipes stay cap-only).
+      mark_cnst_dirty(c, /*need_traverse=*/false);
     }
   }
   list_free(var_link_[i].head);
@@ -270,8 +275,7 @@ void MaxMinSystem::release_variable(VarId var) {
 }
 
 void MaxMinSystem::set_capacity(CnstId cnst, double capacity) {
-  if (capacity < 0)
-    throw xbt::InvalidArgument("constraint capacity must be non-negative");
+  check_amount("set_capacity", "capacity", capacity);
   check_cnst(cnst, "set_capacity");
   CnstCore& cc = cnst_core_[static_cast<size_t>(cnst)];
   if (cc.capacity == capacity)
@@ -287,8 +291,7 @@ double MaxMinSystem::capacity(CnstId cnst) const {
 }
 
 void MaxMinSystem::set_weight(VarId var, double weight) {
-  if (weight < 0)
-    throw xbt::InvalidArgument("variable weight must be non-negative");
+  check_amount("set_weight", "weight", weight);
   if (var_weight_.at(static_cast<size_t>(var)) == weight)
     return;
   var_weight_[static_cast<size_t>(var)] = weight;
@@ -558,20 +561,16 @@ void MaxMinSystem::fill_start(const std::vector<VarId>& svars, const std::vector
       effective_bound_[i] = var_bound_[i];
   }
 
-  // Shared constraints enter the working list with their active sum; fatpipe
-  // constraints translate to per-variable caps: cap / coeff.
+  // Shared constraints enter the working list with their active sum.
   fill_cnsts_.clear();
   fill_slices_.clear();
   fill_elems_.clear();
+  bool fatpipes = false;
   for (CnstId cid : scnsts) {
     const size_t c = static_cast<size_t>(cid);
-    const double capacity = cnst_core_[c].capacity;
-    remaining_[c] = capacity;
+    remaining_[c] = cnst_core_[c].capacity;
     if (!(cnst_flags_[c] & kFlagShared)) {
-      fill_walk(c, [&](size_t i, double coeff) {
-        if (var_flags_[i] & kFlagActive)
-          effective_bound_[i] = std::min(effective_bound_[i], capacity / coeff);
-      });
+      fatpipes = true;
       continue;
     }
     double sum = 0;
@@ -594,6 +593,23 @@ void MaxMinSystem::fill_start(const std::vector<VarId>& svars, const std::vector
       fill_slices_.push_back({begin, end});
     }
     fill_cnsts_.push_back({cid, slice, sum});
+  }
+
+  // Fatpipe constraints translate to per-variable caps, capacity / coeff,
+  // read from each growing variable's own list: a fat pipe's users outside
+  // the subset are never walked. Every constraint of a subset variable is in
+  // the subset, so these are exactly the subset's fatpipe caps, and min is
+  // exact in any order.
+  if (!fatpipes)
+    return;
+  for (VarId vid : fill_vars_) {
+    const size_t i = static_cast<size_t>(vid);
+    stats_.elements_scanned += static_cast<size_t>(var_link_[i].degree);
+    for_each_constraint_of(vid, [&](CnstId cid, double coeff) {
+      const size_t c = static_cast<size_t>(cid);
+      if (!(cnst_flags_[c] & kFlagShared))
+        effective_bound_[i] = std::min(effective_bound_[i], cnst_core_[c].capacity / coeff);
+    });
   }
 }
 
@@ -790,8 +806,7 @@ ShardedMaxMin::ShardId ShardedMaxMin::shard_of_constraint(CnstId cnst) const {
 }
 
 ShardedMaxMin::VarId ShardedMaxMin::new_variable(double weight, double bound) {
-  if (weight < 0)
-    throw xbt::InvalidArgument("variable weight must be non-negative");
+  check_amount("new_variable", "weight", weight);
   VarId g;
   if (!free_var_ids_.empty()) {
     g = free_var_ids_.back();
@@ -869,6 +884,8 @@ MaxMinSystem::VarId ShardedMaxMin::replica_in(VarId var, ShardId shard) {
 }
 
 void ShardedMaxMin::expand(CnstId cnst, VarId var, double coeff) {
+  // Checked before replica_in() so a bad coefficient creates no replica.
+  check_amount("expand", "coefficient", coeff, /*positive=*/true);
   check_cnst(cnst, "expand");
   check_var(var, "expand");
   const CnstRec& c = cnsts_[static_cast<size_t>(cnst)];
@@ -950,8 +967,7 @@ double ShardedMaxMin::capacity(CnstId cnst) const {
 }
 
 void ShardedMaxMin::set_weight(VarId var, double weight) {
-  if (weight < 0)
-    throw xbt::InvalidArgument("variable weight must be non-negative");
+  check_amount("set_weight", "weight", weight);
   check_var(var, "set_weight");
   VarRec& r = vars_[static_cast<size_t>(var)];
   if (r.weight == weight)

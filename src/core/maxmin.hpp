@@ -57,15 +57,35 @@
 ///
 ///  * **Element arena.** The incidence lists (which variables sit on a
 ///    constraint; which constraints a variable crosses) are not per-object
-///    `std::vector`s but unrolled linked lists of 4-entry nodes living in one
-///    shared, chunked arena. A node packs 4 (peer id, coefficient) pairs in
-///    56 bytes; a list is a chain of node indices. Since the common
-///    exec/comm case has degree <= 4 (one CPU, or a couple of route links),
-///    the fast path is a single node — one pointer chase, one cache line.
+///    `std::vector`s but unrolled, doubly linked lists of 4-entry nodes
+///    living in one shared, chunked arena. A node packs 4 (peer id,
+///    coefficient, twin) entries plus its count and prev/next links in 80
+///    bytes; a list is a chain of node indices. Since the common exec/comm
+///    case has degree <= 4 (one CPU, or a couple of route links), the fast
+///    path is a single node — one pointer chase, one cache line or two.
 ///    Nodes are recycled through an index-linked free list, so steady-state
 ///    churn re-uses the same (cache-hot) lines instead of walking the heap
-///    allocator. Chunks (256 nodes, ~14 KiB) give address stability without
+///    allocator. Chunks (256 nodes, 20 KiB) give address stability without
 ///    vector-growth copies.
+///  * **Twin links.** Every incidence is stored twice, once on each side,
+///    and each entry records the node that holds its twin in the peer's
+///    list. An entry never leaves its node — removal swap-fills the freed
+///    slot from the same node's last entry, and a node that empties is
+///    unlinked through its prev link — so twin links never need updating.
+///    Releasing a variable (or constraint) therefore visits only its own
+///    entries and, through their twins, the one node of each peer list that
+///    holds it — never the rest of a fat pipe's user list. Within that node
+///    it removes the lowest slot holding the released id (at most 4 to
+///    look at), which leaves every list in exactly the order a
+///    front-to-back scan removing all of the id's entries would, duplicates
+///    included; list order fixes the fill sums' fold order and the
+///    failure-propagation order.
+///  * **Per-mutation cost.** new_variable / new_constraint / set_* are
+///    O(1); expand is O(1); release_variable is O(variable degree) and
+///    release_constraint O(constraint degree), each O(1) per incidence. A
+///    solve costs O(closure elements), where a fat pipe in the closure
+///    costs nothing beyond its own entry in each closure variable's list:
+///    caps (capacity / coeff) are read from the variable side.
 ///  * **SoA hot fields.** The fields progressive filling actually reads per
 ///    round (`value`, `weight`, `bound`, `active`, per-constraint
 ///    `remaining`) are parallel arrays indexed by id; cold metadata does not
@@ -86,6 +106,9 @@
 ///    removes the variable's entries from every constraint list it was on
 ///    (and release_constraint symmetrically), so a recycled id can never
 ///    revive a stale element;
+///  * each entry's twin names the node of the peer's list that holds the
+///    other copy of the incidence (duplicate incidences are paired one to
+///    one, in no particular order);
 ///  * an (var, cnst) incidence appears exactly once per expand() call —
 ///    expanding twice yields two entries, matching the additive consumption
 ///    semantics of the old layout;
@@ -160,7 +183,10 @@ public:
   static constexpr double kUnlimited = 1e30;
 
   /// Create a resource constraint. `shared`: capacity divided among users;
-  /// otherwise each user is individually capped (fatpipe).
+  /// otherwise each user is individually capped (fatpipe). Capacities (here
+  /// and in set_capacity) and weights (new_variable, set_weight) must be
+  /// finite and >= 0, coefficients finite and > 0: anything else, NaN
+  /// included, throws xbt::InvalidArgument naming the call.
   CnstId new_constraint(double capacity, bool shared = true);
 
   /// Release a constraint: its caps/shares disappear and every variable that
@@ -280,14 +306,17 @@ public:
   static constexpr std::int32_t kNoNode = -1;
   static constexpr std::int32_t kNodeEntries = 4;  ///< degree <= 4 fast path
   struct ElemNode {
-    std::int32_t count;             ///< live entries in this node
-    std::int32_t next;              ///< next node of the list (or free list)
-    std::int32_t id[kNodeEntries];  ///< peer id: var ids on a constraint's
-                                    ///< list, cnst ids on a variable's list
+    std::int32_t count;               ///< live entries in this node
+    std::int32_t next;                ///< next node of the list (or free list)
+    std::int32_t prev;                ///< previous node of the list
+    std::int32_t twin[kNodeEntries];  ///< node of the twin entry in the peer's list
+    std::int32_t id[kNodeEntries];    ///< peer id: var ids on a constraint's
+                                      ///< list, cnst ids on a variable's list
     double coeff[kNodeEntries];
   };
+  static_assert(sizeof(ElemNode) == 80, "the layout notes above assume 80-byte nodes");
   static constexpr size_t kChunkShift = 8;
-  static constexpr size_t kChunkNodes = size_t{1} << kChunkShift;  ///< 256 nodes / ~14 KiB
+  static constexpr size_t kChunkNodes = size_t{1} << kChunkShift;  ///< 256 nodes / 20 KiB
 
   ElemNode& node(std::int32_t i) {
     return chunks_[static_cast<size_t>(i) >> kChunkShift][static_cast<size_t>(i) & (kChunkNodes - 1)];
@@ -297,10 +326,13 @@ public:
   }
   std::int32_t alloc_node();
   void free_node(std::int32_t n);
-  /// Append one (peer, coeff) entry to the list rooted at `head`.
-  void list_insert(std::int32_t& head, std::int32_t peer, double coeff);
-  /// Remove every entry whose id == peer; returns how many were removed.
-  std::int32_t list_remove_all(std::int32_t& head, std::int32_t peer);
+  /// Append one (peer, coeff) entry to the list rooted at `head`, as the
+  /// last entry of the head node, and return that node. The caller sets the
+  /// entry's twin.
+  std::int32_t list_insert(std::int32_t& head, std::int32_t peer, double coeff);
+  /// Remove one entry of `peer` from node `n` of the list rooted at `head`:
+  /// the lowest slot holding it, swap-filled from the node's last entry.
+  void node_remove(std::int32_t& head, std::int32_t n, std::int32_t peer);
   /// Free the whole chain and reset head to kNoNode.
   void list_free(std::int32_t& head);
 

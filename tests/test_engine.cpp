@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "core/engine.hpp"
 #include "platform/builders.hpp"
@@ -106,6 +108,63 @@ TEST_F(EngineTest, ZeroByteCommTakesLatencyOnly) {
   Engine e(sg::platform::make_dumbbell(1e9, 1e8, 5e-3));
   auto c = e.comm_start(0, 1, 0.0);
   EXPECT_NEAR(run_until_done(e, c), 5e-3, 1e-12);
+}
+
+// Activity starts reject NaN, infinite and negative amounts with a typed
+// error that names the call and the host, and leave no action behind.
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
+const double kInfinity = std::numeric_limits<double>::infinity();
+
+template <typename Fn>
+void expect_rejected(Engine& e, Fn&& start, const std::string& call, const std::string& host) {
+  try {
+    start();
+    ADD_FAILURE() << call << " accepted a bad amount";
+  } catch (const sg::xbt::InvalidArgument& ex) {
+    const std::string what = ex.what();
+    EXPECT_NE(what.find(call), std::string::npos) << what;
+    EXPECT_NE(what.find(host), std::string::npos) << what;
+  }
+  EXPECT_EQ(e.running_action_count(), 0u);
+}
+
+TEST_F(EngineTest, ExecStartRejectsBadAmounts) {
+  Platform p;
+  p.add_host("cpu0", 1e9);
+  Engine e(std::move(p));
+  for (double bad : {kNaN, kInfinity, -1.0}) {
+    expect_rejected(e, [&] { e.exec_start(0, bad); }, "exec_start", "cpu0");
+    expect_rejected(e, [&] { e.exec_start(0, 1e9, bad); }, "exec_start", "cpu0");
+    expect_rejected(e, [&] { e.exec_start(0, 1e9, bad, "named"); }, "exec_start", "cpu0");
+  }
+  EXPECT_DOUBLE_EQ(run_until_done(e, e.exec_start(0, 1e9)), 1.0);
+}
+
+TEST_F(EngineTest, CommStartRejectsBadAmounts) {
+  Engine e(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
+  const std::string src = e.platform().host(0).name;
+  for (double bad : {kNaN, kInfinity, -1.0})
+    expect_rejected(e, [&] { e.comm_start(0, 1, bad); }, "comm_start", src);
+  // A negative rate limit means "no limit"; NaN and infinities are errors.
+  for (double bad : {kNaN, kInfinity, -kInfinity})
+    expect_rejected(e, [&] { e.comm_start(0, 1, 1e8, bad, "named"); }, "comm_start", src);
+  EXPECT_NEAR(run_until_done(e, e.comm_start(0, 1, 1e8, -1.0)), 1.0, 1e-9);
+}
+
+TEST_F(EngineTest, PtaskStartRejectsBadAmounts) {
+  Platform p;
+  auto a = p.add_host("pa", 1e9);
+  auto b = p.add_host("pb", 1e9);
+  auto l = p.add_link("l", 1e8, 0.0);
+  p.add_route(a, b, {l});
+  Engine e(std::move(p));
+  for (double bad : {kNaN, kInfinity, -1.0}) {
+    expect_rejected(e, [&] { e.ptask_start({0, 1}, {1e9, bad}, {}); }, "ptask_start", "pb");
+    expect_rejected(e, [&] { e.ptask_start({0, 1}, {1e9, 1e9}, {{0.0, bad}, {0.0, 0.0}}); },
+                    "ptask_start", "pa");
+  }
+  auto t = e.ptask_start({0, 1}, {1e9, 1e9}, {{0.0, 1e8}, {0.0, 0.0}});
+  EXPECT_NEAR(run_until_done(e, t), 1.0, 1e-9);
 }
 
 TEST_F(EngineTest, TwoFlowsShareLink) {

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/maxmin.hpp"
@@ -221,6 +223,69 @@ TEST(MaxMin, InvalidArguments) {
   EXPECT_THROW(sys.expand(c, v, 0.0), sg::xbt::InvalidArgument);
 }
 
+// Every solver entry point that takes an amount rejects NaN, infinities and
+// out-of-range values with a typed error naming the call, and leaves the
+// system as it was.
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
+const double kInfinity = std::numeric_limits<double>::infinity();
+
+template <typename Fn>
+void expect_rejected(Fn&& fn, const char* call, double bad) {
+  try {
+    fn(bad);
+    ADD_FAILURE() << call << " accepted " << bad;
+  } catch (const sg::xbt::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find(call), std::string::npos) << e.what();
+  }
+}
+
+TEST(MaxMinValidation, NewVariableRejectsBadWeight) {
+  MaxMinSystem sys;
+  for (double bad : {kNaN, kInfinity, -kInfinity, -1.0})
+    expect_rejected([&](double w) { sys.new_variable(w); }, "new_variable", bad);
+  EXPECT_EQ(sys.variable_count(), 0u);
+  EXPECT_NO_THROW(sys.new_variable(0.0));
+}
+
+TEST(MaxMinValidation, SetWeightRejectsBadWeight) {
+  MaxMinSystem sys;
+  const auto v = sys.new_variable(2.0);
+  for (double bad : {kNaN, kInfinity, -kInfinity, -1.0})
+    expect_rejected([&](double w) { sys.set_weight(v, w); }, "set_weight", bad);
+  EXPECT_EQ(sys.weight(v), 2.0);
+}
+
+TEST(MaxMinValidation, ExpandRejectsBadCoefficient) {
+  MaxMinSystem sys;
+  const auto c = sys.new_constraint(10.0);
+  const auto v = sys.new_variable(1.0);
+  for (double bad : {kNaN, kInfinity, -kInfinity, -1.0, 0.0})
+    expect_rejected([&](double coeff) { sys.expand(c, v, coeff); }, "expand", bad);
+  EXPECT_EQ(sys.constraint_degree(c), 0u);
+  EXPECT_EQ(sys.variable_degree(v), 0u);
+}
+
+TEST(MaxMinValidation, NewConstraintRejectsBadCapacity) {
+  MaxMinSystem sys;
+  for (bool shared : {true, false})
+    for (double bad : {kNaN, kInfinity, -kInfinity, -1.0})
+      expect_rejected([&](double cap) { sys.new_constraint(cap, shared); }, "new_constraint", bad);
+  EXPECT_EQ(sys.constraint_count(), 0u);
+  EXPECT_NO_THROW(sys.new_constraint(0.0));
+}
+
+TEST(MaxMinValidation, SetCapacityRejectsBadCapacity) {
+  MaxMinSystem sys;
+  const auto c = sys.new_constraint(10.0);
+  const auto v = sys.new_variable(1.0);
+  sys.expand(c, v);
+  sys.solve();
+  for (double bad : {kNaN, kInfinity, -kInfinity, -1.0})
+    expect_rejected([&](double cap) { sys.set_capacity(c, cap); }, "set_capacity", bad);
+  EXPECT_EQ(sys.capacity(c), 10.0);
+  EXPECT_FALSE(sys.needs_solve());
+}
+
 TEST(MaxMin, ExpandRejectsBadIds) {
   MaxMinSystem sys;
   auto c = sys.new_constraint(10.0);
@@ -263,6 +328,9 @@ TEST(MaxMin, CapacityUpdateChangesSolution) {
 // (b) max-min optimal: every active variable is blocked by *something* — a
 // saturated shared constraint it crosses, a fatpipe cap, or its own bound.
 
+// gtest names each case by the raw bytes of its parameter. `name_bytes` fills
+// what would otherwise be uninitialised trailing padding, so every build lists
+// the same names; left zero, they keep the names this suite is listed under.
 struct RandomSystemParams {
   std::uint64_t seed;
   int n_vars;
@@ -270,7 +338,9 @@ struct RandomSystemParams {
   bool with_bounds;
   bool with_fatpipes;
   bool with_weights;
+  unsigned char name_bytes[5];
 };
+static_assert(sizeof(RandomSystemParams) == 24, "RandomSystemParams must have no padding");
 
 class MaxMinProperty : public ::testing::TestWithParam<RandomSystemParams> {};
 
@@ -363,16 +433,16 @@ TEST_P(MaxMinProperty, FeasibleAndMaxMinOptimal) {
 
 INSTANTIATE_TEST_SUITE_P(
     RandomSystems, MaxMinProperty,
-    ::testing::Values(RandomSystemParams{1, 5, 3, false, false, false},
-                      RandomSystemParams{2, 10, 4, true, false, false},
-                      RandomSystemParams{3, 10, 4, false, true, false},
-                      RandomSystemParams{4, 20, 6, true, true, false},
-                      RandomSystemParams{5, 20, 6, true, true, true},
-                      RandomSystemParams{6, 50, 10, true, true, true},
-                      RandomSystemParams{7, 100, 15, true, true, true},
-                      RandomSystemParams{8, 200, 20, true, true, true},
-                      RandomSystemParams{9, 40, 2, false, false, true},
-                      RandomSystemParams{10, 8, 8, true, false, true}));
+    ::testing::Values(RandomSystemParams{1, 5, 3, false, false, false, {}},
+                      RandomSystemParams{2, 10, 4, true, false, false, {}},
+                      RandomSystemParams{3, 10, 4, false, true, false, {}},
+                      RandomSystemParams{4, 20, 6, true, true, false, {}},
+                      RandomSystemParams{5, 20, 6, true, true, true, {}},
+                      RandomSystemParams{6, 50, 10, true, true, true, {}},
+                      RandomSystemParams{7, 100, 15, true, true, true, {}},
+                      RandomSystemParams{8, 200, 20, true, true, true, {}},
+                      RandomSystemParams{9, 40, 2, false, false, true, {}},
+                      RandomSystemParams{10, 8, 8, true, false, true, {}}));
 
 // -- incremental solving --------------------------------------------------------
 
@@ -1073,6 +1143,188 @@ TEST(MaxMinFilling, CoupledSolveScansElementsLinearly) {
   EXPECT_LE(scanned * 5, old_cost.elements_walked)
       << "three-pass loop walked " << old_cost.elements_walked << " entries in "
       << old_cost.rounds << " rounds";
+}
+
+// Caps come from each growing variable's own list, and a release unlinks
+// through twin links: neither walks a fat pipe's users. Releasing and
+// re-adding one flow beside a fat pipe therefore scans the same number of
+// entries whether the pipe carries 10 users or 10,000.
+size_t fatpipe_churn_scanned(int users) {
+  MaxMinSystem sys;
+  const CnstId pipe = sys.new_constraint(1000.0, /*shared=*/false);
+  const CnstId link = sys.new_constraint(50.0);
+  for (int u = 0; u < users; ++u)
+    sys.expand(pipe, sys.new_variable(1.0), 1.0 + u % 3);
+  const VarId other = sys.new_variable(1.0);
+  sys.expand(link, other);
+  VarId flow = sys.new_variable(1.0);
+  sys.expand(link, flow);
+  sys.expand(pipe, flow);
+  sys.solve();
+
+  const MaxMinSystem::SolveStats before = sys.solve_stats();
+  sys.release_variable(flow);
+  flow = sys.new_variable(1.0);
+  sys.expand(link, flow);
+  sys.expand(pipe, flow, 50.0);  // cap 1000 / 50 = 20, below the 25 fair share
+  sys.solve();
+  EXPECT_EQ(sys.solve_stats().full_solves, before.full_solves) << "re-solve escalated";
+  EXPECT_EQ(sys.value(flow), 20.0);
+  EXPECT_EQ(sys.value(other), 30.0);
+  EXPECT_EQ(sys.constraint_degree(pipe), static_cast<size_t>(users) + 1);
+  return sys.solve_stats().elements_scanned - before.elements_scanned;
+}
+
+TEST(MaxMinFilling, FatpipeDegreeIndependent) {
+  const size_t small = fatpipe_churn_scanned(10);
+  const size_t large = fatpipe_churn_scanned(10000);
+  EXPECT_EQ(small, large);
+  EXPECT_GT(small, 0u);
+}
+
+// -- list order under twin unlinking ----------------------------------------------
+//
+// release_variable / release_constraint unlink each incidence through its
+// twin link. ScanLists is a test-local copy of the removal they replaced:
+// unrolled 4-entry nodes, new nodes prepended, and for each entry of the
+// released id's own list a front-to-back, node-local swap-remove of every
+// entry of that id from the peer's list. The solver's lists must match it
+// entry for entry, in order, after every mutation: list order fixes the fill
+// sums' fold order and the failure-propagation order.
+struct ScanLists {
+  using Entry = std::pair<int, double>;
+  using List = std::vector<std::vector<Entry>>;  ///< nodes, head first
+  std::vector<List> cnst;
+  std::vector<List> var;
+
+  static void insert(List& l, int peer, double coeff) {
+    if (l.empty() || l.front().size() == 4)
+      l.insert(l.begin(), std::vector<Entry>{});
+    l.front().push_back({peer, coeff});
+  }
+  static void remove_all(List& l, int peer) {
+    for (auto& nd : l) {
+      for (size_t k = 0; k < nd.size();) {
+        if (nd[k].first == peer) {
+          nd[k] = nd.back();
+          nd.pop_back();
+        } else {
+          ++k;
+        }
+      }
+    }
+    std::erase_if(l, [](const std::vector<Entry>& nd) { return nd.empty(); });
+  }
+  static std::vector<Entry> flat(const List& l) {
+    std::vector<Entry> out;
+    for (const auto& nd : l)
+      out.insert(out.end(), nd.begin(), nd.end());
+    return out;
+  }
+  static List& at(std::vector<List>& lists, int id) {
+    if (lists.size() <= static_cast<size_t>(id))
+      lists.resize(static_cast<size_t>(id) + 1);
+    return lists[static_cast<size_t>(id)];
+  }
+
+  void expand(CnstId c, VarId v, double coeff) {
+    insert(at(cnst, c), v, coeff);
+    insert(at(var, v), c, coeff);
+  }
+  void release_variable(VarId v) {
+    for (const Entry& e : flat(at(var, v)))
+      remove_all(at(cnst, e.first), v);
+    at(var, v).clear();
+  }
+  void release_constraint(CnstId c) {
+    for (const Entry& e : flat(at(cnst, c)))
+      remove_all(at(var, e.first), c);
+    at(cnst, c).clear();
+  }
+};
+
+void expect_same_lists(const MaxMinSystem& sys, ScanLists& ref, const std::vector<VarId>& vars,
+                       const std::vector<CnstId>& cnsts, int step) {
+  std::vector<ScanLists::Entry> got;
+  for (CnstId c : cnsts) {
+    got.clear();
+    sys.for_each_variable_on(c, [&](VarId v, double coeff) { got.push_back({v, coeff}); });
+    ASSERT_EQ(got, ScanLists::flat(ScanLists::at(ref.cnst, c)))
+        << "users of constraint " << c << " at step " << step;
+    ASSERT_EQ(sys.constraint_degree(c), got.size());
+  }
+  for (VarId v : vars) {
+    got.clear();
+    sys.for_each_constraint_of(v, [&](CnstId c, double coeff) { got.push_back({c, coeff}); });
+    ASSERT_EQ(got, ScanLists::flat(ScanLists::at(ref.var, v)))
+        << "constraints of variable " << v << " at step " << step;
+    ASSERT_EQ(sys.variable_degree(v), got.size());
+  }
+}
+
+TEST(MaxMinLists, TwinUnlinkMatchesScanOrder) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    sg::xbt::Rng rng(seed);
+    MaxMinSystem sys;
+    ScanLists ref;
+    std::vector<CnstId> cnsts;
+    std::vector<VarId> vars;
+    auto pick = [&](const auto& ids) { return ids[rng.uniform_int(0, ids.size() - 1)]; };
+    auto add_cnst = [&] {
+      // Every third constraint is a fat pipe; pipes collect most entries.
+      cnsts.push_back(sys.new_constraint(rng.uniform(10.0, 100.0), cnsts.size() % 3 != 0));
+      ScanLists::at(ref.cnst, cnsts.back()).clear();
+    };
+    auto add_var = [&] {
+      vars.push_back(sys.new_variable(1.0));
+      ScanLists::at(ref.var, vars.back()).clear();
+    };
+    for (int i = 0; i < 6; ++i)
+      add_cnst();
+    for (int i = 0; i < 12; ++i)
+      add_var();
+
+    size_t widest_pipe = 0;
+    for (int step = 0; step < 1500; ++step) {
+      const double op = rng.uniform01();
+      if (op < 0.50 && !vars.empty() && !cnsts.empty()) {
+        const VarId v = pick(vars);
+        CnstId c = pick(cnsts);
+        const double where = rng.uniform01();
+        if (where < 0.35) {
+          c = cnsts[0];  // a fat pipe with a long, multi-node user list
+        } else if (where < 0.65 && !ScanLists::at(ref.var, v).empty()) {
+          c = pick(ScanLists::flat(ScanLists::at(ref.var, v))).first;  // duplicate incidence
+        }
+        const double coeff = 0.5 + static_cast<double>(rng.uniform_int(0, 7)) / 4;
+        sys.expand(c, v, coeff);
+        ref.expand(c, v, coeff);
+      } else if (op < 0.68 && !vars.empty()) {
+        const size_t k = rng.uniform_int(0, vars.size() - 1);
+        sys.release_variable(vars[k]);
+        ref.release_variable(vars[k]);
+        vars.erase(vars.begin() + static_cast<std::ptrdiff_t>(k));
+      } else if (op < 0.84) {
+        add_var();
+      } else if (op < 0.89 && cnsts.size() > 2) {
+        // Never the pipe at index 0: it keeps the long list alive.
+        const size_t k = rng.uniform_int(1, cnsts.size() - 1);
+        sys.release_constraint(cnsts[k]);
+        ref.release_constraint(cnsts[k]);
+        cnsts.erase(cnsts.begin() + static_cast<std::ptrdiff_t>(k));
+      } else if (op < 0.94) {
+        add_cnst();
+      } else {
+        sys.solve();
+      }
+      expect_same_lists(sys, ref, vars, cnsts, step);
+      if (::testing::Test::HasFatalFailure())
+        return;
+      widest_pipe = std::max(widest_pipe, sys.constraint_degree(cnsts[0]));
+    }
+    EXPECT_GT(widest_pipe, 8u) << "the pipe never spanned several nodes";
+  }
 }
 
 }  // namespace
