@@ -21,6 +21,7 @@
 #include "core/engine.hpp"
 #include "msg/msg.hpp"
 #include "platform/builders.hpp"
+#include "topo/brite.hpp"
 #include "xbt/str.hpp"
 
 using namespace sg::msg;
@@ -292,6 +293,48 @@ void run_seal(int n_hosts, double* seal_s, double* first_routes_s) {
   *first_routes_s = std::chrono::duration<double>(t2 - t1).count();
 }
 
+// Route misses on the perfbench waxman_coupled shape: four 100-node Waxman
+// graphs, each hanging off a core router by its node 0. Sources cycle
+// round-robin over all 400 hosts, so with the default 64-tree cache every
+// query meets an evicted tree, and each round pairs a source with a new
+// destination in its own graph, so the pair cache never answers either.
+void run_route_misses(int rounds, double* ns_per_miss, double* settled_per_miss) {
+  using namespace sg::platform;
+  using Clock = std::chrono::steady_clock;
+  constexpr int kGraphs = 4;
+  constexpr int kNodes = 100;
+  Platform p;
+  for (int g = 0; g < kGraphs; ++g) {
+    sg::topo::WaxmanSpec spec;
+    spec.n_nodes = kNodes;
+    spec.seed = 7919 * static_cast<std::uint64_t>(g + 1);
+    spec.latency_per_unit = 2e-6;
+    sg::topo::add_to_platform(p, sg::topo::generate_waxman(spec), sg::xbt::format("g%d-n", g));
+  }
+  const NodeId core = p.add_router("core");
+  for (int g = 0; g < kGraphs; ++g)
+    p.add_edge(p.host_node(g * kNodes), core,
+               p.add_link(sg::xbt::format("g%d-up", g), 1.25e8, 1e-3));
+  p.seal();
+  const size_t settled0 = p.sssp_settled_count();
+  double lat_sum = 0;
+  int misses = 0;
+  const auto t0 = Clock::now();
+  for (int r = 0; r < rounds; ++r)
+    for (int i = 0; i < kGraphs * kNodes; ++i) {
+      const int g = i % kGraphs;
+      const int s = (i / kGraphs + r) % kNodes;
+      const int d = (s + 1 + r) % kNodes;
+      lat_sum += p.route(g * kNodes + s, g * kNodes + d).latency();
+      ++misses;
+    }
+  const auto t1 = Clock::now();
+  if (lat_sum < 0)
+    std::printf("impossible\n");
+  *ns_per_miss = std::chrono::duration<double, std::nano>(t1 - t0).count() / misses;
+  *settled_per_miss = static_cast<double>(p.sssp_settled_count() - settled0) / misses;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -308,9 +351,21 @@ int main(int argc, char** argv) {
     std::printf("%10d %15.4f %22.4f\n", hosts, seal_s, routes_s);
     record(sg::xbt::format("seal/hosts:%d", hosts), seal_s, "first_routes_s", routes_s);
   }
-  std::printf("\nshape: seal() is O(nodes + edges); Dijkstra runs per-source on first\n");
-  std::printf("use and each resolved pair is memoized (it used to be all-pairs, ~48 s\n");
+  std::printf("\nshape: seal() is O(nodes + edges); a query runs Dijkstra from its source\n");
+  std::printf("only until the destination settles, later queries from that source resume\n");
+  std::printf("it, and each resolved pair is memoized (it used to be all-pairs, ~48 s\n");
   std::printf("at 8000 hosts).\n\n");
+
+  {
+    const int rounds = 25;
+    double ns_per_miss = 0, settled_per_miss = 0;
+    run_route_misses(rounds, &ns_per_miss, &settled_per_miss);
+    std::printf("route misses, four 100-node Waxman graphs (%d misses):\n", rounds * 400);
+    std::printf("  %.0f ns per miss, %.1f nodes settled per miss (of 401)\n\n", ns_per_miss,
+                settled_per_miss);
+    g_json.record("route_miss/waxman:4x100", ns_per_miss * 1e-9 * rounds * 400,
+                  {{"ns_per_miss", ns_per_miss}, {"settled_per_miss", settled_per_miss}});
+  }
 
   std::printf("E9d: hierarchical cluster-zone routing — O(1) composition, O(hosts) state\n\n");
   std::printf("%10s %12s %15s %15s %18s\n", "hosts", "seal (s)", "1M routes (s)", "ns/route",

@@ -46,6 +46,22 @@ void check_amount(const char* call, const char* what, double v, const platform::
                              " must be finite" + (signed_ok ? "" : " and non-negative") +
                              " (got " + xbt::format("%g", v) + ")");
 }
+
+[[noreturn]] void throw_bad_id(const char* call, const char* kind, int id, size_t count) {
+  throw xbt::InvalidArgument(std::string(call) + ": " + kind + " id " + std::to_string(id) +
+                             " out of range (platform has " + std::to_string(count) + " " + kind +
+                             "s)");
+}
+
+/// API host and link ids index the engine's resource tables. An id outside
+/// them is the caller's error: report the call and the id, not a bare
+/// std::out_of_range.
+template <typename Table>
+auto& checked(Table& table, int id, const char* call, const char* kind) {
+  if (id < 0 || static_cast<size_t>(id) >= table.size())
+    throw_bad_id(call, kind, id, table.size());
+  return table[static_cast<size_t>(id)];
+}
 }  // namespace
 
 void declare_engine_config() {
@@ -398,7 +414,7 @@ ActionPtr Engine::exec_start(int host, double flops, double priority, const std:
 }
 
 ActionPtr Engine::exec_start_impl(int host, double flops, double priority, const std::string* name) {
-  HostRes& res = hosts_.at(static_cast<size_t>(host));
+  HostRes& res = checked(hosts_, host, "exec_start", "host");
   check_amount("exec_start", "flops", flops, platform_, host);
   check_amount("exec_start", "priority", priority, platform_, host);
   if (!res.on) {
@@ -444,8 +460,8 @@ ActionPtr Engine::comm_start_impl(int src_host, int dst_host, double bytes, doub
   // allocating, so the action comes from its own shard's block pool.
   // Heap/solver affinity: intra-zone transfers stay in their zone's shard;
   // anything crossing a zone boundary lives with the backbone.
-  const std::int32_t src_shard = hosts_.at(static_cast<size_t>(src_host)).shard;
-  const std::int32_t dst_shard = hosts_.at(static_cast<size_t>(dst_host)).shard;
+  const std::int32_t src_shard = checked(hosts_, src_host, "comm_start", "host").shard;
+  const std::int32_t dst_shard = checked(hosts_, dst_host, "comm_start", "host").shard;
   check_amount("comm_start", "bytes", bytes, platform_, src_host);
   check_amount("comm_start", "rate_limit", rate_limit, platform_, src_host, /*signed_ok=*/true);
   const std::int32_t shard = src_shard == dst_shard ? src_shard : 0;
@@ -537,7 +553,7 @@ ActionPtr Engine::ptask_start(const std::vector<int>& hosts, const std::vector<d
     throw xbt::InvalidArgument("ptask_start: bytes matrix must be n x n");
   for (size_t i = 0; i < hosts.size(); ++i) {
     const int h = hosts[i];
-    const HostRes& res = hosts_.at(static_cast<size_t>(h));
+    const HostRes& res = checked(hosts_, h, "ptask_start", "host");
     // Every argument is checked before the solver variable exists, so a
     // rejected call leaves nothing behind.
     check_amount("ptask_start", "flops", flops[i], platform_, h);
@@ -605,7 +621,8 @@ ActionPtr Engine::sleep_start(int host, double duration, const std::string& name
 }
 
 ActionPtr Engine::sleep_start(int host, double duration) {
-  HostRes& res = hosts_.at(static_cast<size_t>(host));
+  HostRes& res = checked(hosts_, host, "sleep_start", "host");
+  check_amount("sleep_start", "duration", duration, platform_, host);
   if (!res.on) {
     if (!platform_.host_present(host))
       throw_host_departed("sleep_start", platform_, host);
@@ -1441,23 +1458,25 @@ void Engine::notify(const Action& action, ActionState old_state, ActionState new
 }
 
 double Engine::host_speed(int host) const {
-  const HostRes& res = hosts_.at(static_cast<size_t>(host));
+  const HostRes& res = checked(hosts_, host, "host_speed", "host");
   return res.on ? platform_.host(host).speed_flops * res.scale : 0.0;
 }
 
 double Engine::link_bandwidth(platform::LinkId link) const {
-  const LinkRes& res = links_.at(static_cast<size_t>(link));
+  const LinkRes& res = checked(links_, link, "link_bandwidth", "link");
   return res.on ? platform_.link(link).bandwidth_Bps * res.scale : 0.0;
 }
 
 double Engine::host_load(int host) {
+  const HostRes& res = checked(hosts_, host, "host_load", "host");
   share_resources(nullptr);
-  return sys_.usage(hosts_.at(static_cast<size_t>(host)).cnst);
+  return sys_.usage(res.cnst);
 }
 
 double Engine::link_load(platform::LinkId link) {
+  const LinkRes& res = checked(links_, link, "link_load", "link");
   share_resources(nullptr);
-  return sys_.usage(links_.at(static_cast<size_t>(link)).cnst);
+  return sys_.usage(res.cnst);
 }
 
 void Engine::fail_actions_on_constraint(ShardedMaxMin::CnstId cnst, std::vector<ActionEvent>& out) {
@@ -1533,7 +1552,7 @@ void Engine::apply_link_state(platform::LinkId link, bool on, std::vector<Action
 }
 
 void Engine::set_host_state(int host, bool on) {
-  hosts_.at(static_cast<size_t>(host));  // range check with the usual exception
+  checked(hosts_, host, "set_host_state", "host");
   platform_.check_host_present(host, "set_host_state");  // "departed at t=…"
   std::vector<ActionEvent> out;
   apply_host_state(host, on, out);
@@ -1542,7 +1561,7 @@ void Engine::set_host_state(int host, bool on) {
 }
 
 void Engine::set_link_state(platform::LinkId link, bool on) {
-  links_.at(static_cast<size_t>(link));  // range check with the usual exception
+  checked(links_, link, "set_link_state", "link");
   std::vector<ActionEvent> out;
   apply_link_state(link, on, out);
   for (auto& ev : out)
@@ -1550,12 +1569,12 @@ void Engine::set_link_state(platform::LinkId link, bool on) {
 }
 
 void Engine::set_host_scale(int host, double scale) {
-  hosts_.at(static_cast<size_t>(host)).scale = scale;
+  checked(hosts_, host, "set_host_scale", "host").scale = scale;
   refresh_host_capacity(host);
 }
 
 void Engine::set_link_scale(platform::LinkId link, double scale) {
-  links_.at(static_cast<size_t>(link)).scale = scale;
+  checked(links_, link, "set_link_scale", "link").scale = scale;
   refresh_link_capacity(link);
 }
 
@@ -1618,7 +1637,7 @@ void Engine::adopt_new_resources() {
 }
 
 void Engine::leave_host(int host) {
-  hosts_.at(static_cast<size_t>(host));  // range check with the usual exception
+  checked(hosts_, host, "leave_host", "host");
   const std::vector<platform::LinkId> private_links = platform_.host_private_links(host);
   platform_.leave_host(host, now_);  // validates presence; routes now refuse the host
 
@@ -1655,7 +1674,7 @@ void Engine::leave_host(int host) {
 }
 
 void Engine::rejoin_host(int host) {
-  hosts_.at(static_cast<size_t>(host));  // range check with the usual exception
+  checked(hosts_, host, "rejoin_host", "host");
   platform_.rejoin_host(host);           // validates "is already present"
 
   // Bring-up mirrors construction, evaluated at now(): the trace chains kept

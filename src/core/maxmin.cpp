@@ -24,6 +24,14 @@ void check_amount(const char* call, const char* what, double v, bool positive = 
                              (positive ? "positive" : "non-negative") + " (got " +
                              xbt::format("%g", v) + ")");
 }
+
+/// A bound may be any number (negative: no bound) except NaN, which would
+/// compare false against every rate.
+void check_bound(int var, double bound) {
+  if (std::isnan(bound))
+    throw xbt::InvalidArgument("set_bound: bound of variable " + std::to_string(var) +
+                               " must not be NaN (got " + xbt::format("%g", bound) + ")");
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -302,7 +310,9 @@ void MaxMinSystem::set_weight(VarId var, double weight) {
 double MaxMinSystem::weight(VarId var) const { return var_weight_.at(static_cast<size_t>(var)); }
 
 void MaxMinSystem::set_bound(VarId var, double bound) {
-  if (var_bound_.at(static_cast<size_t>(var)) == bound)
+  check_var(var, "set_bound");
+  check_bound(var, bound);
+  if (var_bound_[static_cast<size_t>(var)] == bound)
     return;
   var_bound_[static_cast<size_t>(var)] = bound;
   if (var_flags_[static_cast<size_t>(var)] & kFlagAlive)
@@ -991,6 +1001,7 @@ double ShardedMaxMin::weight(VarId var) const {
 
 void ShardedMaxMin::set_bound(VarId var, double bound) {
   check_var(var, "set_bound");
+  check_bound(var, bound);
   VarRec& r = vars_[static_cast<size_t>(var)];
   if (r.bound == bound)
     return;

@@ -1,8 +1,8 @@
 #include "platform/platform.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
 
 #include "xbt/exception.hpp"
 #include "xbt/str.hpp"
@@ -704,16 +704,23 @@ void Platform::member_segs(const ZoneRec& zone, int host_index, SegId* intra, Se
 }
 
 void Platform::extend_sssp_trees(NodeId attach, LinkId uplink) const {
-  // The joined host is a leaf: the only way in is through `attach`, so the
-  // exact distance is dist(attach) + w — no re-run, O(cached trees) total.
+  // The joined host is a leaf: the only way in is through `attach`. A tree
+  // that settled `attach` already ran its relaxation, so it relaxes the new
+  // arc here, as a resumed search would have; any other tree reaches the
+  // leaf through adj_ once it settles `attach`. O(cached trees) total.
   const double w = links_[static_cast<size_t>(uplink)].latency_s + 1e-9;
+  const size_t a = static_cast<size_t>(attach);
   for (auto& [src, tree] : sssp_cache_) {
     (void)src;
-    const double da = tree.dist[static_cast<size_t>(attach)];
-    const bool through = da != kInf && node_transitable(attach);
-    tree.dist.push_back(through ? da + w : kInf);
+    const bool through = tree.settled[a] && relays(tree, attach);
+    tree.dist.push_back(through ? tree.dist[a] + w : kInf);
     tree.prev_node.push_back(through ? attach : -1);
     tree.prev_link.push_back(through ? uplink : -1);
+    tree.settled.push_back(false);
+    if (through) {
+      tree.frontier.push_back({tree.dist.back(), static_cast<NodeId>(tree.dist.size() - 1)});
+      std::push_heap(tree.frontier.begin(), tree.frontier.end(), std::greater<>());
+    }
   }
 }
 
@@ -752,41 +759,52 @@ void Platform::throw_no_route(int src_host, int dst_host) const {
 // Routing
 // ---------------------------------------------------------------------------
 
-const Platform::SsspTree& Platform::sssp_from(NodeId src) const {
-  auto hit = sssp_cache_.find(src);
-  if (hit != sssp_cache_.end()) {
-    hit->second.last_used = ++sssp_tick_;  // O(1) LRU refresh
-    return hit->second;
+const Platform::SsspTree& Platform::sssp_from(NodeId src, NodeId target) const {
+  auto slot = sssp_cache_.find(src);
+  if (slot == sssp_cache_.end()) {
+    if (sssp_cache_.size() >= sssp_cache_cap_) {
+      // Evict the least recently used tree and re-key its map node, so the
+      // new tree reuses its buffers. The O(cap) scan only runs on a miss.
+      auto lru = sssp_cache_.begin();
+      for (auto it = std::next(lru); it != sssp_cache_.end(); ++it)
+        if (it->second.last_used < lru->second.last_used)
+          lru = it;
+      auto node = sssp_cache_.extract(lru);
+      node.key() = src;
+      slot = sssp_cache_.insert(std::move(node)).position;
+    } else {
+      slot = sssp_cache_.try_emplace(src).first;
+    }
+    SsspTree& fresh = slot->second;
+    const size_t n_nodes = nodes_.size();
+    fresh.src = src;
+    fresh.dist.assign(n_nodes, kInf);
+    fresh.prev_node.assign(n_nodes, -1);
+    fresh.prev_link.assign(n_nodes, -1);
+    fresh.settled.assign(n_nodes, false);
+    fresh.frontier.clear();
+    fresh.dist[static_cast<size_t>(src)] = 0.0;
+    fresh.frontier.push_back({0.0, src});
   }
+  SsspTree& tree = slot->second;
+  tree.last_used = ++sssp_tick_;  // O(1) LRU refresh
 
-  if (sssp_cache_.size() >= sssp_cache_cap_) {
-    // Evict the least recently used tree. The O(cap) scan only runs on a
-    // miss, where the Dijkstra below dominates it anyway.
-    auto lru = sssp_cache_.begin();
-    for (auto it = std::next(lru); it != sssp_cache_.end(); ++it)
-      if (it->second.last_used < lru->second.last_used)
-        lru = it;
-    sssp_cache_.erase(lru);
-  }
-
-  const size_t n_nodes = nodes_.size();
-  SsspTree tree;
-  tree.dist.assign(n_nodes, kInf);
-  tree.prev_node.assign(n_nodes, -1);
-  tree.prev_link.assign(n_nodes, -1);
-  using QE = std::pair<double, NodeId>;
-  std::priority_queue<QE, std::vector<QE>, std::greater<>> queue;
-  tree.dist[static_cast<size_t>(src)] = 0.0;
-  queue.push({0.0, src});
-  while (!queue.empty()) {
-    auto [d, u] = queue.top();
-    queue.pop();
-    if (d > tree.dist[static_cast<size_t>(u)])
-      continue;
+  // Resume the paused search. The frontier keeps its (dist, id) min order
+  // across pauses, so nodes settle in exactly the order of one full run and
+  // every prev_* entry matches it.
+  auto& frontier = tree.frontier;
+  while (!tree.settled[static_cast<size_t>(target)] && !frontier.empty()) {
+    std::pop_heap(frontier.begin(), frontier.end(), std::greater<>());
+    const NodeId u = frontier.back().second;
+    frontier.pop_back();
+    if (tree.settled[static_cast<size_t>(u)])
+      continue;  // stale entry: u settled through a shorter one
+    tree.settled[static_cast<size_t>(u)] = true;
+    ++sssp_settled_;
     // Departed hosts can still be reached (as endpoints) but never relayed
     // through; the source itself is exempt so presence stays the caller's
     // check, not a routing property.
-    if (u != src && !node_transitable(u))
+    if (!relays(tree, u))
       continue;
     for (auto [v, l] : adj_[static_cast<size_t>(u)]) {
       // Metric: latency, with a tiny per-hop epsilon so zero-latency LANs
@@ -796,15 +814,12 @@ const Platform::SsspTree& Platform::sssp_from(NodeId src) const {
         tree.dist[static_cast<size_t>(v)] = tree.dist[static_cast<size_t>(u)] + w;
         tree.prev_node[static_cast<size_t>(v)] = u;
         tree.prev_link[static_cast<size_t>(v)] = l;
-        queue.push({tree.dist[static_cast<size_t>(v)], v});
+        frontier.push_back({tree.dist[static_cast<size_t>(v)], v});
+        std::push_heap(frontier.begin(), frontier.end(), std::greater<>());
       }
     }
   }
-
-  tree.last_used = ++sssp_tick_;
-  auto [ins, inserted] = sssp_cache_.emplace(src, std::move(tree));
-  (void)inserted;
-  return ins->second;
+  return tree;
 }
 
 bool Platform::node_path_segment(NodeId from, NodeId to, SegId* seg) const {
@@ -818,8 +833,8 @@ bool Platform::node_path_segment(NodeId from, NodeId to, SegId* seg) const {
     *seg = hit->second;
     return true;
   }
-  const SsspTree& tree = sssp_from(from);
-  if (tree.dist[static_cast<size_t>(to)] == kInf)
+  const SsspTree& tree = sssp_from(from, to);
+  if (!tree.settled[static_cast<size_t>(to)])
     return false;
   std::vector<LinkId> path;
   for (NodeId v = to; v != from; v = tree.prev_node[static_cast<size_t>(v)])
@@ -908,8 +923,8 @@ RouteView Platform::route(int src_host, int dst_host) const {
 
   const NodeId src = host_nodes_[static_cast<size_t>(src_host)];
   const NodeId dst = host_nodes_[static_cast<size_t>(dst_host)];
-  const SsspTree& tree = sssp_from(src);
-  if (tree.dist[static_cast<size_t>(dst)] == kInf)
+  const SsspTree& tree = sssp_from(src, dst);
+  if (!tree.settled[static_cast<size_t>(dst)])
     throw_no_route(src_host, dst_host);
 
   std::vector<LinkId> path;
@@ -948,8 +963,7 @@ bool Platform::reachable(int src_host, int dst_host) const {
                                 : host_nodes_[static_cast<size_t>(dst_host)];
   if (from == to)
     return true;
-  const SsspTree& tree = sssp_from(from);
-  return tree.dist[static_cast<size_t>(to)] != kInf;
+  return sssp_from(from, to).settled[static_cast<size_t>(to)];
 }
 
 RoutingMemoryStats Platform::routing_memory() const {
@@ -970,7 +984,9 @@ RoutingMemoryStats Platform::routing_memory() const {
   for (const auto& [src, tree] : sssp_cache_) {
     (void)src;
     s.sssp_bytes += tree.dist.capacity() * sizeof(double) + tree.prev_node.capacity() * sizeof(NodeId) +
-                    tree.prev_link.capacity() * sizeof(LinkId) + sizeof(SsspTree) + sizeof(void*) * 3;
+                    tree.prev_link.capacity() * sizeof(LinkId) + tree.settled.capacity() / 8 +
+                    tree.frontier.capacity() * sizeof(tree.frontier[0]) + sizeof(SsspTree) +
+                    sizeof(void*) * 3;
   }
   s.zone_bytes = zones_.capacity() * sizeof(ZoneRec) + host_zone_.capacity() * sizeof(std::int32_t);
   return s;

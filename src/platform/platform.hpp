@@ -31,22 +31,27 @@
 /// ## Lazy on-demand routing (graph mode)
 ///
 /// seal() is O(nodes + edges): it only validates the description and builds
-/// the adjacency structure. The first route(src, dst) query between hosts
-/// that no zone rule covers runs Dijkstra from `src` and memoizes the whole
-/// single-source shortest-path tree; the resolved pair is cached as a
-/// RouteRef (24 bytes + the interned segment, shared across pairs with the
-/// same path). Explicit add_route() entries always win over both zone
-/// composition and graph-derived paths, and a host talking to itself uses
-/// the empty loopback route unless an explicit self-route overrides it.
+/// the adjacency structure. A route(src, dst) query between hosts that no
+/// zone rule covers grows a shortest-path tree from `src`: a paused Dijkstra
+/// that settles nodes only until `dst` is settled, then keeps its frontier so
+/// that the next query from `src` resumes where this one stopped. A query
+/// for a node the tree already settled costs no search at all. The settle
+/// order is the one a full run would follow, so routes do not depend on which
+/// queries came first. The resolved pair is cached as a RouteRef (24 bytes +
+/// the interned segment, shared across pairs with the same path). Explicit
+/// add_route() entries always win over both zone composition and
+/// graph-derived paths, and a host talking to itself uses the empty loopback
+/// route unless an explicit self-route overrides it.
 ///
 /// The caches are an implementation detail: route() stays `const`. They make
 /// routing non-thread-safe; resolve routes from a single thread (the
 /// simulation kernel is single-threaded anyway).
 ///
-/// The SSSP-tree cache is LRU-bounded; its capacity is configurable via the
+/// The tree cache is LRU-bounded; its capacity is configurable via the
 /// `routing/sssp-cache` config key (default 64) and adaptively raised to
 /// hosts/16 at seal() time, so platforms with many concurrently active
-/// sources do not thrash the cache. Cluster-zone traffic never touches it.
+/// sources do not thrash the cache. An evicted tree's buffers are reused for
+/// the next source. Cluster-zone traffic never touches the cache.
 #pragma once
 
 #include <atomic>
@@ -224,7 +229,7 @@ struct ShardMap {
 struct RoutingMemoryStats {
   size_t segment_bytes = 0;    ///< interned segment arena + dedup index
   size_t pair_cache_bytes = 0; ///< resolved (src,dst) -> RouteRef table
-  size_t sssp_bytes = 0;       ///< memoized single-source shortest-path trees
+  size_t sssp_bytes = 0;       ///< cached shortest-path trees, frontiers included
   size_t zone_bytes = 0;       ///< zone records + host -> zone map
   size_t total() const { return segment_bytes + pair_cache_bytes + sssp_bytes + zone_bytes; }
 };
@@ -379,6 +384,9 @@ public:
   size_t interned_segment_count() const { return segs_.size(); }
   /// Number of memoized single-source shortest-path trees currently held.
   size_t cached_sssp_tree_count() const { return sssp_cache_.size(); }
+  /// Nodes settled by all shortest-path searches so far (cumulative: evicted
+  /// and flushed trees keep counting). Grows only as far as queries reach.
+  size_t sssp_settled_count() const { return sssp_settled_; }
   /// Capacity of the SSSP-tree LRU: max(routing/sssp-cache, hosts/16),
   /// fixed at seal() time.
   size_t sssp_cache_capacity() const { return sssp_cache_cap_; }
@@ -432,11 +440,18 @@ private:
     std::unordered_map<int, size_t> extra_index;  ///< host index -> extra slot
   };
 
-  /// Single-source shortest-path tree, indexed by NodeId.
+  /// Single-source shortest-path tree, indexed by NodeId: a paused
+  /// Dijkstra. Nodes are settled in (dist, id) order; `dist` and `prev_*`
+  /// are final for settled nodes and tentative for the rest.
   struct SsspTree {
+    NodeId src = -1;
     std::vector<double> dist;
     std::vector<NodeId> prev_node;
     std::vector<LinkId> prev_link;
+    std::vector<bool> settled;  ///< bits: trees span every node of the platform
+    /// Min-heap on (dist, id) of reached but unsettled nodes; may hold stale
+    /// entries for nodes settled since. Empty once the tree is complete.
+    std::vector<std::pair<double, NodeId>> frontier;
     std::uint64_t last_used = 0;  ///< LRU tick; hits bump it in O(1)
   };
 
@@ -463,6 +478,11 @@ private:
     const NodeRec& rec = nodes_[static_cast<size_t>(node)];
     return !rec.host || host_present_[static_cast<size_t>(rec.host_index)] != 0;
   }
+  /// May `node`, once settled, relax its arcs in `tree`? The source always
+  /// may; other nodes only while transitable.
+  bool relays(const SsspTree& tree, NodeId node) const {
+    return node == tree.src || node_transitable(node);
+  }
   /// Extend every cached SSSP tree with the just-joined leaf node (exact:
   /// the only path to a leaf is through its attach point). O(cached trees).
   void extend_sssp_trees(NodeId attach, LinkId uplink) const;
@@ -470,11 +490,13 @@ private:
   /// (SSSP trees, node-pair segments, memoized graph routes) and re-seed
   /// the route table from the explicit routes, which always survive.
   void flush_transit_caches() const;
-  /// Memoized Dijkstra from `src` (latency metric, tiny per-hop epsilon so
-  /// zero-latency LANs still prefer fewer hops). LRU-bounded: at most
-  /// kSsspCacheCap trees are kept, each O(nodes) — resolved RouteRefs are
-  /// cached forever, so evicting a tree only costs re-running Dijkstra.
-  const SsspTree& sssp_from(NodeId src) const;
+  /// The cached tree from `src`, grown until `target` is settled or the
+  /// frontier runs dry (then `target` is unreachable: callers test
+  /// `settled[target]`). Latency metric, with a tiny per-hop epsilon so
+  /// zero-latency LANs still prefer fewer hops. At most sssp_cache_cap_
+  /// trees are kept, each O(nodes); resolved RouteRefs are cached forever,
+  /// so evicting a tree only costs searching again.
+  const SsspTree& sssp_from(NodeId src, NodeId target) const;
 
   /// Intern a link sequence, deduplicated: identical sequences share one
   /// segment. O(len) on a hit.
@@ -584,10 +606,10 @@ private:
 
   size_t sssp_cache_cap_ = 64;  ///< adjusted by seal() (config + host count)
   /// LRU by last_used tick: a cache hit is an O(1) counter bump; eviction
-  /// scans for the minimum, which a Dijkstra run (the reason we are
-  /// evicting) dwarfs even at the hosts/16 adaptive capacity.
+  /// scans for the minimum, then re-keys the evicted tree's map node.
   mutable std::unordered_map<NodeId, SsspTree> sssp_cache_;
   mutable std::uint64_t sssp_tick_ = 0;
+  mutable size_t sssp_settled_ = 0;  ///< sssp_settled_count()
 
   bool sealed_ = false;
 };

@@ -167,6 +167,95 @@ TEST_F(EngineTest, PtaskStartRejectsBadAmounts) {
   EXPECT_NEAR(run_until_done(e, t), 1.0, 1e-9);
 }
 
+TEST_F(EngineTest, SleepStartRejectsBadDurations) {
+  Platform p;
+  p.add_host("napper", 1e9);
+  Engine e(std::move(p));
+  for (double bad : {kNaN, kInfinity, -1.0}) {
+    expect_rejected(e, [&] { e.sleep_start(0, bad); }, "sleep_start", "napper");
+    expect_rejected(e, [&] { e.sleep_start(0, bad, "named"); }, "sleep_start", "napper");
+  }
+  EXPECT_DOUBLE_EQ(run_until_done(e, e.sleep_start(0, 2.5)), 2.5);
+}
+
+// Out-of-range host and link ids are the caller's error: every entry point
+// throws xbt::InvalidArgument naming the call and the id (not a raw
+// std::out_of_range), and leaves no action behind.
+template <typename Fn>
+void expect_bad_id(Engine& e, Fn&& call, const std::string& name) {
+  for (int bad : {-1, 2, 1 << 20}) {
+    try {
+      call(bad);
+      ADD_FAILURE() << name << " accepted id " << bad;
+    } catch (const sg::xbt::InvalidArgument& ex) {
+      const std::string what = ex.what();
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+      EXPECT_NE(what.find(" id " + std::to_string(bad) + " out of range"), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(e.running_action_count(), 0u);
+}
+
+/// Two hosts and two links: ids 0 and 1 are valid, 2 is one past the end.
+Platform two_by_two() {
+  Platform p;
+  auto a = p.add_host("a", 1e9);
+  auto b = p.add_host("b", 1e9);
+  auto l0 = p.add_link("l0", 1e8, 1e-3);
+  auto l1 = p.add_link("l1", 1e8, 1e-3);
+  p.add_edge(a, b, l0);
+  p.add_edge(a, b, l1);
+  return p;
+}
+
+TEST_F(EngineTest, ExecStartRejectsOutOfRangeHost) {
+  Engine e(two_by_two());
+  expect_bad_id(e, [&](int h) { e.exec_start(h, 1e9); }, "exec_start");
+}
+
+TEST_F(EngineTest, CommStartRejectsOutOfRangeHost) {
+  Engine e(two_by_two());
+  expect_bad_id(e, [&](int h) { e.comm_start(h, 1, 1e6); }, "comm_start");
+  expect_bad_id(e, [&](int h) { e.comm_start(0, h, 1e6); }, "comm_start");
+}
+
+TEST_F(EngineTest, SleepStartRejectsOutOfRangeHost) {
+  Engine e(two_by_two());
+  expect_bad_id(e, [&](int h) { e.sleep_start(h, 1.0); }, "sleep_start");
+}
+
+TEST_F(EngineTest, SetHostStateRejectsOutOfRangeHost) {
+  Engine e(two_by_two());
+  expect_bad_id(e, [&](int h) { e.set_host_state(h, false); }, "set_host_state");
+}
+
+TEST_F(EngineTest, SetLinkStateRejectsOutOfRangeLink) {
+  Engine e(two_by_two());
+  expect_bad_id(e, [&](int l) { e.set_link_state(l, false); }, "set_link_state");
+}
+
+TEST_F(EngineTest, SetHostScaleRejectsOutOfRangeHost) {
+  Engine e(two_by_two());
+  expect_bad_id(e, [&](int h) { e.set_host_scale(h, 0.5); }, "set_host_scale");
+}
+
+TEST_F(EngineTest, SetLinkScaleRejectsOutOfRangeLink) {
+  Engine e(two_by_two());
+  expect_bad_id(e, [&](int l) { e.set_link_scale(l, 0.5); }, "set_link_scale");
+}
+
+TEST_F(EngineTest, HostSpeedRejectsOutOfRangeHost) {
+  Engine e(two_by_two());
+  expect_bad_id(e, [&](int h) { (void)e.host_speed(h); }, "host_speed");
+  EXPECT_DOUBLE_EQ(e.host_speed(1), 1e9);
+}
+
+TEST_F(EngineTest, HostLoadRejectsOutOfRangeHost) {
+  Engine e(two_by_two());
+  expect_bad_id(e, [&](int h) { (void)e.host_load(h); }, "host_load");
+  EXPECT_DOUBLE_EQ(e.host_load(1), 0.0);
+}
+
 TEST_F(EngineTest, TwoFlowsShareLink) {
   Engine e(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
   auto c1 = e.comm_start(0, 1, 1e8);

@@ -286,6 +286,16 @@ TEST(MaxMinValidation, SetCapacityRejectsBadCapacity) {
   EXPECT_FALSE(sys.needs_solve());
 }
 
+TEST(MaxMinValidation, SetBoundRejectsNaN) {
+  MaxMinSystem sys;
+  const auto v = sys.new_variable(1.0, 5.0);
+  expect_rejected([&](double b) { sys.set_bound(v, b); }, "set_bound", kNaN);
+  EXPECT_EQ(sys.bound(v), 5.0);
+  // Negative means "no bound"; infinite bounds nothing either.
+  EXPECT_NO_THROW(sys.set_bound(v, MaxMinSystem::kNoBound));
+  EXPECT_NO_THROW(sys.set_bound(v, kInfinity));
+}
+
 TEST(MaxMin, ExpandRejectsBadIds) {
   MaxMinSystem sys;
   auto c = sys.new_constraint(10.0);

@@ -20,10 +20,67 @@ namespace {
 
 using namespace sg::platform;
 
+/// Full Dijkstra from `src` on the platform's current graph: the (dist, id)
+/// min-heap, strict relaxation with latency + 1e-9 per hop, arcs in edge
+/// order, and departed hosts reachable as endpoints but never relayed
+/// through (the source excepted).
+struct FullTree {
+  std::vector<double> dist;
+  std::vector<NodeId> prev_node;
+  std::vector<LinkId> prev_link;
+
+  FullTree(const Platform& p, NodeId src) {
+    const size_t n = p.node_count();
+    std::vector<std::vector<std::pair<NodeId, LinkId>>> adj(n);
+    for (const Platform::Edge& e : p.edges()) {
+      adj[static_cast<size_t>(e.a)].push_back({e.b, e.link});
+      adj[static_cast<size_t>(e.b)].push_back({e.a, e.link});
+    }
+    dist.assign(n, std::numeric_limits<double>::infinity());
+    prev_node.assign(n, -1);
+    prev_link.assign(n, -1);
+    using QE = std::pair<double, NodeId>;
+    std::priority_queue<QE, std::vector<QE>, std::greater<>> queue;
+    dist[static_cast<size_t>(src)] = 0.0;
+    queue.push({0.0, src});
+    while (!queue.empty()) {
+      auto [d, u] = queue.top();
+      queue.pop();
+      if (d > dist[static_cast<size_t>(u)])
+        continue;
+      if (u != src && p.is_host(u) && !p.host_present(p.host_index(u)))
+        continue;
+      for (auto [v, l] : adj[static_cast<size_t>(u)]) {
+        const double w = p.link(l).latency_s + 1e-9;
+        if (dist[static_cast<size_t>(u)] + w < dist[static_cast<size_t>(v)]) {
+          dist[static_cast<size_t>(v)] = dist[static_cast<size_t>(u)] + w;
+          prev_node[static_cast<size_t>(v)] = u;
+          prev_link[static_cast<size_t>(v)] = l;
+          queue.push({dist[static_cast<size_t>(v)], v});
+        }
+      }
+    }
+  }
+
+  bool reaches(NodeId dst) const {
+    return dist[static_cast<size_t>(dst)] != std::numeric_limits<double>::infinity();
+  }
+
+  /// Links from src to dst, and their latency summed in that order.
+  std::vector<LinkId> path(const Platform& p, NodeId src, NodeId dst, double* latency) const {
+    std::vector<LinkId> links;
+    for (NodeId v = dst; v != src; v = prev_node[static_cast<size_t>(v)])
+      links.push_back(prev_link[static_cast<size_t>(v)]);
+    std::reverse(links.begin(), links.end());
+    *latency = 0;
+    for (LinkId l : links)
+      *latency += p.link(l).latency_s;
+    return links;
+  }
+};
+
 /// Reference implementation: the eager all-pairs computation the platform
-/// used to run in seal() — one Dijkstra per source host over the edge list,
-/// same metric (latency + 1e-9 per hop so zero-latency LANs prefer fewer
-/// hops, ties favour first-declared edges).
+/// used to run in seal() — one full Dijkstra per source host.
 struct EagerRoutes {
   struct FlatRoute {
     std::vector<LinkId> links;
@@ -33,52 +90,17 @@ struct EagerRoutes {
   size_t n_hosts;
 
   explicit EagerRoutes(const Platform& p) : n_hosts(p.host_count()) {
-    const size_t n_nodes = p.node_count();
-    std::vector<std::vector<std::pair<NodeId, LinkId>>> adj(n_nodes);
-    for (const Platform::Edge& e : p.edges()) {
-      adj[static_cast<size_t>(e.a)].push_back({e.b, e.link});
-      adj[static_cast<size_t>(e.b)].push_back({e.a, e.link});
-    }
-    constexpr double kInf = std::numeric_limits<double>::infinity();
     routes.resize(n_hosts * n_hosts);
     for (size_t s = 0; s < n_hosts; ++s) {
       const NodeId src = p.host_node(static_cast<int>(s));
-      std::vector<double> dist(n_nodes, kInf);
-      std::vector<NodeId> prev_node(n_nodes, -1);
-      std::vector<LinkId> prev_link(n_nodes, -1);
-      using QE = std::pair<double, NodeId>;
-      std::priority_queue<QE, std::vector<QE>, std::greater<>> queue;
-      dist[static_cast<size_t>(src)] = 0.0;
-      queue.push({0.0, src});
-      while (!queue.empty()) {
-        auto [d, u] = queue.top();
-        queue.pop();
-        if (d > dist[static_cast<size_t>(u)])
-          continue;
-        for (auto [v, l] : adj[static_cast<size_t>(u)]) {
-          const double w = p.link(l).latency_s + 1e-9;
-          if (dist[static_cast<size_t>(u)] + w < dist[static_cast<size_t>(v)]) {
-            dist[static_cast<size_t>(v)] = dist[static_cast<size_t>(u)] + w;
-            prev_node[static_cast<size_t>(v)] = u;
-            prev_link[static_cast<size_t>(v)] = l;
-            queue.push({dist[static_cast<size_t>(v)], v});
-          }
-        }
-      }
+      const FullTree tree(p, src);
       for (size_t d = 0; d < n_hosts; ++d) {
-        if (d == s)
-          continue;
         const NodeId dst = p.host_node(static_cast<int>(d));
-        if (dist[static_cast<size_t>(dst)] == kInf)
+        if (d == s || !tree.reaches(dst))
           continue;
-        std::vector<LinkId> path;
-        double lat = 0;
-        for (NodeId v = dst; v != src; v = prev_node[static_cast<size_t>(v)]) {
-          path.push_back(prev_link[static_cast<size_t>(v)]);
-          lat += p.link(prev_link[static_cast<size_t>(v)]).latency_s;
-        }
-        std::reverse(path.begin(), path.end());
-        routes[s * n_hosts + d] = FlatRoute{std::move(path), lat};
+        FlatRoute r;
+        r.links = tree.path(p, src, dst, &r.latency);
+        routes[s * n_hosts + d] = std::move(r);
       }
     }
   }
@@ -236,6 +258,147 @@ TEST(LazyRouting, SsspCacheEvictionDoesNotChangeResults) {
   // First sources were evicted; fresh queries must agree with the chain.
   for (int s = 0; s < 10; ++s)
     EXPECT_EQ(p.route(s, n - 1).size(), static_cast<size_t>(n - 1 - s));
+}
+
+// ---------------------------------------------------------------------------
+// Resumable trees: a tree settles nodes only up to the queried destination
+// and later queries resume it; every answer must equal one full Dijkstra on
+// the current graph, whatever the query order, the cache size and the
+// membership changes in between.
+// ---------------------------------------------------------------------------
+
+enum class Shape { kRandom, kChain, kStar };
+
+/// Unsealed graph of the given shape. Integer-millisecond latencies (zero
+/// included) make equal-distance ties common, so the (dist, id) order and
+/// the edge order both decide paths.
+Platform shaped_graph(Shape shape, sg::xbt::Rng& rng) {
+  Platform p;
+  const int n_hosts = 24;
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < n_hosts; ++i)
+    nodes.push_back(p.add_host("h" + std::to_string(i), 1e9));
+  auto latency = [&] { return 1e-3 * static_cast<double>(rng.uniform_int(0, 3)); };
+  int n_links = 0;
+  auto connect = [&](NodeId a, NodeId b) {
+    p.add_edge(a, b, p.add_link("l" + std::to_string(n_links++), 1e8, latency()));
+  };
+  switch (shape) {
+    case Shape::kChain:
+      for (int i = 0; i + 1 < n_hosts; ++i)
+        connect(nodes[static_cast<size_t>(i)], nodes[static_cast<size_t>(i + 1)]);
+      break;
+    case Shape::kStar: {
+      const NodeId hub = p.add_router("hub");
+      for (NodeId h : nodes)
+        connect(h, hub);
+      break;
+    }
+    case Shape::kRandom:
+      for (int i = 0; i < 6; ++i)
+        nodes.push_back(p.add_router("r" + std::to_string(i)));
+      for (int i = 0; i < 45; ++i) {
+        const NodeId a = nodes[rng.uniform_int(0, nodes.size() - 1)];
+        const NodeId b = nodes[rng.uniform_int(0, nodes.size() - 1)];
+        if (a != b)
+          connect(a, b);
+      }
+      break;
+  }
+  return p;
+}
+
+/// Random queries interleaved with joins, leaves and rejoins; every answer
+/// is checked against a full Dijkstra on the graph as it stands.
+void check_against_full_dijkstra(Platform& p, sg::xbt::Rng& rng, int ops) {
+  int joined = 0;
+  for (int op = 0; op < ops; ++op) {
+    const int n = static_cast<int>(p.host_count());
+    const double pick = rng.uniform01();
+    if (pick < 0.08) {
+      HostSpec hs;
+      hs.name = "joined" + std::to_string(joined);
+      LinkSpec up;
+      up.name = "joined" + std::to_string(joined++) + "-link";
+      up.latency_s = 1e-3 * static_cast<double>(rng.uniform_int(0, 3));
+      (void)p.join_host(hs, static_cast<NodeId>(rng.uniform_int(0, p.node_count() - 1)), up);
+      continue;
+    }
+    const int h = static_cast<int>(rng.uniform_int(0, static_cast<std::uint64_t>(n) - 1));
+    if (pick < 0.16) {
+      if (p.host_present(h))
+        p.leave_host(h, static_cast<double>(op));
+      else
+        p.rejoin_host(h);
+      continue;
+    }
+    const int d = static_cast<int>(rng.uniform_int(0, static_cast<std::uint64_t>(n) - 1));
+    if (h == d)
+      continue;
+    const NodeId src = p.host_node(h);
+    const NodeId dst = p.host_node(d);
+    const bool present = p.host_present(h) && p.host_present(d);
+    const FullTree ref(p, src);
+    const bool expected = present && ref.reaches(dst);
+    if (pick < 0.4) {
+      ASSERT_EQ(p.reachable(h, d), expected) << "op " << op << ": " << h << " -> " << d;
+      continue;
+    }
+    if (!expected) {
+      EXPECT_THROW((void)p.route(h, d), sg::xbt::InvalidArgument) << "op " << op;
+      continue;
+    }
+    double latency = 0;
+    const std::vector<LinkId> want = ref.path(p, src, dst, &latency);
+    const RouteView got = p.route(h, d);
+    ASSERT_EQ(got.links(), want) << "op " << op << ": " << h << " -> " << d;
+    ASSERT_EQ(got.latency(), latency) << "op " << op << ": " << h << " -> " << d;
+  }
+}
+
+TEST(LazyRouting, ResumableTreesMatchFullDijkstra) {
+  auto& cfg = sg::xbt::Config::instance();
+  cfg.declare("routing/sssp-cache", 64.0);
+  for (double cache : {2.0, 64.0})
+    for (Shape shape : {Shape::kRandom, Shape::kChain, Shape::kStar})
+      for (std::uint64_t seed : {1u, 5u, 23u, 77u}) {
+        SCOPED_TRACE("cache " + std::to_string(static_cast<int>(cache)) + ", shape " +
+                     std::to_string(static_cast<int>(shape)) + ", seed " + std::to_string(seed));
+        sg::xbt::Rng rng(seed);
+        Platform p = shaped_graph(shape, rng);
+        cfg.set("routing/sssp-cache", cache);
+        p.seal();
+        cfg.set("routing/sssp-cache", 64.0);  // restore the global default
+        ASSERT_EQ(p.sssp_cache_capacity(), static_cast<size_t>(cache));
+        check_against_full_dijkstra(p, rng, 400);
+        if (HasFatalFailure())
+          return;
+      }
+}
+
+TEST(LazyRouting, TreeSettlesOnlyUpToTarget) {
+  Platform p;
+  const int n = 1000;
+  for (int i = 0; i < n; ++i)
+    p.add_host("h" + std::to_string(i), 1e9);
+  for (int i = 0; i + 1 < n; ++i)
+    p.add_edge(p.host_node(i), p.host_node(i + 1), p.add_link("l" + std::to_string(i), 1e8, 1e-3));
+  p.seal();
+  EXPECT_EQ(p.sssp_settled_count(), 0u);
+
+  EXPECT_EQ(p.route(0, 1).size(), 1u);
+  EXPECT_LE(p.sssp_settled_count(), 3u);
+  EXPECT_EQ(p.cached_sssp_tree_count(), 1u);
+
+  // The far end resumes the same tree: every node settles exactly once.
+  EXPECT_EQ(p.route(0, n - 1).size(), static_cast<size_t>(n - 1));
+  EXPECT_EQ(p.cached_sssp_tree_count(), 1u);
+  EXPECT_EQ(p.sssp_settled_count(), static_cast<size_t>(n));
+
+  // Anything in between is already settled: no search at all.
+  EXPECT_EQ(p.route(0, n / 2).size(), static_cast<size_t>(n / 2));
+  EXPECT_TRUE(p.reachable(0, 7));
+  EXPECT_EQ(p.sssp_settled_count(), static_cast<size_t>(n));
 }
 
 TEST(LazyRouting, UnsealedRouteNamesBothHosts) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -42,6 +43,23 @@ TEST(ShardedMaxMin, SingleShardBehavesLikeGlobalSystem) {
   EXPECT_NEAR(sys.usage(cpu), 100.0, 1e-9);
   EXPECT_EQ(sys.variable_shard_span(a), 1);
   EXPECT_EQ(sys.group_solve_count(), 0u);
+}
+
+TEST(ShardedMaxMin, SetBoundRejectsNaN) {
+  ShardedMaxMin sys(2);
+  const auto c = sys.new_constraint_in(1, 10.0);
+  const auto v = sys.new_variable(1.0, 5.0);
+  sys.expand(c, v);
+  try {
+    sys.set_bound(v, std::numeric_limits<double>::quiet_NaN());
+    ADD_FAILURE() << "set_bound accepted NaN";
+  } catch (const sg::xbt::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("set_bound"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("nan"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(sys.bound(v), 5.0);
+  sys.solve();
+  EXPECT_DOUBLE_EQ(sys.value(v), 5.0);
 }
 
 TEST(ShardedMaxMin, DetachedVariableGetsUnconstrainedRate) {
