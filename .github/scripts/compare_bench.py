@@ -5,26 +5,24 @@ Supports three input shapes:
   * google-benchmark JSON ("benchmarks" entries with "real_time", in ns
     unless "time_unit" says otherwise) — BENCH_maxmin.json
   * our engine-bench JSON ("benchmarks" entries with "wall_time_s") —
-    BENCH_engine.json, BENCH_fault_churn.json; this includes the sharded-
-    churn series (sharded_churn/* and sharded_scaleout/*), whose wall times
-    gate like every other engine benchmark
+    BENCH_engine.json, BENCH_fault_churn.json; this includes the multi-
+    zone churn series (sharded_churn/*, sharded_hotzone/* and
+    sharded_scaleout/*), whose wall times gate like every other engine
+    benchmark
   * memory metrics ("benchmarks" entries with "bytes") — the bytes-per-
-    action, bytes-per-flow, routing_bytes_per_host and (per-zone solver
-    shard) solver_bytes_per_shard records in BENCH_engine.json
+    action, bytes-per-flow and routing_bytes_per_host records in
+    BENCH_engine.json
   * throughput rates ("benchmarks" entries whose primary metric is
-    "events_per_sec", with no wall_time_s/bytes) — the thread_scaling/*
-    rows in BENCH_engine.json. These gate HIGHER-is-better: the job fails
-    when current < baseline * (1 - threshold).
+    "events_per_sec", with no wall_time_s/bytes; no bench writes them now,
+    but older baselines may hold them). These gate HIGHER-is-better: the
+    job fails when current < baseline * (1 - threshold).
 
 Entries may also carry secondary metrics (events_per_sec, us_per_event,
-ns_per_route, sim_time_s, parallel_efficiency, serial_fraction, ...).
-Those are informational: they are printed alongside the tracked metric as
-"name#key" rows but never fail the job — the primary wall time / bytes
-value is what gates. serial_fraction (the profiler-measured share of
-run_until() outside the parallel fan-outs) is lower-is-better like a
-time, so its raw ratio already reads "above 1.00 = worse"; ratios of
-metrics named in HIGHER_IS_BETTER are inverted on display so every
-printed ratio reads the same way.
+ns_per_route, sim_time_s, ...). Those are informational: they are printed
+alongside the tracked metric as "name#key" rows but never fail the job —
+the primary wall time / bytes value is what gates. Ratios of metrics named
+in HIGHER_IS_BETTER are inverted on display so every printed ratio reads
+the same way (above 1.00 = worse).
 
 Tracked time/bytes metrics are lower-is-better: a benchmark regresses
 when current > baseline * (1 + threshold). Tracked rate metrics are
@@ -51,8 +49,7 @@ PRIMARY_KEYS = ("bytes", "wall_time_s", "real_time", "time_unit", "name")
 
 # Informational metrics where larger is better; their display ratio is
 # inverted so the table reads uniformly (above 1.00 = worse).
-HIGHER_IS_BETTER = {"events_per_sec", "spawn_per_sec", "wakeups_per_sec",
-                    "speedup_vs_1_thread", "parallel_efficiency"}
+HIGHER_IS_BETTER = {"events_per_sec", "spawn_per_sec", "wakeups_per_sec"}
 
 
 def load_metrics(path):

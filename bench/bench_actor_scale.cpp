@@ -14,7 +14,6 @@
 /// With --json=PATH the results are written in the BENCH_engine.json shape
 /// as a BENCH_actors.json artifact for CI trend tracking: wall times and
 /// bytes are tracked lower-is-better, the *_per_sec extras higher-is-better.
-#include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -119,97 +118,6 @@ void bench_scale(long n_actors) {
       pool.slabs);
 }
 
-/// Lane-scaling section: zone-local ping-pong pairs (actors intern their own
-/// mailboxes in-body, so every match is home-shard and commits inline in the
-/// scheduling phase) driven with engine/parallel-actors at 1/2/4 lanes. The
-/// wakeups_per_sec rate is the scheduler's useful-work throughput; CI tracks
-/// the parallel_actors/* rows higher-is-better, so lanes regressing back to
-/// the serial rate gates the build.
-void bench_parallel_lanes(int lanes) {
-  using sg::kernel::Kernel;
-  using sg::kernel::MailboxId;
-
-  sg::config::set(sg::core::kCfgThreads, lanes);
-  sg::config::set(sg::core::kCfgParallelActors, lanes > 1);
-
-  const int zones = 8;
-  const int hosts_per_zone = 64;
-  const long n_pairs = 4000;
-  const int rounds = 20;
-
-  // What the lanes actually parallelize is the user code running between
-  // simcalls (the simcall commits stay serial), so each quantum carries a
-  // few microseconds of real CPU work — without it the bench only measures
-  // the serial epilogue and the fan-out overhead. Each body accumulates
-  // locally and publishes once at exit: a shared hot accumulator would
-  // ping-pong its cache line across the lanes and drown the scaling.
-  auto busy = [](std::uint64_t seed) {
-    std::uint64_t h = seed * 0x9e3779b97f4a7c15ull + 1;
-    for (int i = 0; i < 4000; ++i)
-      h = (h ^ (h >> 31)) * 0xbf58476d1ce4e5b9ull;
-    return h;
-  };
-  std::atomic<std::uint64_t> sink{0};
-
-  sg::platform::Platform p;
-  for (int z = 0; z < zones; ++z) {
-    sg::platform::ClusterZoneSpec zone;
-    zone.name = "zone" + std::to_string(z);
-    zone.host_prefix = "z" + std::to_string(z) + "-";
-    zone.count = hosts_per_zone;
-    p.add_cluster_zone(zone);
-  }
-  p.seal();
-  Kernel k(std::move(p));
-
-  const double t_spawn = now_s();
-  for (long i = 0; i < n_pairs; ++i) {
-    const int host = static_cast<int>(i % (zones * hosts_per_zone));
-    const std::string ping = "ping:" + std::to_string(i);
-    const std::string pong = "pong:" + std::to_string(i);
-    k.spawn("rx", host, [&k, &busy, &sink, ping, pong, i] {
-      const MailboxId in = k.mailbox_by_name(ping);
-      const MailboxId out = k.mailbox_by_name(pong);
-      std::uint64_t acc = 0;
-      for (int r = 0; r < rounds; ++r) {
-        k.recv(in);
-        acc ^= busy(static_cast<std::uint64_t>(i * rounds + r));
-        k.send(out, nullptr, 1e3);
-      }
-      sink.fetch_xor(acc, std::memory_order_relaxed);
-    });
-    k.spawn("tx", host, [&k, &busy, &sink, ping, pong, i] {
-      const MailboxId out = k.mailbox_by_name(ping);
-      const MailboxId in = k.mailbox_by_name(pong);
-      std::uint64_t acc = 0;
-      for (int r = 0; r < rounds; ++r) {
-        k.send(out, nullptr, 1e3);
-        acc ^= busy(static_cast<std::uint64_t>(~(i * rounds + r)));
-        k.recv(in);
-      }
-      sink.fetch_xor(acc, std::memory_order_relaxed);
-    });
-  }
-  const double spawn_wall = now_s() - t_spawn;
-
-  const double t_run = now_s();
-  k.run();
-  const double run_wall = now_s() - t_run;
-
-  const auto& st = k.stats();
-  g_json.record_rate(sg::xbt::format("parallel_actors/lanes:%d", lanes),
-                     static_cast<double>(st.wakeups) / run_wall,
-                     {{"wakeups_per_sec", static_cast<double>(st.wakeups) / run_wall},
-                      {"run_wall_s", run_wall}});
-
-  std::printf("%8ld pairs x%2d rounds [%d lane(s)]: spawn %.2fs, run %.2fs (%" PRIu64
-              " wakeups, %.0f/s)\n",
-              n_pairs, rounds, lanes, spawn_wall, run_wall, st.wakeups,
-              static_cast<double>(st.wakeups) / run_wall);
-  if (sink.load(std::memory_order_relaxed) == 42)  // defeat dead-code elimination
-    std::printf("\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -234,10 +142,6 @@ int main(int argc, char** argv) {
     scales = {10000, 100000};
   for (long n : scales)
     bench_scale(n);
-
-  sg::core::declare_engine_config();
-  for (int lanes : {1, 2, 4})
-    bench_parallel_lanes(lanes);
 
   if (!json_path.empty())
     g_json.write(json_path);

@@ -127,18 +127,17 @@ double run_engine_churn(int n_pairs, int n_events, double* events_per_sec,
   return wall;
 }
 
-// E9e: sharded churn. N cluster zones (fat-pipe backbones) behind fat-pipe
-// WAN links, M client/server pairs per zone, every flow intra-zone. Each
-// zone owns a solver shard and its own event heaps, so one completed-and-
-// replaced flow touches only its zone's state: per-event cost tracks the
-// per-zone load, not the platform size.
+// E9e: multi-zone churn. N cluster zones (fat-pipe backbones) behind
+// fat-pipe WAN links, M client/server pairs per zone, every flow intra-zone.
+// One completed-and-replaced flow re-solves only its own component, so the
+// per-event cost tracks the per-zone load, not the platform size (plus the
+// log-depth of the one completion heap).
 // hot_zone_only: churn runs in zone 0 alone while every other zone holds
 // `pairs_per_zone` parked (steady, never-completing) flows — the direct
-// measurement of "intra-zone per-event cost is independent of platform
-// size": the parked zones contribute nothing but their cached heap heads.
-double run_sharded_churn(int n_zones, int pairs_per_zone, int n_events, double* events_per_sec,
-                         double* solver_bytes_per_shard, bool hot_zone_only = false,
-                         double* serial_fraction = nullptr) {
+// measurement of "intra-zone per-event cost is nearly independent of
+// platform size".
+double run_zone_churn(int n_zones, int pairs_per_zone, int n_events, double* events_per_sec,
+                      bool hot_zone_only = false) {
   using Clock = std::chrono::steady_clock;
   sg::platform::Platform p;
   for (int z = 0; z < n_zones; ++z) {
@@ -186,13 +185,6 @@ double run_sharded_churn(int n_zones, int pairs_per_zone, int n_events, double* 
   }
   const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
   *events_per_sec = n_events / wall;
-  if (serial_fraction != nullptr)
-    *serial_fraction = engine.phase_stats().serial_fraction();
-  double zone_bytes = 0;
-  const auto& sys = engine.sharing_system();
-  for (int s = 1; s < sys.shard_count(); ++s)
-    zone_bytes += static_cast<double>(sys.shard(s).memory_stats().total_bytes());
-  *solver_bytes_per_shard = zone_bytes / n_zones;
   return wall;
 }
 
@@ -435,46 +427,43 @@ int main(int argc, char** argv) {
   std::printf("all running actions, so per-event cost is O(affected + log n) and stays\n");
   std::printf("flat as the number of concurrent pairs grows.\n\n");
 
-  std::printf("E9e: sharded churn — per-zone MaxMin shards + event heaps\n\n");
+  // The JSON row names keep their "sharded_*" prefix so that the rows
+  // compare with the artifacts of earlier versions.
+  std::printf("E9e: multi-zone churn on the single engine\n\n");
   std::printf("constant total load (2000 pairs split across zones):\n");
-  std::printf("%8s %12s %12s %18s %12s %16s\n", "zones", "pairs/zone", "events", "events/s",
-              "us/event", "solver B/shard");
+  std::printf("%8s %12s %12s %18s %12s\n", "zones", "pairs/zone", "events", "events/s", "us/event");
   for (int zones : {1, 4, 16}) {
     const int pairs_per_zone = 2000 / zones;
     const int n_events = 10000;
-    double wall = 1e30, eps = 0, bps = 0;
+    double wall = 1e30, eps = 0;
     for (int rep = 0; rep < 5; ++rep) {
-      double rep_eps = 0, rep_bps = 0;
-      const double rep_wall = run_sharded_churn(zones, pairs_per_zone, n_events, &rep_eps, &rep_bps);
+      double rep_eps = 0;
+      const double rep_wall = run_zone_churn(zones, pairs_per_zone, n_events, &rep_eps);
       if (rep_wall < wall) {
         wall = rep_wall;
         eps = rep_eps;
-        bps = rep_bps;
       }
     }
-    std::printf("%8d %12d %12d %18.0f %12.3f %16.0f\n", zones, pairs_per_zone, n_events, eps,
-                1e6 / eps, bps);
+    std::printf("%8d %12d %12d %18.0f %12.3f\n", zones, pairs_per_zone, n_events, eps, 1e6 / eps);
     g_json.record(sg::xbt::format("sharded_churn/zones:%d/pairs_per_zone:%d", zones, pairs_per_zone),
                   wall, {{"events_per_sec", eps}, {"us_per_event", 1e6 / eps}});
-    g_json.record_bytes(sg::xbt::format("mem/solver_bytes_per_shard/zones:%d", zones), bps);
   }
   std::printf("\nhot-zone locality (2000 churn pairs in zone 0; every other zone holds\n");
-  std::printf("2000 parked flows — intra-zone per-event cost must not see them):\n");
+  std::printf("2000 parked flows — intra-zone per-event cost must barely see them):\n");
   std::printf("%8s %12s %12s %18s %12s %10s\n", "zones", "total pairs", "events", "events/s",
               "us/event", "vs 1 zone");
   double single_zone_us = 0;
   for (int zones : {1, 4, 16}) {
     const int pairs_per_zone = 2000;
     const int n_events = 10000;
-    double wall = 1e30, eps = 0, bps = 0;
+    double wall = 1e30, eps = 0;
     for (int rep = 0; rep < 5; ++rep) {
-      double rep_eps = 0, rep_bps = 0;
-      const double rep_wall = run_sharded_churn(zones, pairs_per_zone, n_events, &rep_eps, &rep_bps,
-                                                /*hot_zone_only=*/true);
+      double rep_eps = 0;
+      const double rep_wall = run_zone_churn(zones, pairs_per_zone, n_events, &rep_eps,
+                                             /*hot_zone_only=*/true);
       if (rep_wall < wall) {
         wall = rep_wall;
         eps = rep_eps;
-        bps = rep_bps;
       }
     }
     if (zones == 1)
@@ -486,20 +475,19 @@ int main(int argc, char** argv) {
                          {"us_per_event", 1e6 / eps},
                          {"us_per_event_vs_1zone", (1e6 / eps) / single_zone_us}});
   }
-  std::printf("\naggregate scale-out (2000 churning pairs in EVERY zone — all shards hot;\n");
-  std::printf("the residual growth is LLC capacity over the full working set):\n");
+  std::printf("\naggregate scale-out (2000 churning pairs in EVERY zone; the residual\n");
+  std::printf("growth is LLC capacity over the full working set):\n");
   std::printf("%8s %12s %12s %18s %12s\n", "zones", "total pairs", "events", "events/s", "us/event");
   for (int zones : {4, 16}) {
     const int pairs_per_zone = 2000;
     const int n_events = 10000;
-    double wall = 1e30, eps = 0, bps = 0;
+    double wall = 1e30, eps = 0;
     for (int rep = 0; rep < 3; ++rep) {
-      double rep_eps = 0, rep_bps = 0;
-      const double rep_wall = run_sharded_churn(zones, pairs_per_zone, n_events, &rep_eps, &rep_bps);
+      double rep_eps = 0;
+      const double rep_wall = run_zone_churn(zones, pairs_per_zone, n_events, &rep_eps);
       if (rep_wall < wall) {
         wall = rep_wall;
         eps = rep_eps;
-        bps = rep_bps;
       }
     }
     std::printf("%8d %12d %12d %18.0f %12.3f\n", zones, zones * pairs_per_zone, n_events, eps,
@@ -507,56 +495,9 @@ int main(int argc, char** argv) {
     g_json.record(sg::xbt::format("sharded_scaleout/zones:%d/pairs_per_zone:%d", zones, pairs_per_zone),
                   wall, {{"events_per_sec", eps}, {"us_per_event", 1e6 / eps}});
   }
-  std::printf("\nshape: a churn event re-solves one zone shard and walks that zone's own\n");
-  std::printf("completion heap; other zones' solver and heap state is never read (their\n");
-  std::printf("only per-event trace is a cached head date), so a 16x bigger platform\n");
-  std::printf("leaves the hot zone's per-event cost unchanged.\n\n");
-
-  std::printf("E9f: parallel per-shard stepping — engine/threads over the all-zones-hot\n");
-  std::printf("workload (16 zones x 2000 churning pairs, every shard advancing every\n");
-  std::printf("step; the shard phases of run_until() fan out across worker lanes):\n");
-  std::printf("%8s %12s %12s %18s %12s %10s %10s %10s\n", "threads", "total pairs", "events",
-              "events/s", "us/event", "vs 1 thr", "par eff", "serial fr");
-  {
-    sg::core::declare_engine_config();
-    // The phase profiler rides along: serial_fraction is the profiler-measured
-    // share of run_until() wall time spent OUTSIDE the instrumented fan-outs
-    // (target pick, deferred epilogue, gather) — the Amdahl residue the
-    // parallel phases cannot touch. Informational only: the gated metric
-    // stays events_per_sec.
-    sg::config::set(sg::core::kCfgProfile, true);
-    const int zones = 16, pairs_per_zone = 2000, n_events = 10000;
-    double one_thread_eps = 0;
-    for (int threads : {1, 2, 4, 8}) {
-      sg::config::set(sg::core::kCfgThreads, threads);
-      double wall = 1e30, eps = 0, sf = 0;
-      for (int rep = 0; rep < 3; ++rep) {
-        double rep_eps = 0, rep_bps = 0, rep_sf = 0;
-        const double rep_wall = run_sharded_churn(zones, pairs_per_zone, n_events, &rep_eps,
-                                                  &rep_bps, /*hot_zone_only=*/false, &rep_sf);
-        if (rep_wall < wall) {
-          wall = rep_wall;
-          eps = rep_eps;
-          sf = rep_sf;
-        }
-      }
-      if (threads == 1)
-        one_thread_eps = eps;
-      const double speedup = eps / one_thread_eps;
-      std::printf("%8d %12d %12d %18.0f %12.3f %10.2f %10.2f %10.3f\n", threads,
-                  zones * pairs_per_zone, n_events, eps, 1e6 / eps, speedup, speedup / threads, sf);
-      g_json.record_rate(sg::xbt::format("thread_scaling/all_zones_hot/threads:%d", threads), eps,
-                         {{"speedup_vs_1_thread", speedup},
-                          {"parallel_efficiency", speedup / threads},
-                          {"serial_fraction", sf}});
-    }
-    sg::config::set(sg::core::kCfgThreads, 1);  // later sections measure the serial engine
-    sg::config::set(sg::core::kCfgProfile, false);
-  }
-  std::printf("\nshape: the shard advance/solve phases are embarrassingly parallel; the\n");
-  std::printf("serial residue is the target reduction and the deterministic gather, so\n");
-  std::printf("events/s grows near-linearly until the backbone-coupling joins and the\n");
-  std::printf("gather dominate. (On a 1-core runner all rows collapse to the serial rate.)\n\n");
+  std::printf("\nshape: a churn event re-solves the one component its flow belongs to\n");
+  std::printf("and pops one heap entry; other zones' solver state is never read, so a\n");
+  std::printf("16x bigger platform costs the hot zone only the deeper heap and colder caches.\n\n");
 
   std::printf("E9: kernel scalability — master/worker, 8 tasks per worker\n\n");
   std::printf("%10s %12s %15s %18s\n", "processes", "sim time(s)", "wall time (s)",

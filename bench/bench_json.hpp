@@ -1,9 +1,8 @@
 /// Shared BENCH_*.json writer for the free-standing (non-google-benchmark)
 /// benches. One artifact shape for the CI comparator: a "benchmarks" array
 /// whose entries carry "wall_time_s" (plus one optional informational
-/// metric), "bytes" for deterministic memory metrics (both tracked
-/// lower-is-better by .github/scripts/compare_bench.py), or a bare
-/// "events_per_sec" throughput rate (tracked higher-is-better).
+/// metric) or "bytes" for deterministic memory metrics (both tracked
+/// lower-is-better by .github/scripts/compare_bench.py).
 #pragma once
 
 #include <cstdio>
@@ -20,8 +19,6 @@ struct JsonRecord {
   std::vector<std::pair<std::string, double>> extras;
   double bytes = 0;
   bool is_bytes = false;  ///< memory metric: emitted as "bytes", not wall time
-  double rate = 0;
-  bool is_rate = false;  ///< throughput metric: emitted as "events_per_sec" only
 };
 
 class JsonWriter {
@@ -42,15 +39,7 @@ class JsonWriter {
   /// Deterministic memory metric (tracked by CI like the wall times: lower
   /// is better, but with no timing-noise floor).
   void record_bytes(const std::string& name, double bytes) {
-    records_.push_back({name, 0, {}, bytes, true, 0, false});
-  }
-
-  /// Throughput rate (events/s): tracked by CI higher-is-better, so a
-  /// thread-scaling regression (parallel rows dropping back toward the
-  /// serial rate) gates the build just like a wall-time regression.
-  void record_rate(const std::string& name, double events_per_sec,
-                   std::vector<std::pair<std::string, double>> extras = {}) {
-    records_.push_back({name, 0, std::move(extras), 0, false, events_per_sec, true});
+    records_.push_back({name, 0, {}, bytes, true});
   }
 
   void write(const std::string& path) const {
@@ -64,10 +53,6 @@ class JsonWriter {
       const JsonRecord& r = records_[i];
       if (r.is_bytes) {
         std::fprintf(f, "    {\"name\": \"%s\", \"bytes\": %.9g", r.name.c_str(), r.bytes);
-      } else if (r.is_rate) {
-        std::fprintf(f, "    {\"name\": \"%s\", \"events_per_sec\": %.9g", r.name.c_str(), r.rate);
-        for (const auto& [key, value] : r.extras)
-          std::fprintf(f, ", \"%s\": %.9g", key.c_str(), value);
       } else {
         std::fprintf(f, "    {\"name\": \"%s\", \"wall_time_s\": %.9g", r.name.c_str(), r.wall_time_s);
         for (const auto& [key, value] : r.extras)

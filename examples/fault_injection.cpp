@@ -7,11 +7,9 @@
 /// index), and the example restarts work as resources heal — a miniature
 /// dependability study.
 ///
-/// The platform is two cluster zones behind a fat-pipe WAN, so the sharded
-/// core is on display too: each zone owns a solver shard and its own event
-/// heaps, a ring of transfers crosses the WAN twice per lap (coupling the
-/// shards through linked replicas), and the final report breaks outages and
-/// completed work down per zone through the platform's shard map.
+/// The platform is two cluster zones behind a fat-pipe WAN: a ring of
+/// transfers crosses the WAN twice per lap, and the final report breaks
+/// outages and completed work down per zone.
 #include <cstdio>
 #include <vector>
 
@@ -80,18 +78,24 @@ Platform make_flaky_zones() {
 int main() {
   Engine engine(make_flaky_zones());
   const Platform& plat = engine.platform();
-  const ShardMap& smap = plat.shard_map();
 
-  int done = 0, failed_exec = 0, failed_comm = 0, failed_sleep = 0;
+  // Zone of each resource: a host's own, its private links' too; every other
+  // link (backbones, WAN) counts as shared.
+  const size_t shared = plat.zone_count();
+  std::vector<size_t> link_zone(plat.link_count(), shared);
+  for (int h = 0; h < kHosts; ++h)
+    for (LinkId l : plat.host_private_links(h))
+      link_zone[static_cast<size_t>(l)] = static_cast<size_t>(plat.zone_of_host(h));
+
+  int done = 0, failed_exec = 0, failed_comm = 0, failed_sleep = 0, cross_zone_done = 0;
   std::vector<int> zone_done(plat.zone_count(), 0);
-  std::vector<int> zone_outages(plat.zone_count() + 1, 0);  // [zones..., backbone]
+  std::vector<int> zone_outages(plat.zone_count() + 1, 0);  // [zones..., shared links]
   int host_outages = 0, link_outages = 0;
   engine.set_resource_observer([&](bool is_host, int index, bool now_on) {
     if (!now_on) {
       ++(is_host ? host_outages : link_outages);
-      const std::int32_t shard = is_host ? smap.host_shard[static_cast<size_t>(index)]
-                                         : smap.link_shard[static_cast<size_t>(index)];
-      ++zone_outages[shard == 0 ? plat.zone_count() : static_cast<size_t>(shard - 1)];
+      ++zone_outages[is_host ? static_cast<size_t>(plat.zone_of_host(index))
+                             : link_zone[static_cast<size_t>(index)]];
     }
     std::printf("t=%7.3f  %s %d %s\n", engine.now(), is_host ? "host" : "link", index,
                 now_on ? "is back" : "FAILED");
@@ -152,6 +156,7 @@ int main() {
           submit_comm(a.host());  // also retries transfers killed by link loss
           break;
         case ActionKind::kComm:
+          cross_zone_done += plat.zone_of_host(a.host()) != plat.zone_of_host(a.peer_host());
           submit_comm(a.host());
           break;
         case ActionKind::kSleep:
@@ -171,23 +176,19 @@ int main() {
   std::printf("  %6d host outages, %d link outages delivered O(affected)\n", host_outages,
               link_outages);
 
-  // Per-zone breakdown through the shard map: each zone is one solver shard,
-  // the WAN ring segments couple them through the backbone shard.
-  const auto& sys = engine.sharing_system();
-  std::printf("\nper-zone (shard map: %d shards, %zu gateway links):\n", smap.shard_count,
-              smap.gateway_links.size());
-  std::printf("%10s %8s %12s %10s %14s\n", "zone", "shard", "completed", "outages", "solver KB");
+  // Per-zone breakdown: completed work by the zone of the host it ran on,
+  // outages by the zone of the resource that went down.
+  std::printf("\nper zone:\n");
+  std::printf("%10s %8s %12s %10s\n", "zone", "hosts", "completed", "outages");
   for (size_t z = 0; z < plat.zone_count(); ++z)
-    std::printf("%10s %8d %12d %10d %14.1f\n", plat.zone_name(static_cast<int>(z)).c_str(),
-                smap.zone_shard[z], zone_done[z], zone_outages[z],
-                sys.shard(smap.zone_shard[z]).memory_stats().total_bytes() / 1024.0);
-  std::printf("%10s %8d %12s %10d %14.1f  (%zu cross-zone joint solves)\n", "backbone", 0, "-",
-              zone_outages[plat.zone_count()], sys.shard(0).memory_stats().total_bytes() / 1024.0,
-              sys.group_solve_count());
+    std::printf("%10s %8d %12d %10d\n", plat.zone_name(static_cast<int>(z)).c_str(),
+                plat.zone_host_count(static_cast<int>(z)), zone_done[z], zone_outages[z]);
+  std::printf("%10s %8s %12s %10d  (%d transfers completed across the WAN)\n", "shared", "-", "-",
+              zone_outages[shared], cross_zone_done);
 
   const bool plausible = done > 0 && host_outages > 0 && link_outages > 0 &&
                          (failed_exec + failed_comm + failed_sleep) > 0 &&
-                         zone_done[0] > 0 && zone_done[1] > 0 && sys.group_solve_count() > 0;
+                         zone_done[0] > 0 && zone_done[1] > 0 && cross_zone_done > 0;
   if (!plausible) {
     std::fprintf(stderr, "fault injection scenario did not exercise failures!\n");
     return 1;

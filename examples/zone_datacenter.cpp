@@ -118,22 +118,14 @@ int main(int argc, char** argv) {
   std::printf("%zu per-pair cache entries, %zu SSSP trees — O(hosts), not O(pairs)\n",
               plat.resolved_route_count(), plat.cached_sssp_tree_count());
 
-  // Per-zone view through the shard map: each zone owns a solver shard (and
-  // its own event heaps); only the master's cross-zone dispatches touch the
-  // backbone shard.
-  const auto& smap = plat.shard_map();
-  const auto& sys = engine.sharing_system();
-  std::printf("\nsimulation shards (%d = %zu zones + backbone):\n", engine.shard_count(),
-              plat.zone_count());
-  std::printf("%10s %8s %8s %12s %16s\n", "zone", "shard", "hosts", "tasks", "solver KB");
-  for (size_t z = 0; z < plat.zone_count(); ++z) {
-    const auto shard = smap.zone_shard[z];
-    std::printf("%10s %8d %8d %12lld %16.0f\n", plat.zone_name(static_cast<int>(z)).c_str(), shard,
-                plat.zone_host_count(static_cast<int>(z)), zone_tasks[z],
-                sys.shard(shard).memory_stats().total_bytes() / 1024.0);
-  }
-  std::printf("%10s %8d %8s %12s %16.0f  (%zu gateway links, %zu joint solves)\n", "backbone", 0,
-              "-", "-", sys.shard(0).memory_stats().total_bytes() / 1024.0,
-              smap.gateway_links.size(), sys.group_solve_count());
+  // Per-zone view: the workers each zone contributed, and the solver's
+  // footprint for the whole platform.
+  std::printf("\n%10s %8s %12s\n", "zone", "hosts", "tasks");
+  for (size_t z = 0; z < plat.zone_count(); ++z)
+    std::printf("%10s %8d %12lld\n", plat.zone_name(static_cast<int>(z)).c_str(),
+                plat.zone_host_count(static_cast<int>(z)), zone_tasks[z]);
+  std::printf("solver: %.0f KB for %zu constraints\n",
+              engine.sharing_system().memory_stats().total_bytes() / 1024.0,
+              engine.sharing_system().constraint_count());
   return 0;
 }

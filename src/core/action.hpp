@@ -104,10 +104,10 @@ private:
   double rate_ = 0;
   double last_update_ = 0;     ///< date remaining_/latency_remaining_ were last synced
   std::uint64_t heap_stamp_ = 0;  ///< completion-heap entries older than this are stale
-  size_t run_idx_ = 0;         ///< index in the engine's running_ vector (O(1) removal)
+  size_t run_idx_ = 0;         ///< slot in the engine's running_ table (O(1) removal)
   double latency_remaining_ = 0;
   double finish_time_ = std::numeric_limits<double>::quiet_NaN();
-  ShardedMaxMin::VarId var_ = -1;
+  MaxMinSystem::VarId var_ = -1;
   /// Index in the source host's per-host action index (the sleep list, or —
   /// with engine/kill-transit-comms — the endpoint-comm list).
   std::uint32_t host_list_idx_ = 0;
@@ -115,10 +115,6 @@ private:
   std::uint32_t peer_list_idx_ = 0;
   int host_ = -1;  ///< host an exec/sleep runs on (failure propagation)
   int peer_host_ = -1;  ///< comm destination host
-  /// Event-heap / solver affinity: the zone shard when the whole activity
-  /// stays inside one zone, the backbone shard (0) otherwise. Assigned at
-  /// creation from the platform's shard map.
-  std::int32_t shard_ = 0;
   ActionState state_ = ActionState::kRunning;
   ActionKind kind_;
   bool in_latency_phase_ = false;

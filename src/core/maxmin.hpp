@@ -116,52 +116,14 @@
 ///    is O(1) and the engine can reach "all actions on a failed resource"
 ///    in O(degree) via for_each_variable_on().
 ///
-/// ## ShardedMaxMin: per-zone solver shards with a backbone coupling layer
+/// ## One system for the whole platform
 ///
-/// A single MaxMinSystem keeps every zone's variables and constraints in the
-/// same id space, the same SoA arrays, and the same arena. The incremental
-/// closure already makes a churn event O(affected component), but at 100k+
-/// hosts the *memory* is shared: every zone's hot ids interleave in the same
-/// arrays, so an intra-zone event pulls cache lines sized by the whole
-/// platform. ShardedMaxMin splits the system into independent MaxMinSystem
-/// shards — one per sealed zone plus shard 0, the *backbone* shard, holding
-/// everything that is not zone-interior (WAN fat pipes, gateway links,
-/// unzoned resources) — behind a façade that speaks global ids.
-///
-/// Invariants (the sharded ≡ global property sweeps pin these down):
-///
-///  * **Constraint placement.** Every constraint lives in exactly one shard,
-///    chosen at creation (the engine takes it from the platform's shard map).
-///  * **Variable replicas.** A variable lives in every shard a constraint of
-///    its route lives in. Single-shard variables (the overwhelming majority:
-///    intra-zone flows, execs, zone-local ptasks) are one local variable in
-///    their shard. A cross-shard variable is a set of *replicas*, one local
-///    variable per touched shard, each flagged kFlagLinked and each carrying
-///    the shard-local incidences. Replicas always agree on weight and bound,
-///    and after every solve() they agree exactly on value.
-///  * **Local solves stay local.** A dirty closure that reaches no linked
-///    replica is solved entirely inside its shard: no other shard's arrays
-///    are read, written, or even looked at. This is what makes intra-zone
-///    per-event cost independent of the total platform size.
-///  * **Coupled groups solve jointly.** When a closure reaches a linked
-///    replica, its sibling replicas are seeded dirty in their shards and the
-///    closures are re-collected to a fixpoint; the union of the coupled
-///    shards' closures is then solved by one cross-shard progressive-filling
-///    pass (solve_group) that treats the replicas of a logical variable as a
-///    single activity: it grows once per round (replicas apply the identical
-///    delta * weight update, so their values stay bitwise equal), its
-///    effective bound folds every shard's fatpipe caps, and freezing any
-///    replica freezes all of them (copying the freezing replica's value so
-///    no epsilon dust can split them). Progressive filling has a unique
-///    fixed point, so the group pass computes exactly what one global system
-///    would — the equivalence suites assert rates, completion order, and
-///    clocks to 1e-9 against an unsharded engine.
-///  * **Backbone locality.** Zone-interior churn never links (its routes
-///    stay inside one shard), so only cross-zone flows — which all cross a
-///    backbone-shard constraint — can couple shards, and the coupling set is
-///    exactly the shards their routes touch.
-///  * **Detached variables** (created but not yet expanded) belong to no
-///    shard; solve() gives them the unconstrained allocation directly.
+/// The engine owns exactly one MaxMinSystem, as SURF does. Zones need no
+/// solver partition of their own: an intra-zone event dirties only its own
+/// connected component, so the closure above already keeps its cost
+/// O(affected component), whatever the platform size. A shared backbone
+/// fat pipe does not merge the components of the flows crossing it (fat
+/// pipes are cap-only in the closure).
 #pragma once
 
 #include <cstddef>
@@ -170,9 +132,6 @@
 #include <vector>
 
 namespace sg::core {
-
-class ShardWorkers;
-struct PhaseProbe;
 
 class MaxMinSystem {
 public:
@@ -286,6 +245,10 @@ public:
     size_t elements_scanned = 0;  ///< element-list entries walked by filling
   };
   const SolveStats& solve_stats() const { return stats_; }
+  /// Joint solves over coupled solver shards: always 0, as there is one
+  /// system. Kept for the benchmark driver's `maxmin.group_solves` metric
+  /// (perfbench/), its one reader.
+  size_t group_solve_count() const { return 0; }
 
   /// Footprint introspection (tests / the memory-tracking bench metrics).
   struct MemoryStats {
@@ -300,8 +263,6 @@ public:
   MemoryStats memory_stats() const;
 
  private:
-  friend class ShardedMaxMin;
-
   // -- element arena ---------------------------------------------------------
   static constexpr std::int32_t kNoNode = -1;
   static constexpr std::int32_t kNodeEntries = 4;  ///< degree <= 4 fast path
@@ -345,19 +306,12 @@ public:
   void mark_cnst_dirty(CnstId cnst, bool need_traverse);
 
   // -- affected-closure collection -------------------------------------------
-  // solve() and the sharded group solve share this machinery. A closure
-  // "epoch" starts at the first closure_collect() after a commit; repeated
-  // collects *extend* the affected sets with the closure of whatever dirty
-  // seeds accumulated since (ShardedMaxMin seeds sibling replicas between
-  // rounds), and closure_commit() clears the in-set markers. kFlagInSet
-  // marks membership; kFlagTraverse doubles as the "users already queued"
-  // marker during the epoch (it is free then: the dirty seeds that use it
-  // are consumed at the start of each collect).
-  bool closure_pending() const {
-    return full_solve_pending_ || !dirty_vars_.empty() || !dirty_cnsts_.empty();
-  }
+  /// Collect the transitive closure of the dirty seeds into affected_vars_ /
+  /// affected_cnsts_ and consume the seeds. kFlagInSet marks membership while
+  /// collecting; kFlagTraverse doubles as the "users already queued" marker
+  /// (it is free then: the dirty seeds that use it are consumed first). Both
+  /// markers are cleared before returning.
   void closure_collect();
-  void closure_commit();
   void closure_add_var(VarId v);
   void closure_add_cnst(CnstId c, bool traverse);
 
@@ -365,8 +319,6 @@ public:
   /// Every live variable of a listed constraint must be listed too.
   void solve_subset(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts);
 
-  // -- one filling pass, in steps (solve_subset and the sharded group solve
-  //    drive them; a round is delta, grow, freeze, compact) ------------------
   /// The working lists: the growing variables in subset order (so a
   /// force-freeze picks the same one as a full scan would), and the shared
   /// constraints that still have growing users, with `sum`, the total of
@@ -394,7 +346,8 @@ public:
   /// Reset the subset, fold bounds and fatpipe caps, and build the working
   /// lists.
   void fill_start(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts);
-  /// `delta` folded with this system's tightest growth step.
+  // One filling round is delta, grow, freeze, compact:
+  /// `delta` capped by the tightest growth step (kInf: nothing restricts).
   double fill_delta(double delta) const;
   void fill_grow(double delta);
   /// Give every growing variable the unconstrained rate and stop.
@@ -429,7 +382,6 @@ public:
   static constexpr unsigned char kFlagActive = 8;    ///< vars: still growing in solve
   static constexpr unsigned char kFlagTraverse = 8;  ///< cnsts: closure must reach users
   static constexpr unsigned char kFlagShared = 16;   ///< cnsts: capacity is divided
-  static constexpr unsigned char kFlagLinked = 32;   ///< vars: replica of a cross-shard variable
   static constexpr unsigned char kFlagTouched = 32;  ///< cnsts: lost a user this filling round
 
   // -- constraint storage (indexed by CnstId) --------------------------------
@@ -470,10 +422,6 @@ public:
   std::vector<VarId> affected_vars_;
   std::vector<CnstId> affected_cnsts_;
   std::vector<CnstId> traverse_list_;  ///< closure: cnsts whose users must be added
-  bool closure_open_ = false;
-  bool closure_was_full_ = false;  ///< this epoch covered everything (first solve)
-  size_t closure_vi_ = 0;  ///< worklist cursor into affected_vars_
-  size_t closure_ti_ = 0;  ///< worklist cursor into traverse_list_
   std::vector<double> effective_bound_;
   std::vector<double> remaining_;
   std::vector<double> old_values_;        ///< parallel to the subset list
@@ -481,231 +429,6 @@ public:
   std::vector<FillCnst> fill_cnsts_;
   std::vector<FillSlice> fill_slices_;
   std::vector<FillElem> fill_elems_;
-};
-
-/// Façade over per-shard MaxMinSystem instances (see the header comment for
-/// the invariants). Speaks global ids: the engine and tests use it exactly
-/// like a MaxMinSystem, plus a shard argument on new_constraint_in(). With
-/// one shard it degenerates to a single global system (the equivalence
-/// baseline and the behaviour of unzoned platforms).
-class ShardedMaxMin {
-public:
-  using VarId = MaxMinSystem::VarId;
-  using CnstId = MaxMinSystem::CnstId;
-  using ShardId = std::int32_t;
-  static constexpr double kNoBound = MaxMinSystem::kNoBound;
-  static constexpr double kUnlimited = MaxMinSystem::kUnlimited;
-  /// Shard 0 holds everything that is not zone-interior: WAN fat pipes,
-  /// gateway links, unzoned hosts. It is the only shard a cross-zone flow is
-  /// guaranteed to touch.
-  static constexpr ShardId kBackboneShard = 0;
-  /// home_shard() results for variables that live in no single shard.
-  static constexpr ShardId kDetachedShard = -1;  ///< no replica yet
-  static constexpr ShardId kMultiShard = -2;     ///< replicas in several shards
-
-  explicit ShardedMaxMin(int shard_count = 1);
-
-  /// Re-shape the shard set; only legal while no constraint or variable
-  /// exists (the engine sizes shards from the platform map up front).
-  void init_shards(int shard_count);
-  int shard_count() const { return static_cast<int>(shards_.size()); }
-
-  /// Create a constraint in the backbone shard (MaxMinSystem-compatible).
-  CnstId new_constraint(double capacity, bool shared = true) {
-    return new_constraint_in(kBackboneShard, capacity, shared);
-  }
-  /// Create a constraint in a specific shard.
-  CnstId new_constraint_in(ShardId shard, double capacity, bool shared = true);
-  void release_constraint(CnstId cnst);
-  ShardId shard_of_constraint(CnstId cnst) const;
-
-  VarId new_variable(double weight, double bound = kNoBound);
-  /// Registers the variable in the constraint's shard (creating a linked
-  /// replica when that is a new shard for the variable), then expands there.
-  void expand(CnstId cnst, VarId var, double coeff = 1.0);
-  void release_variable(VarId var);
-
-  /// Owning shard of a live variable: a shard id, kDetachedShard, or
-  /// kMultiShard. O(1). The engine's parallel stepping routes on this:
-  /// single-shard variables are finished inside their shard's lane,
-  /// cross-shard ones are deferred to the serial epilogue.
-  ShardId home_shard(VarId var) const { return vars_[static_cast<size_t>(var)].shard; }
-
-  /// The shard-local half of release_variable(), for a variable whose
-  /// replicas live in ONE shard (or nowhere): detaches it from its shard and
-  /// kills the record, but does NOT recycle the global id. Safe to call
-  /// concurrently for variables homed in different shards. Each released id
-  /// must be handed to commit_released() (serially, in a deterministic
-  /// order) before the id may be reused; throws on a kMultiShard variable.
-  void release_variable_local(VarId var);
-  /// Serial epilogue of release_variable_local(): recycle the ids.
-  void commit_released(const VarId* ids, size_t count);
-
-  void set_capacity(CnstId cnst, double capacity);
-  double capacity(CnstId cnst) const;
-  void set_weight(VarId var, double weight);
-  double weight(VarId var) const;
-  void set_bound(VarId var, double bound);
-  double bound(VarId var) const;
-  double value(VarId var) const;
-  double usage(CnstId cnst) const;
-
-  size_t variable_count() const { return live_vars_; }
-  size_t constraint_count() const { return live_cnsts_; }
-  size_t constraint_degree(CnstId cnst) const;
-  size_t variable_degree(VarId var) const;
-  /// Number of shards the variable currently has replicas in (0 = detached).
-  int variable_shard_span(VarId var) const;
-
-  /// Visit every (variable, coeff) incidence on a live constraint, with
-  /// global variable ids (the engine's failure-propagation index).
-  template <typename Fn>
-  void for_each_variable_on(CnstId cnst, Fn&& fn) const {
-    const CnstRec& c = cnsts_[static_cast<size_t>(cnst)];
-    shards_[static_cast<size_t>(c.shard)].for_each_variable_on(
-        c.local, [&](MaxMinSystem::VarId lv, double coeff) {
-          fn(var_global_[static_cast<size_t>(c.shard)][static_cast<size_t>(lv)], coeff);
-        });
-  }
-
-  /// Visit every (constraint, coeff) incidence of a live variable, with
-  /// global constraint ids, across all of its replicas.
-  template <typename Fn>
-  void for_each_constraint_of(VarId var, Fn&& fn) const {
-    for_each_replica(vars_[static_cast<size_t>(var)], [&](Replica rp) {
-      shards_[static_cast<size_t>(rp.shard)].for_each_constraint_of(
-          rp.local, [&](MaxMinSystem::CnstId lc, double coeff) {
-            fn(cnst_global_[static_cast<size_t>(rp.shard)][static_cast<size_t>(lc)], coeff);
-          });
-    });
-  }
-
-  /// Solve only the dirty shards: shard-local incremental solves for
-  /// uncoupled closures, one joint progressive-filling pass per coupled
-  /// group. Coupled shards are partitioned (union-find over each linked
-  /// variable's replica shards) into independent groups that touch disjoint
-  /// shard sets, so with `workers` the uncoupled solves AND the group solves
-  /// all fan out across the worker lanes; the dirty-closure fixpoint, the
-  /// partition, and the changed-id aggregation stay serial, so the result
-  /// (including the order of changed_variables()) is identical at every lane
-  /// count. With `probe`, the fan-out's wall and per-lane busy times are
-  /// recorded (serial fallback counts as lane 0).
-  void solve(ShardWorkers* workers = nullptr, PhaseProbe* probe = nullptr);
-  /// Recompute everything from scratch (equivalence testing).
-  void solve_full();
-  bool needs_solve() const;
-  /// Global ids of the variables whose allocation changed in the last
-  /// solve(); each cross-shard variable is reported once.
-  const std::vector<VarId>& changed_variables() const { return changed_vars_; }
-
-  /// Aggregated over shards (plus detached handling); per-shard stats are
-  /// reachable through shard().
-  MaxMinSystem::SolveStats solve_stats() const;
-  /// Cross-shard joint solves run so far (0 as long as no closure ever
-  /// reached a linked replica — the intra-zone locality check).
-  size_t group_solve_count() const { return group_solves_; }
-  MaxMinSystem::MemoryStats memory_stats() const;
-  /// Read-only view of one shard (per-shard stats and footprint).
-  const MaxMinSystem& shard(ShardId s) const { return shards_[static_cast<size_t>(s)]; }
-
-private:
-  static constexpr ShardId kDetached = kDetachedShard;  ///< no replica yet
-  static constexpr ShardId kMulti = kMultiShard;        ///< replicas listed in multi_
-
-  struct Replica {
-    ShardId shard;
-    MaxMinSystem::VarId local;
-  };
-  struct VarRec {
-    double weight = 0;
-    double bound = kNoBound;
-    double detached_value = 0;       ///< allocation while no replica exists
-    ShardId shard = kDetached;       ///< owning shard, kMulti, or kDetached
-    MaxMinSystem::VarId local = -1;  ///< local id when shard >= 0
-    std::int32_t multi = -1;         ///< index into multi_ when shard == kMulti
-    bool alive = false;
-    bool in_group = false;  ///< scratch: already listed in group_linked_
-  };
-  struct CnstRec {
-    ShardId shard = -1;  ///< < 0: id is free
-    MaxMinSystem::CnstId local = -1;
-  };
-
-  template <typename Fn>
-  void for_each_replica(const VarRec& r, Fn&& fn) const {
-    if (r.shard >= 0) {
-      fn(Replica{r.shard, r.local});
-    } else if (r.shard == kMulti) {
-      for (const Replica& rp : multi_[static_cast<size_t>(r.multi)])
-        fn(rp);
-    }
-  }
-
-  void check_var(VarId var, const char* what) const;
-  void check_cnst(CnstId cnst, const char* what) const;
-  /// Create the variable's replica in `shard` (local var with the shared
-  /// weight/bound; kFlagLinked when the variable spans several shards).
-  MaxMinSystem::VarId make_replica(VarId var, ShardId shard, bool linked);
-  /// Replica of `var` in `shard`, created (and cross-linked) if absent.
-  MaxMinSystem::VarId replica_in(VarId var, ShardId shard);
-
-  /// One independent coupled group: shards reachable from each other through
-  /// linked replicas (in discovery order), plus the linked logical vars whose
-  /// replicas all live inside the group. Groups touch disjoint shard sets,
-  /// so solve_group() runs concurrently for different groups.
-  struct Group {
-    std::vector<ShardId> shards;
-    std::vector<VarId> linked;
-  };
-  /// Joint progressive filling over one group (closures already collected
-  /// and committed). Writes only the group's shards; safe to run in
-  /// parallel with other groups and with uncoupled shard-local solves.
-  void solve_group(Group& gr);
-
-  /// Conservative per-shard dirty mark — every façade mutation that can make
-  /// a shard need solving sets its byte. solve() double-checks the shard's
-  /// own needs_solve(), so over-marking is harmless; the byte map keeps
-  /// needs_solve()/solve() from touching every MaxMinSystem each round.
-  /// Distinct bytes are distinct memory locations, so engine lanes marking
-  /// their own shards concurrently is race-free.
-  void mark_shard(ShardId s) { shard_dirty_[static_cast<size_t>(s)] = 1; }
-
-  std::vector<MaxMinSystem> shards_;
-  std::vector<std::vector<VarId>> var_global_;    ///< [shard][local var] -> global id
-  std::vector<std::vector<CnstId>> cnst_global_;  ///< [shard][local cnst] -> global id
-  /// Live linked replicas per shard. A shard hosting any may only solve the
-  /// collected closure, never escalate to a whole-shard solve_full(): the
-  /// escalation would recompute linked replicas the closure never reached —
-  /// locally, without their sibling shards — and their values would diverge.
-  std::vector<size_t> shard_linked_;
-
-  std::vector<VarRec> vars_;
-  std::vector<VarId> free_var_ids_;
-  std::vector<CnstRec> cnsts_;
-  std::vector<CnstId> free_cnst_ids_;
-  std::vector<std::vector<Replica>> multi_;  ///< replica lists of cross-shard vars
-  std::vector<std::int32_t> free_multi_;
-  size_t live_vars_ = 0;
-  size_t live_cnsts_ = 0;
-
-  std::vector<VarId> detached_dirty_;  ///< detached vars touched since last solve
-  std::vector<VarId> changed_vars_;
-  size_t group_solves_ = 0;
-
-  // -- per-solve scratch (sized shard_count once) ----------------------------
-  static constexpr unsigned char kShardOpen = 1;     ///< closure being collected
-  static constexpr unsigned char kShardCoupled = 2;  ///< closure reached a linked replica
-  std::vector<ShardId> open_;
-  std::vector<ShardId> uncoupled_;          ///< open shards with no linked replica reached
-  std::vector<ShardId> coupled_;            ///< open shards whose closure hit a linked replica
-  std::vector<size_t> scan_pos_;            ///< per shard: linked-scan cursor
-  std::vector<unsigned char> shard_flags_;  ///< per shard: kShardOpen | kShardCoupled
-  std::vector<unsigned char> shard_dirty_;  ///< per shard: touched since last solve
-  std::vector<VarId> group_linked_;         ///< logical linked vars across all groups
-  std::vector<Group> groups_;               ///< pooled group storage, n_groups_ live
-  size_t n_groups_ = 0;
-  std::vector<ShardId> uf_parent_;          ///< union-find scratch over coupled_
-  std::vector<std::int32_t> group_slot_;    ///< per shard: root -> group index
 };
 
 }  // namespace sg::core

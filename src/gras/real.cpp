@@ -122,6 +122,13 @@ public:
 
   int fd() const { return fd_; }
 
+  /// Wake a reader blocked on the socket without releasing the fd under it.
+  void shutdown() {
+    const int fd = fd_.load();
+    if (fd >= 0)
+      ::shutdown(fd, SHUT_RDWR);
+  }
+
   void close_fd() {
     int expected = fd_.exchange(-1);
     if (expected >= 0) {
@@ -262,33 +269,43 @@ public:
     // Real mode: the measured time has genuinely passed already.
   }
 
+  /// shutdown() wakes every thread blocked in accept() or read(); the fds
+  /// are closed only once those threads are joined, so a close can never
+  /// race with a read on the same fd (or on a recycled fd number).
   void teardown() {
     if (torn_down_)
       return;
     torn_down_ = true;
-    for (int fd : listen_fds_) {
+    for (int fd : listen_fds_)
       ::shutdown(fd, SHUT_RDWR);
-      ::close(fd);
-    }
-    {
-      std::lock_guard<std::mutex> lock(sockets_mutex_);
-      for (auto& s : sockets_)
-        s->close_fd();
-    }
+    shutdown_sockets();
     for (auto& t : acceptors_)
       if (t.joinable())
         t.join();
+    shutdown_sockets();  // sockets accepted while the first pass ran
     for (auto& t : readers_)
       if (t.joinable())
         t.join();
+    for (int fd : listen_fds_)
+      ::close(fd);
+    listen_fds_.clear();
+    std::lock_guard<std::mutex> lock(sockets_mutex_);
+    for (auto& s : sockets_)
+      s->close_fd();
   }
 
 private:
+  void shutdown_sockets() {
+    std::lock_guard<std::mutex> lock(sockets_mutex_);
+    for (auto& s : sockets_)
+      s->shutdown();
+  }
+
   void accept_loop(int listen_fd) {
     while (true) {
       const int fd = ::accept(listen_fd, nullptr, nullptr);
       if (fd < 0)
-        return;  // listening socket closed: process is done
+        return;  // listening socket shut down: process is done
       auto sock = std::make_shared<RealSocket>(fd, "peer@" + name_);
       attach_reader(sock);
     }

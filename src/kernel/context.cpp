@@ -157,9 +157,8 @@ public:
 /// around 65k actors), committed lazily by the kernel as pages are touched,
 /// and recycled LIFO so a respawned actor reuses cache- and TLB-hot pages.
 ///
-/// Lane safety: under engine/parallel-actors a stack is acquired on whatever
-/// worker lane first resumes the actor and released on whatever lane unwinds
-/// it. Recycling goes through small per-lane LIFO caches keyed off
+/// Lane safety: a stack is acquired on whatever lane first resumes the actor
+/// and released on whatever lane unwinds it. Recycling goes through small per-lane LIFO caches keyed off
 /// context_lane() — the hot acquire/release path never takes a lock and
 /// keeps its cache-warm stacks lane-local — while the cold paths (carving a
 /// fresh stack out of a slab, mapping a new slab, and the shared overflow

@@ -23,16 +23,11 @@
 /// 1. **Per-lane serialization.** Each context is driven by at most one OS
 ///    thread at a time: resume_and_wait() transfers control resumer->actor
 ///    and returns only when the actor has yielded or terminated; yield()
-///    transfers actor->resumer and returns only at the next resume. With
-///    `engine/parallel-actors` off the resumer is always the maestro and the
-///    whole simulation is strictly serialized; with it on, the kernel's
-///    scheduling phase resumes disjoint shards' contexts on different worker
-///    lanes concurrently — but any one context still sees a strictly serial
-///    resume/yield history, and successive resumes of the same context (even
-///    from different lanes) are ordered through the lane barrier. Both
-///    backends support cross-thread resumes: the fiber backend saves the
-///    resumer's stack per resume, the thread backend hands off through
-///    semaphores.
+///    transfers actor->resumer and returns only at the next resume. The
+///    kernel always resumes from the maestro, so the whole simulation is
+///    strictly serialized. Both backends support cross-thread resumes all
+///    the same: the fiber backend saves the resumer's stack per resume, the
+///    thread backend hands off through semaphores.
 /// 2. **Resumer-side calls vs actor-side calls.** resume_and_wait() and
 ///    request_kill() may only be called by the current resumer (maestro or
 ///    owning lane); yield() may only be called from inside the context's
@@ -78,15 +73,14 @@ inline constexpr config::IntKey kCfgContextGuardPages{"contexts/guard-pages"};
 /// Register the `contexts/*` config keys (idempotent).
 void declare_context_config();
 
-/// Worker-lane id of the calling OS thread, used to pick per-lane context
-/// resources (the fiber backend's stack free lists). Thread-local; defaults
-/// to 0 (the maestro). The kernel tags each worker lane before resuming
-/// actors on it and resets the maestro to 0 for the serial phases.
+/// Lane id of the calling OS thread, used to pick per-lane context resources
+/// (the fiber backend's stack free lists). Thread-local; defaults to 0 (the
+/// maestro), which is the only lane the kernel resumes actors from.
 void set_context_lane(int lane);
 int context_lane();
 
-/// Number of per-lane resource slots backends keep. engine/threads is capped
-/// at 256, so lane ids are always < kMaxContextLanes.
+/// Number of per-lane resource slots backends keep; set_context_lane()
+/// maps out-of-range ids to 0.
 inline constexpr int kMaxContextLanes = 256;
 
 class Context {

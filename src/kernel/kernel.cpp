@@ -6,7 +6,6 @@
 #include <mutex>
 #include <new>
 
-#include "core/workers.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/log.hpp"
 #include "xbt/str.hpp"
@@ -18,14 +17,12 @@ namespace sg::kernel {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The actor currently executing and its kernel, per OS thread: during a
-// parallel scheduling phase every lane has its own current actor. Under the
-// thread context backend the semaphore handoff publishes the resumer's write
-// to the actor's thread (release before acquire), so the actor-side reads in
-// self()/current() go through the *resuming lane's* slot — resume_context
-// and run_shard_batch set these on the resuming thread, and ThreadContext
-// bodies read them via the kernel passing through the resume (see
-// resume_context). g_active_kernel stays a plain global: it is only written
+// The actor currently executing and its kernel, per OS thread. Under the
+// thread context backend each actor body runs on its own OS thread, and the
+// semaphore handoff publishes the resumer's write to that thread (release
+// before acquire): resume_context and run_shard_batch set these on the
+// resuming thread, and ThreadContext bodies publish them in their own slots
+// (see spawn). g_active_kernel stays a plain global: it is only written
 // from kernel construction/destruction (serial by definition).
 thread_local Actor* g_current_actor = nullptr;
 thread_local Kernel* g_current_kernel = nullptr;
@@ -61,9 +58,9 @@ Actor::Actor(ActorId id, std::string name, int host, std::function<void()> body,
 // and its shared_ptr control block into one allocation of a single size,
 // which a LIFO free list then recycles — at millions of rendezvous per run
 // the allocator drops off the profile and recycled blocks come back
-// cache-warm. One pool per run-queue shard: allocation happens on the home
-// lane (or the maestro), but the last CommPtr reference to a block can drop
-// on any thread, so both sides of the free list take the pool's mutex.
+// cache-warm. One pool per run-queue shard. The last CommPtr reference to a
+// block can drop on an actor's own OS thread (thread context backend), so
+// both sides of the free list take the pool's mutex.
 
 struct CommBlockPool {
   static constexpr size_t kMaxFreeBlocks = 64 * 1024;
@@ -211,15 +208,12 @@ Kernel::Kernel(platform::Platform platform)
   comm_pools_.resize(ready_.size());
   for (auto& pool : comm_pools_)
     pool = std::make_shared<CommBlockPool>();
-  lane_counters_.resize(static_cast<size_t>(std::max(1, engine_.thread_count())));
-  parallel_actors_ =
-      config::get(core::kCfgParallelActors) && engine_.thread_count() > 1 && ready_.size() > 1;
+  lane_counters_.resize(1);  // one lane: the maestro
   g_active_kernel = this;
   xbt::log_set_clock_provider(&clock_provider);
   xbt::log_set_actor_provider(&actor_provider);
-  SG_DEBUG(kernel, "kernel up: %s contexts, %zu run-queue shard(s), %s scheduling",
-           context_factory_->backend_name(), ready_.size(),
-           parallel_actors_ ? "parallel" : "serial");
+  SG_DEBUG(kernel, "kernel up: %s contexts, %zu run-queue shard(s)", context_factory_->backend_name(),
+           ready_.size());
 }
 
 Kernel::~Kernel() {
@@ -259,7 +253,7 @@ ActorId Kernel::spawn(const std::string& name, int host, std::function<void()> b
                       bool auto_restart) {
   if (Actor* a = self(); a != nullptr && a->phase_quantum_) {
     // Spawning touches the slot arena, the id map and (via schedule) a ready
-    // queue that may belong to another lane — serial work, all of it.
+    // queue of another shard — epilogue work, all of it.
     PendingSimcall rec;
     rec.kind = PendingSimcall::Kind::kSpawn;
     rec.name = &name;
@@ -287,7 +281,7 @@ ActorId Kernel::spawn(const std::string& name, int host, std::function<void()> b
   a->context_ = context_factory_->create([this, a] {
     // Publish identity in the *body's* thread-local slots: thread-backend
     // actors run on their own OS thread, which resume_context (running on
-    // the resuming lane) cannot reach. Fibers run on the resuming thread,
+    // the maestro) cannot reach. Fibers run on the resuming thread,
     // where resume_context already published the same values.
     g_current_actor = a;
     g_current_kernel = this;
@@ -410,20 +404,15 @@ void Kernel::handle_actor_end(Actor* a) {
 double Kernel::run() {
   running_ = true;
   long idle_rounds = 0;
-  // The scheduling phase fans out only when the flag is on AND there is
-  // something to fan out over (multiple lanes, multiple shards).
-  core::ShardWorkers* const workers =
-      (parallel_actors_ && ready_.size() > 1) ? engine_.workers() : nullptr;
   while (true) {
     bool any_ran = false;
     while (total_ready() > 0)
-      any_ran = run_scheduling_round(workers) || any_ran;
+      any_ran = run_scheduling_round() || any_ran;
 
     if (live_nondaemon_ == 0)
       break;
 
-    // Engine time advance: engine/threads parallelism lives entirely below
-    // this call, and all actor-visible effects are committed serially above.
+    // Engine time advance; all actor-visible effects were committed above.
     const double timer_bound = timers_.empty() ? kInf : timers_.top().time;
     const auto events = engine_.run_until(timer_bound);
     for (const auto& ev : events)
@@ -462,33 +451,24 @@ double Kernel::run() {
 
 // -- round-based scheduling -----------------------------------------------------
 
-bool Kernel::run_scheduling_round(core::ShardWorkers* workers) {
+bool Kernel::run_scheduling_round() {
   const int shards = static_cast<int>(ready_.size());
   // Snapshot every shard's batch up front: a round runs exactly the actors
-  // that were ready when it began, in both modes, so mid-round wakes always
-  // land in the next round regardless of which shard they touch.
+  // that were ready when it began, so mid-round wakes always land in the
+  // next round regardless of which shard they touch.
   for (int s = 0; s < shards; ++s) {
     batch_[static_cast<size_t>(s)] = ready_[static_cast<size_t>(s)].size();
     ran_[static_cast<size_t>(s)].clear();
   }
 
   // Scheduling phase: user code runs up to its next simcall (see the
-  // execution-model notes in kernel.hpp). Lane i drains shards ≡ i (mod
-  // lanes) — the same ShardWorkers mapping, pool, and generation barrier as
-  // the engine's solve/advance phases.
-  if (workers != nullptr) {
-    const int lanes = engine_.thread_count();
-    workers->run(shards, [this, lanes](int s) { run_shard_batch(s, lanes); });
-    set_context_lane(0);  // back to the maestro's lane for the serial phases
-  } else {
-    for (int s = 0; s < shards; ++s)
-      run_shard_batch(s, 1);
-  }
+  // execution-model notes in kernel.hpp), shard by shard on the maestro.
+  for (int s = 0; s < shards; ++s)
+    run_shard_batch(s);
 
   // Serial epilogue: commit every quantum in fixed shard order, batch order
   // within a shard. All engine actions, timers, wakes, spawns, kills, and
-  // reaps happen here, so their order — and thus the event log — does not
-  // depend on lane interleaving.
+  // reaps happen here.
   bool any_ran = false;
   for (int s = 0; s < shards; ++s) {
     for (RanActor& r : ran_[static_cast<size_t>(s)]) {
@@ -502,8 +482,7 @@ bool Kernel::run_scheduling_round(core::ShardWorkers* workers) {
   return any_ran;
 }
 
-void Kernel::run_shard_batch(int shard, int lanes) {
-  set_context_lane(lanes > 1 ? shard % lanes : 0);
+void Kernel::run_shard_batch(int shard) {
   auto& q = ready_[static_cast<size_t>(shard)];
   auto& ran = ran_[static_cast<size_t>(shard)];
   for (size_t n = batch_[static_cast<size_t>(shard)]; n > 0; --n) {
@@ -528,8 +507,8 @@ void Kernel::run_shard_batch(int shard, int lanes) {
     a->pending_ = nullptr;
     a->phase_quantum_ = true;
     a->phase_starts_ = &r.started;
-    // Resume on this lane. Not resume_context(): a body that finishes here
-    // must have its end handled by the epilogue, not the lane.
+    // Not resume_context(): a body that finishes here must have its end
+    // handled by the epilogue.
     Actor* const prev_actor = g_current_actor;
     Kernel* const prev_kernel = g_current_kernel;
     g_current_actor = a;
@@ -566,8 +545,7 @@ void Kernel::arm_timeout(Actor* a, double timeout) {
 
 void Kernel::commit_comm_wait(Actor* a, PendingSimcall& rec, const CommPtr& comm) {
   if (comm->state == Comm::State::kFinished) {
-    // Already resolved: requeue the actor with the comm's outcome. (Both
-    // modes take this same path, so the schedules agree by construction.)
+    // Already resolved: requeue the actor with the comm's outcome.
     wake(a, comm->result);
     return;
   }
@@ -825,7 +803,7 @@ void Kernel::yield_now() {
   assert(a != nullptr);
   if (a->phase_quantum_) {
     // The requeue touches the shard's own deque, but the epilogue does it
-    // instead so the ready order interleaves identically in both modes.
+    // so the ready order interleaves in commit order.
     PendingSimcall rec;
     rec.kind = PendingSimcall::Kind::kYield;
     record_and_park(a, rec);
@@ -986,7 +964,7 @@ void* Kernel::comm_wait(const CommPtr& comm, double timeout) {
   assert(a != nullptr);
   if (a->phase_quantum_) {
     // Even a home-shard comm defers the wait: its state can be flipped by the
-    // serial epilogue only, and both modes must park at the same point.
+    // serial epilogue only.
     PendingSimcall rec;
     rec.kind = PendingSimcall::Kind::kCommWait;
     rec.comm = comm;
@@ -1105,8 +1083,8 @@ bool Kernel::comm_test(const CommPtr& comm) {
   Actor* a = self();
   if (a != nullptr && a->phase_quantum_ &&
       (comm->mailbox == kNoMailbox || mailbox_ref(comm->mailbox).home != a->shard_)) {
-    // A foreign-shard comm may be getting matched by its home lane right
-    // now; only the serial epilogue can read its state safely.
+    // A foreign-shard comm may still have a pending match in this round's
+    // records; only the serial epilogue reads its state in order.
     PendingSimcall rec;
     rec.kind = PendingSimcall::Kind::kCommTest;
     rec.comm = comm;
@@ -1240,8 +1218,8 @@ void Kernel::suspend(ActorId id) {
       rec.kind = PendingSimcall::Kind::kSuspendSelf;
       record_and_park(caller, rec);
     } else {
-      // Reading the target's state from a lane would race with the lane that
-      // owns it — the commit does the lookup and the flag work serially.
+      // The target may belong to another shard's batch of this round — the
+      // commit does the lookup and the flag work in epilogue order.
       rec.kind = PendingSimcall::Kind::kSuspendOther;
       rec.target = id;
       record_and_park(caller, rec);

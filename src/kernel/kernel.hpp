@@ -5,16 +5,17 @@
 ///
 /// ## Execution model
 ///
-/// Scheduling proceeds in rounds. Each round snapshots every shard's ready
-/// batch, then runs two phases:
+/// Everything runs on the maestro, one actor at a time. Scheduling proceeds
+/// in rounds. Each round snapshots every shard's ready batch, then runs two
+/// phases:
 ///
-///  * **Scheduling phase** — each batched actor is resumed and runs user
-///    code up to its next simcall. The simcall follows the lists-local rule:
-///    side effects confined to the actor's home shard (matching on a
-///    home-shard mailbox, allocating from the shard's comm pool) commit
-///    inline; everything else — engine action creation, timers, wakes,
-///    spawns, kills, cross-shard mailboxes — is *recorded* into a
-///    PendingSimcall and the actor parks.
+///  * **Scheduling phase** — each batched actor is resumed, shard by shard,
+///    and runs user code up to its next simcall. The simcall follows the
+///    lists-local rule: side effects confined to the actor's home shard
+///    (matching on a home-shard mailbox, allocating from the shard's comm
+///    pool) commit inline; everything else — engine action creation,
+///    timers, wakes, spawns, kills, cross-shard mailboxes — is *recorded*
+///    into a PendingSimcall and the actor parks.
 ///  * **Serial epilogue** — the maestro replays the records in fixed shard
 ///    order (batch order within a shard, quantum order within an actor):
 ///    starts the matched comms, creates engine actions, arms timers, reaps
@@ -22,22 +23,17 @@
 ///    inline here, so the rest of that quantum runs under classic serial
 ///    semantics.
 ///
-/// With `engine/parallel-actors` off (default) the scheduling phase runs on
-/// the maestro; with it on, it fans out over the engine's ShardWorkers lanes
-/// (lane_of = shard % lanes, the same mapping as the engine's solve/advance
-/// phases). Because everything order-sensitive is committed by the serial
-/// epilogue either way, the observable schedule — event logs, clocks,
-/// counters — is identical at every lane count, and identical to serial.
+/// The kernel starts no threads of its own (the thread context backend
+/// gives each actor an OS thread, strictly serialized with the maestro).
 ///
 /// Scale shape (the "millions of users" path): actors live in a chunked slot
 /// arena with O(1) spawn/death and slot+stack recycling, mailbox names are
 /// interned to dense ids once at the API boundary (each mailbox homed on the
 /// interning actor's shard), comm control blocks are pooled per shard, and
 /// the ready set is split into per-shard run queues keyed off
-/// Platform::shard_map() — a round drains one zone's wakeups as a batch, so
-/// the solver and heap shard that zone's simcalls touch stay cache-resident,
-/// while the fixed shard rotation keeps the schedule deterministic and
-/// reproducible across context backends and lane counts.
+/// Platform::shard_map() — a round drains one zone's wakeups as a batch,
+/// and the fixed shard rotation keeps the schedule deterministic and
+/// reproducible across context backends.
 #pragma once
 
 #include <cstdint>
@@ -179,9 +175,8 @@ public:
 
   // -- introspection -------------------------------------------------------------
   /// Scheduler counters (monotonic over the kernel's lifetime). Wakeups and
-  /// context switches accumulate in per-lane counters (a plain shared
-  /// increment from concurrent lanes would be a data race) and are summed
-  /// here on read; call from a serial section for an exact snapshot.
+  /// context switches accumulate in per-lane counters (one lane: the
+  /// maestro) and are summed here on read.
   struct Stats {
     std::uint64_t actors_spawned = 0;
     std::uint64_t wakeups = 0;           ///< blocked -> ready transitions
@@ -243,11 +238,11 @@ private:
     bool finished = false;
     bool zombie = false;  ///< popped dead: reap in the epilogue
   };
-  /// Snapshot batches, run the scheduling phase (serial or on `workers`),
-  /// then commit the epilogue. Returns true when any actor ran.
-  bool run_scheduling_round(core::ShardWorkers* workers);
-  /// Drain one shard's batch; runs on the shard's lane during the phase.
-  void run_shard_batch(int shard, int lanes);
+  /// Snapshot batches, run the scheduling phase, then commit the epilogue.
+  /// Returns true when any actor ran.
+  bool run_scheduling_round();
+  /// Drain one shard's batch during the scheduling phase.
+  void run_shard_batch(int shard);
   /// Serial commit of one quantum's record.
   void commit_ran(RanActor& r);
   /// Commit helper: park-for-wait bookkeeping for a (possibly fresh) comm.
@@ -295,8 +290,7 @@ private:
 
   // Per-shard run queues (see the file comment).
   std::vector<std::deque<Actor*>> ready_;
-  // Round scratch: per-shard batch sizes and quantum records; each lane
-  // writes only its own shards' entries during the scheduling phase.
+  // Round scratch: per-shard batch sizes and quantum records.
   std::vector<size_t> batch_;
   std::vector<std::vector<RanActor>> ran_;
 
@@ -306,9 +300,8 @@ private:
   std::vector<std::string> mailbox_names_;
   std::unordered_map<std::string, MailboxId> mailbox_ids_;
 
-  /// Per-shard comm-block pools: a home lane allocates from its own shard's
-  /// pool lock-free of the others; deallocation (a CommPtr can drop on any
-  /// thread) is mutex-guarded inside the pool.
+  /// Per-shard comm-block pools; deallocation (a CommPtr can drop on an
+  /// actor's own thread) is mutex-guarded inside the pool.
   std::vector<std::shared_ptr<CommBlockPool>> comm_pools_;
   std::unordered_map<const core::Action*, CommPtr> inflight_;  ///< running transfers
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
@@ -321,7 +314,6 @@ private:
     std::uint64_t context_switches = 0;
   };
   std::vector<LaneCounters> lane_counters_;
-  bool parallel_actors_ = false;  ///< engine/parallel-actors, snapshotted at build
   bool deadlocked_ = false;
   bool running_ = false;
 };

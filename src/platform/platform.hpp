@@ -205,14 +205,13 @@ private:
   double latency_ = 0.0;
 };
 
-/// How the platform partitions into simulation shards, computed at seal()
-/// time so the engine can size its per-shard solvers and event heaps up
-/// front. Shard 0 is the *backbone* shard: every resource that is not
-/// interior to a single zone (WAN links, gateway/backbone links, unzoned
-/// hosts, routers' links) lives there, and it is the only shard a
-/// cross-zone route is guaranteed to touch. Each zone gets its own shard
-/// holding its member hosts and zone-interior links, so intra-zone churn
-/// never touches — or even reads — another zone's solver state.
+/// How the platform partitions into zone shards, computed at seal() time.
+/// Shard 0 is the *backbone* shard: every resource that is not interior to
+/// a single zone (WAN links, gateway/backbone links, unzoned hosts, routers'
+/// links) lives there, and it is the only shard a cross-zone route is
+/// guaranteed to touch. Each zone gets its own shard holding its member
+/// hosts and zone-interior links. The kernel keys its per-shard run queues
+/// off host_shard.
 struct ShardMap {
   int shard_count = 1;                    ///< zones + 1; >= 1 (shard 0 = backbone)
   std::vector<std::int32_t> zone_shard;   ///< zone id -> shard id (zone id + 1)

@@ -8,13 +8,13 @@
 /// variable that seeds it, and hands out typed key handles:
 ///
 ///   namespace cfg = sg::config;
-///   constexpr cfg::IntKey kThreads{"engine/threads"};
-///   cfg::declare(kThreads, 1, 1, 1024, "worker threads", "SG_THREADS");
-///   int n = cfg::get(kThreads);
+///   constexpr cfg::IntKey kGuardPages{"contexts/guard-pages"};
+///   cfg::declare(kGuardPages, 1, 0, 64, "guard pages per fiber stack");
+///   int n = cfg::get(kGuardPages);
 ///
 /// The registry is a veneer over xbt::Config::instance(): values still live
 /// in the string-keyed store (flags and ints as doubles), so existing raw
-/// `Config::set("engine/sharding", 0.0)` call sites and the --cfg=key:value
+/// `Config::set("engine/kill-transit-comms", 1.0)` call sites and the --cfg=key:value
 /// passthrough keep working unchanged. What the registry adds:
 ///   * typed getters/setters — reading a key with the wrong handle kind
 ///     throws instead of silently reinterpreting,

@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -20,37 +18,10 @@
 #include "xbt/random.hpp"
 #include "xbt/str.hpp"
 
-#if defined(__SANITIZE_THREAD__)
-#define SG_UNDER_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define SG_UNDER_TSAN 1
-#endif
-#endif
-
 namespace {
 
 using namespace sg::kernel;
 using sg::platform::Platform;
-
-/// TSan cannot follow fiber stack switches once engine/parallel-actors fans
-/// them out across worker lanes (the SIMGRID_TSAN option pairs TSan with the
-/// thread backend for exactly this reason). Serial fiber runs are fine, so
-/// only the TSan + SG_PARALLEL_ACTORS=1 combination skips fiber tests.
-bool fiber_lanes_invisible_to_tsan() {
-#ifdef SG_UNDER_TSAN
-  const char* env = std::getenv("SG_PARALLEL_ACTORS");
-  return env != nullptr && std::strcmp(env, "0") != 0 && std::strcmp(env, "") != 0;
-#else
-  return false;
-#endif
-}
-
-#define SKIP_IF_FIBER_LANES_UNDER_TSAN()                                             \
-  do {                                                                               \
-    if (fiber_lanes_invisible_to_tsan())                                             \
-      GTEST_SKIP() << "fiber switches across parallel lanes are invisible to TSan"; \
-  } while (0)
 
 /// Runs each test body once per backend by flipping the config key; restores
 /// the previous backend afterwards so the rest of the suite is unaffected.
@@ -163,7 +134,6 @@ ScenarioResult run_faulty_master_worker(const std::string& backend, unsigned see
 }
 
 TEST_F(ActorRuntimeTest, ThreadAndFiberBackendsProduceIdenticalSchedules) {
-  SKIP_IF_FIBER_LANES_UNDER_TSAN();
   for (unsigned seed : {1u, 17u, 424242u}) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     const ScenarioResult fiber = run_faulty_master_worker("fiber", seed);
@@ -186,7 +156,6 @@ TEST_F(ActorRuntimeTest, ThreadAndFiberBackendsProduceIdenticalSchedules) {
 }
 
 TEST_F(ActorRuntimeTest, BackendsAgreeOnPureYieldInterleaving) {
-  SKIP_IF_FIBER_LANES_UNDER_TSAN();
   auto run_yield_storm = [](const std::string& backend) {
     sg::xbt::Config::instance().set_string("contexts/backend", backend);
     Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
@@ -205,7 +174,6 @@ TEST_F(ActorRuntimeTest, BackendsAgreeOnPureYieldInterleaving) {
 }
 
 TEST_F(ActorRuntimeTest, FiberPoolRecyclesStacksAcrossWaves) {
-  SKIP_IF_FIBER_LANES_UNDER_TSAN();
   use_backend("fiber");
   Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
 
@@ -231,7 +199,6 @@ TEST_F(ActorRuntimeTest, FiberPoolRecyclesStacksAcrossWaves) {
 }
 
 TEST_F(ActorRuntimeTest, FiberPoolSurvivesKillRestartChurn) {
-  SKIP_IF_FIBER_LANES_UNDER_TSAN();
   use_backend("fiber");
   sg::platform::ClusterSpec spec;
   spec.count = 3;
@@ -290,7 +257,6 @@ TEST_F(ActorRuntimeTest, StringAndIdKeyedSimcallsShareTheMailbox) {
 }
 
 TEST_F(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
-  SKIP_IF_FIBER_LANES_UNDER_TSAN();
   auto run_sharded = [](const std::string& backend) {
     sg::xbt::Config::instance().set_string("contexts/backend", backend);
     Platform p;
@@ -305,8 +271,7 @@ TEST_F(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
     Kernel k(std::move(p));
     EXPECT_GT(k.engine().platform().shard_map().shard_count, 1);
 
-    // One log per actor: bodies may run on different worker lanes under
-    // engine/parallel-actors, so they must not share a log vector.
+    // One log per actor, concatenated in actor order.
     std::vector<std::vector<std::string>> logs(12);
     const MailboxId ring = k.mailbox_by_name("ring");
     for (int a = 0; a < 12; ++a)

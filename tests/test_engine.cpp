@@ -1,23 +1,31 @@
 /// Tests for the SURF engine: action timing, resource sharing, latency
-/// phases, TCP window bound, traces, failures, parallel tasks.
+/// phases, TCP window bound, traces, failures, parallel tasks, the
+/// engine/kill-transit-comms semantics, the phase profiler, run_until()'s
+/// deadline semantics, and the typed sg::config registry.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <string>
 
 #include "core/engine.hpp"
+#include "kernel/context.hpp"
 #include "platform/builders.hpp"
 #include "trace/trace.hpp"
 #include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
+#include "xbt/settings.hpp"
 #include "xbt/str.hpp"
 
 namespace {
 
 using namespace sg::core;
+using sg::platform::ClusterZoneSpec;
+using sg::platform::LinkId;
 using sg::platform::Platform;
+using sg::platform::SharingPolicy;
 
 /// Pin the model parameters to clean values and restore defaults afterwards.
 class EngineTest : public ::testing::Test {
@@ -39,7 +47,7 @@ protected:
     for (int guard = 0; guard < 100000; ++guard) {
       if (a->state() != ActionState::kRunning && a->state() != ActionState::kSuspended)
         return a->finish_time();
-      e.step();
+      e.run_until();
     }
     ADD_FAILURE() << "action never completed";
     return -1;
@@ -87,7 +95,7 @@ TEST_F(EngineTest, ExecStaggeredStarts) {
   Engine e(std::move(p));
   auto a = e.exec_start(0, 2e9);
   // Advance time to 1.0, then start a competitor.
-  e.step(1.0);
+  e.run_until(1.0);
   EXPECT_DOUBLE_EQ(e.now(), 1.0);
   auto b = e.exec_start(0, 1e9);
   run_until_done(e, a);
@@ -349,10 +357,10 @@ TEST_F(EngineTest, SuspendResumeFreezesProgress) {
   p.add_host("h", 1e9);
   Engine e(std::move(p));
   auto a = e.exec_start(0, 2e9);
-  e.step(1.0);
+  e.run_until(1.0);
   a->suspend();
   EXPECT_EQ(a->state(), ActionState::kSuspended);
-  e.step(5.0);  // nothing progresses
+  e.run_until(5.0);  // nothing progresses
   EXPECT_DOUBLE_EQ(e.now(), 5.0);
   EXPECT_NEAR(a->remaining(), 1e9, 1.0);
   a->resume();
@@ -364,10 +372,10 @@ TEST_F(EngineTest, CancelAction) {
   p.add_host("h", 1e9);
   Engine e(std::move(p));
   auto a = e.exec_start(0, 2e9);
-  e.step(0.5);
+  e.run_until(0.5);
   a->cancel();
   EXPECT_EQ(a->state(), ActionState::kCanceled);
-  auto events = e.step();
+  auto events = e.run_until();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].action.get(), a.get());
 }
@@ -397,7 +405,7 @@ TEST_F(EngineTest, StateTraceFailsRunningExec) {
   auto a = e.exec_start(0, 1e12);
   bool failed = false;
   for (int i = 0; i < 1000 && !failed; ++i) {
-    for (const auto& ev : e.step())
+    for (const auto& ev : e.run_until())
       if (ev.action.get() == a.get() && ev.failed)
         failed = true;
   }
@@ -423,7 +431,7 @@ TEST_F(EngineTest, LinkFailureKillsComm) {
   auto c = e.comm_start(0, 1, 1e9);
   bool failed = false;
   for (int i = 0; i < 1000 && !failed; ++i)
-    for (const auto& ev : e.step())
+    for (const auto& ev : e.run_until())
       if (ev.action.get() == c.get() && ev.failed)
         failed = true;
   EXPECT_TRUE(failed);
@@ -440,7 +448,7 @@ TEST_F(EngineTest, CommOnDeadRouteFailsImmediately) {
   e.set_link_state(0, false);
   auto c = e.comm_start(0, 1, 100.0);
   EXPECT_EQ(c->state(), ActionState::kFailed);
-  auto events = e.step();
+  auto events = e.run_until();
   bool found = false;
   for (const auto& ev : events)
     if (ev.action.get() == c.get() && ev.failed)
@@ -454,7 +462,7 @@ TEST_F(EngineTest, HostRecoversAfterFailure) {
   p.add_host("h", 1e9);
   Engine e(std::move(p));
   e.set_host_state(0, false);
-  e.step();  // drain events
+  e.run_until();  // drain events
   EXPECT_FALSE(e.host_is_on(0));
   e.set_host_state(0, true);
   EXPECT_TRUE(e.host_is_on(0));
@@ -506,7 +514,7 @@ TEST_F(EngineTest, StepBoundStopsEarly) {
   p.add_host("h", 1e9);
   Engine e(std::move(p));
   auto a = e.exec_start(0, 1e10);
-  auto events = e.step(3.0);
+  auto events = e.run_until(3.0);
   EXPECT_TRUE(events.empty());
   EXPECT_DOUBLE_EQ(e.now(), 3.0);
   EXPECT_NEAR(a->remaining(), 7e9, 1.0);
@@ -517,7 +525,7 @@ TEST_F(EngineTest, NextEventTimeEmptyEngine) {
   p.add_host("h", 1e9);
   Engine e(std::move(p));
   EXPECT_TRUE(std::isinf(e.next_event_time()));
-  auto events = e.step();
+  auto events = e.run_until();
   EXPECT_TRUE(events.empty());
   EXPECT_DOUBLE_EQ(e.now(), 0.0);
 }
@@ -533,7 +541,7 @@ TEST_F(EngineTest, LoadIntrospection) {
 }
 
 // ---------------------------------------------------------------------------
-// Completion-heap equivalence sweep: the heap-driven step() must order and
+// Completion-heap equivalence sweep: the heap-driven run_until() must order and
 // date completions exactly like the old exhaustive scan. The reference is an
 // independent fluid simulation of weighted max-min sharing on one link
 // (rate_i = C * w_i / sum of active weights), driven through the same random
@@ -635,7 +643,7 @@ TEST_F(EngineTest, HeapMatchesScanUnderRateChurn) {
   std::vector<ActionPtr> actions;
   std::vector<double> engine_finish;  // filled as completions fire
 
-  auto drain = [&](const std::vector<ActionEvent>& events) {
+  auto drain = [&](StepLog events) {
     for (const auto& ev : events) {
       EXPECT_EQ(ev.action->state(), ActionState::kDone);
       EXPECT_FALSE(ev.failed);
@@ -648,9 +656,9 @@ TEST_F(EngineTest, HeapMatchesScanUnderRateChurn) {
   for (int op = 0; op < 30; ++op) {
     t += rng.uniform(0.05, 0.6);
     // Run both models to date t.
-    while (e.next_event_time() < t)
-      drain(e.step(t));
-    drain(e.step(t));  // advance the clock the rest of the way
+    do
+      drain(e.run_until(t));
+    while (e.now() < t);
     ASSERT_DOUBLE_EQ(e.now(), t);
     ref.run_until(t);
 
@@ -689,11 +697,8 @@ TEST_F(EngineTest, HeapMatchesScanUnderRateChurn) {
       actions[i]->resume();
       ref.resume(static_cast<int>(i));
     }
-  for (int guard = 0; guard < 100000; ++guard) {
-    if (std::isinf(e.next_event_time()))
-      break;
-    drain(e.step());
-  }
+  for (int guard = 0; guard < 100000 && e.running_action_count() > 0; ++guard)
+    drain(e.run_until());
   ref.run_until(1e9);
 
   // Every flow completed, at the reference date. The completion *ordering*
@@ -723,7 +728,7 @@ TEST_F(EngineTest, HeapCompletionsAreChronological) {
   double last = 0;
   size_t fired = 0;
   for (int guard = 0; guard < 100000 && fired < actions.size(); ++guard) {
-    for (const auto& ev : e.step()) {
+    for (const auto& ev : e.run_until()) {
       EXPECT_GE(e.now(), last);
       last = e.now();
       EXPECT_DOUBLE_EQ(ev.action->finish_time(), e.now());
@@ -768,10 +773,13 @@ TEST_F(EngineTest, CanceledActionsAreNotPinnedByStaleHeapEntries) {
       ghosts.push_back(s);
     }
   }
-  e.step();  // drain the cancellation events (they hold the last strong refs)
+  e.run_until();  // deliver the cancellation events
   // Any new scheduling triggers the stale-dominated compaction.
   auto trigger = e.sleep_start(0, 1.0);
   (void)trigger;
+  // Drop the delivered log, which holds the last strong refs; the trigger is
+  // the valid heap top, so this call reaps nothing.
+  e.run_until(0.5);
   int expired = 0;
   for (const auto& g : ghosts)
     expired += g.expired();
@@ -794,7 +802,7 @@ TEST_F(EngineTest, ReentrantObserverCancelDoesNotDoubleFinish) {
       b->cancel();  // re-enters finish_action while b is a pending victim
   });
   e.set_host_state(0, false);
-  auto events = e.step();  // drain pending failure events
+  auto events = e.run_until();  // drain pending failure events
   EXPECT_EQ(a->state(), ActionState::kFailed);
   EXPECT_EQ(b->state(), ActionState::kCanceled);
   EXPECT_EQ(c->state(), ActionState::kFailed);
@@ -830,10 +838,10 @@ TEST_F(EngineTest, PtaskSpanningTwoFailedConstraintsEmitsOneEvent) {
   Engine e(std::move(p));
   auto pt = e.ptask_start({0, 1}, {1e12, 1e12}, {{0.0, 1e12}, {0.0, 0.0}});
   auto bystander = e.exec_start(1, 1e12);
-  e.step(0.5);
+  e.run_until(0.5);
   e.set_host_state(0, false);
   e.set_link_state(0, false);
-  auto events = e.step();
+  auto events = e.run_until();
   int pt_failures = 0;
   for (const auto& ev : events)
     if (ev.action.get() == pt.get()) {
@@ -856,9 +864,9 @@ TEST_F(EngineTest, DuplicateElementsOnOneConstraintFailOnce) {
   p.add_route(a, b, {l});
   Engine e(std::move(p));
   auto pt = e.ptask_start({0, 1}, {0.0, 0.0}, {{0.0, 1e12}, {1e12, 0.0}});
-  e.step(0.25);
+  e.run_until(0.25);
   e.set_link_state(0, false);
-  auto events = e.step();
+  auto events = e.run_until();
   int failures = 0;
   for (const auto& ev : events)
     if (ev.action.get() == pt.get() && ev.failed)
@@ -873,10 +881,10 @@ TEST_F(EngineTest, LoopbackCommDiesWithItsHost) {
   p.add_host("other", 1e9);
   Engine e(std::move(p));
   auto c = e.comm_start(0, 0, 1e12);
-  e.step(0.1);
+  e.run_until(0.1);
   EXPECT_EQ(c->state(), ActionState::kRunning);
   e.set_host_state(0, false);
-  auto events = e.step();
+  auto events = e.run_until();
   int failures = 0;
   for (const auto& ev : events)
     if (ev.action.get() == c.get() && ev.failed)
@@ -891,10 +899,10 @@ TEST_F(EngineTest, LoopbackCommDiesWithItsHost) {
 
   // After recovery the loopback works again at full speed.
   e.set_host_state(0, true);
-  e.step();
+  e.run_until();
   auto revived = e.comm_start(0, 0, 1e9);
   for (int guard = 0; guard < 1000 && revived->state() == ActionState::kRunning; ++guard)
-    e.step();
+    e.run_until();
   EXPECT_EQ(revived->state(), ActionState::kDone);
 }
 
@@ -906,9 +914,9 @@ TEST_F(EngineTest, SleepIndexKillsOnlyAffectedHost) {
   auto s_a1 = e.sleep_start(0, 100.0);
   auto s_b = e.sleep_start(1, 100.0);
   auto s_a2 = e.sleep_start(0, 200.0);
-  e.step(1.0);
+  e.run_until(1.0);
   e.set_host_state(0, false);
-  auto events = e.step();
+  auto events = e.run_until();
   EXPECT_EQ(events.size(), 2u);
   EXPECT_EQ(s_a1->state(), ActionState::kFailed);
   EXPECT_EQ(s_a2->state(), ActionState::kFailed);
@@ -925,10 +933,10 @@ TEST_F(EngineTest, SuspendedActionStillFailsWithItsResource) {
   p.add_host("h", 1e9);
   Engine e(std::move(p));
   auto a = e.exec_start(0, 1e12);
-  e.step(0.5);
+  e.run_until(0.5);
   a->suspend();
   e.set_host_state(0, false);
-  e.step();
+  e.run_until();
   EXPECT_EQ(a->state(), ActionState::kFailed);
 }
 
@@ -991,6 +999,369 @@ TEST_F(EngineTest, ObserverSeesTransitions) {
   auto a = e.exec_start(0, 1e9);
   run_until_done(e, a);
   EXPECT_EQ(done_count, 1);
+}
+
+// ---------------------------------------------------------------------------
+// engine/kill-transit-comms (L07-style host-death semantics). The suite
+// keeps the name it had in the retired sharded-core tests, so the test ids
+// stay stable.
+// ---------------------------------------------------------------------------
+
+class ShardedEngineTest : public EngineTest {
+protected:
+  void SetUp() override {
+    EngineTest::SetUp();
+    sg::config::set(kCfgKillTransitComms, false);
+  }
+  void TearDown() override {
+    sg::config::set(kCfgKillTransitComms, false);
+    EngineTest::TearDown();
+  }
+};
+
+// Three hosts on a switch: a comm src -> dst does not touch a third host,
+// and — in CM02 — does not touch its own endpoints' CPUs either.
+Platform make_star3() {
+  Platform p;
+  const auto sw = p.add_router("sw");
+  for (int i = 0; i < 3; ++i) {
+    const auto h = p.add_host("h" + std::to_string(i), 1e9);
+    const LinkId l = p.add_link("l" + std::to_string(i), 1e8, 0);
+    p.add_edge(h, sw, l);
+  }
+  p.seal();
+  return p;
+}
+
+TEST_F(ShardedEngineTest, TransitCommSurvivesEndpointDeathByDefault) {
+  Engine e(make_star3());
+  auto comm = e.comm_start(0, 1, 1e8);
+  e.run_until(0.0);
+  e.set_host_state(0, false);  // source host dies mid-transfer
+  for (const auto& ev : e.run_until())
+    EXPECT_FALSE(ev.failed) << "CM02 transit comm must not fail with its endpoint";
+  // It still completes at the normal date (1e8 B at 1e8 B/s = 1 s).
+  while (comm->state() == ActionState::kRunning)
+    e.run_until();
+  EXPECT_EQ(comm->state(), ActionState::kDone);
+  EXPECT_NEAR(comm->finish_time(), 1.0, 1e-9);
+}
+
+TEST_F(ShardedEngineTest, KillTransitCommsFailsCommsOfDeadEndpoints) {
+  sg::config::set(kCfgKillTransitComms, true);
+  Engine e(make_star3());
+  auto out = e.comm_start(0, 1, 1e8);       // dead host is the source
+  auto in = e.comm_start(2, 0, 1e8);        // dead host is the destination
+  auto bystander = e.comm_start(1, 2, 1e8); // does not touch host 0
+  e.run_until(0.0);
+  e.set_host_state(0, false);
+  int failed = 0;
+  for (const auto& ev : e.run_until()) {
+    EXPECT_TRUE(ev.failed);
+    EXPECT_TRUE(ev.action.get() == out.get() || ev.action.get() == in.get());
+    ++failed;
+  }
+  EXPECT_EQ(failed, 2);
+  EXPECT_EQ(out->state(), ActionState::kFailed);
+  EXPECT_EQ(in->state(), ActionState::kFailed);
+  EXPECT_EQ(bystander->state(), ActionState::kRunning);
+  while (bystander->state() == ActionState::kRunning)
+    e.run_until();
+  EXPECT_EQ(bystander->state(), ActionState::kDone);
+}
+
+TEST_F(ShardedEngineTest, KillTransitLoopbackCommFailsExactlyOnce) {
+  sg::config::set(kCfgKillTransitComms, true);
+  Engine e(make_star3());
+  auto loop = e.comm_start(0, 0, 1e8);  // loopback: registered once, also on
+  e.run_until(0.0);                     // the loopback constraint
+  e.set_host_state(0, false);
+  int failures = 0;
+  for (const auto& ev : e.run_until())
+    if (ev.action.get() == loop.get())
+      ++failures;
+  EXPECT_EQ(failures, 1);
+  EXPECT_EQ(loop->state(), ActionState::kFailed);
+}
+
+TEST_F(ShardedEngineTest, KillTransitCompletedCommLeavesNoStaleIndexEntry) {
+  sg::config::set(kCfgKillTransitComms, true);
+  Engine e(make_star3());
+  auto first = e.comm_start(0, 1, 1e6);
+  while (first->state() == ActionState::kRunning)
+    e.run_until();
+  EXPECT_EQ(first->state(), ActionState::kDone);
+  auto second = e.comm_start(1, 2, 1e8);  // re-uses the recycled slot
+  e.run_until(0.0);
+  e.set_host_state(0, false);  // must not fail anything (old entry is gone)
+  for (const auto& ev : e.run_until(0.1))  // second's completion is at t=1
+    EXPECT_FALSE(ev.failed);
+  EXPECT_EQ(second->state(), ActionState::kRunning);
+}
+
+TEST_F(ShardedEngineTest, KillTransitSuspendedCommFailsToo) {
+  sg::config::set(kCfgKillTransitComms, true);
+  Engine e(make_star3());
+  auto comm = e.comm_start(0, 1, 1e8);
+  e.run_until(0.0);
+  comm->suspend();
+  e.set_host_state(1, false);
+  e.run_until();
+  EXPECT_EQ(comm->state(), ActionState::kFailed);
+}
+
+// ---------------------------------------------------------------------------
+// The phase profiler, the tie-break and run_until() semantics. The suite
+// keeps the name it had in the retired parallel-stepping tests, so the test
+// ids stay stable.
+// ---------------------------------------------------------------------------
+
+using ParallelStepTest = EngineTest;
+
+// Multi-zone platform with square-wave state traces on two hosts per zone and
+// on a stride of links (private up/down links and some backbones).
+Platform make_flapping_platform(int zones, int per_zone) {
+  Platform p;
+  for (int z = 0; z < zones; ++z) {
+    ClusterZoneSpec zone;
+    zone.name = "z" + std::to_string(z);
+    zone.count = per_zone;
+    zone.host_speed = 1e9;
+    zone.link_bandwidth = 1e8;
+    zone.link_latency = 5e-5;
+    zone.backbone_bandwidth = 6e8;
+    zone.backbone_latency = 1e-4;
+    zone.backbone_fatpipe = (z % 2 == 1);
+    p.add_cluster_zone(zone);
+  }
+  for (int z = 1; z < zones; ++z) {
+    const LinkId wan = p.add_link("wan" + std::to_string(z), 4e8, 1e-3, SharingPolicy::kFatpipe);
+    p.add_edge(p.zone_gateway(0), p.zone_gateway(z), wan);
+  }
+  for (int z = 0; z < zones; ++z)
+    for (int k : {0, 2}) {
+      const int h = z * per_zone + k;
+      p.host_mutable(h).state = sg::trace::square_wave(
+          "hf" + std::to_string(h), 1.0, 0.013 + 0.0017 * h, 0.0, 0.004 + 0.0011 * k);
+    }
+  for (LinkId l = 1; l < static_cast<LinkId>(p.link_count()); l += 5)
+    p.link_mutable(l).state = sg::trace::square_wave(
+        "lf" + std::to_string(l), 1.0, 0.019 + 0.0013 * l, 0.0, 0.0035);
+  p.seal();
+  return p;
+}
+
+TEST_F(ParallelStepTest, PhaseStatsSanity) {
+  const bool prev_profile = sg::config::get(kCfgProfile);
+  sg::config::set(kCfgProfile, true);
+  Engine e(make_flapping_platform(3, 4));
+  for (int h = 0; h < 12; ++h)
+    e.exec_start(h, 1e6 * (1 + h % 3));
+  for (int i = 0; i < 8; ++i)
+    e.run_until();
+  const Engine::PhaseStats s1 = e.phase_stats();
+  EXPECT_GT(s1.rounds, 0u);
+  EXPECT_GT(s1.events, 0u);
+  EXPECT_GT(s1.total_ns, 0u);
+  // The four phases tile each round's wall time exactly.
+  const auto phase_sum = [](const Engine::PhaseStats& s) {
+    return s.solve_ns + s.pick_ns + s.advance_ns + s.epilogue_ns;
+  };
+  EXPECT_LE(phase_sum(s1), s1.total_ns);
+  EXPECT_GE(phase_sum(s1), s1.total_ns / 2);
+  // No worker fan-out: the engine runs on the caller's thread only.
+  EXPECT_EQ(s1.parallel_ns, 0u);
+  EXPECT_TRUE(s1.lane_busy_ns.empty());
+  EXPECT_EQ(e.thread_count(), 1);
+  // Counters are cumulative: more rounds only grow them.
+  for (int h = 0; h < 12; ++h)
+    if (e.host_is_on(h))
+      e.exec_start(h, 2e6);
+  for (int i = 0; i < 8; ++i)
+    e.run_until();
+  const Engine::PhaseStats s2 = e.phase_stats();
+  EXPECT_GE(s2.rounds, s1.rounds);
+  EXPECT_GE(s2.events, s1.events);
+  EXPECT_GE(s2.total_ns, s1.total_ns);
+  EXPECT_GE(s2.solve_ns, s1.solve_ns);
+  EXPECT_GE(s2.pick_ns, s1.pick_ns);
+  EXPECT_GE(s2.advance_ns, s1.advance_ns);
+  EXPECT_GE(s2.epilogue_ns, s1.epilogue_ns);
+  // Profiling off: zero overhead, zero stats.
+  sg::config::set(kCfgProfile, false);
+  Engine off(make_flapping_platform(2, 4));
+  off.exec_start(0, 1e6);
+  off.run_until();
+  EXPECT_EQ(off.phase_stats().total_ns, 0u);
+  EXPECT_EQ(off.phase_stats().rounds, 0u);
+  sg::config::set(kCfgProfile, prev_profile);
+}
+
+TEST_F(ParallelStepTest, TraceEventBeatsCompletionAtTheSameDate) {
+  // A 1e9-flop exec on a 1e9 flop/s host completes at exactly t=1.0; a state
+  // trace kills the host at exactly t=1.0. Engine::kTraceEventsBeforeCompletions
+  // says the host dies FIRST, so the exec must fail.
+  Platform p;
+  sg::platform::HostSpec spec;
+  spec.name = "h";
+  spec.speed_flops = 1e9;
+  spec.state = sg::trace::Trace("die", {{0.0, 1.0}, {1.0, 0.0}}, -1.0);
+  p.add_host(spec);
+  p.seal();
+  Engine e(std::move(p));
+  auto a = e.exec_start(0, 1e9);
+  bool saw = false, failed = false;
+  for (int i = 0; i < 10 && !saw; ++i)
+    for (const auto& ev : e.run_until())
+      if (ev.action.get() == a.get()) {
+        saw = true;
+        failed = ev.failed;
+      }
+  ASSERT_TRUE(saw);
+  EXPECT_TRUE(failed) << "completion was delivered before the equal-date trace event";
+  EXPECT_EQ(a->state(), ActionState::kFailed);
+  EXPECT_DOUBLE_EQ(a->finish_time(), 1.0);
+  EXPECT_FALSE(e.host_is_on(0));
+}
+
+TEST_F(ParallelStepTest, RunUntilJumpsToDeadlineWhenNothingFires) {
+  Platform p;
+  p.add_host("h", 1e9);
+  p.seal();
+  Engine e(std::move(p));
+  // Nothing pending at all: +inf deadline must not move time.
+  EXPECT_TRUE(e.run_until().empty());
+  EXPECT_DOUBLE_EQ(e.now(), 0.0);
+  // Finite deadline with nothing due: empty span, clock lands on it.
+  EXPECT_TRUE(e.run_until(0.5).empty());
+  EXPECT_DOUBLE_EQ(e.now(), 0.5);
+  // An event beyond the deadline stays queued; the deadline wins.
+  auto a = e.exec_start(0, 1e9);  // completes at 1.5
+  EXPECT_TRUE(e.run_until(1.0).empty());
+  EXPECT_DOUBLE_EQ(e.now(), 1.0);
+  const auto fired = e.run_until(10.0);
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].action.get(), a.get());
+  EXPECT_NEAR(e.now(), 1.5, 1e-9);
+}
+
+TEST_F(ParallelStepTest, RunUntilSpanStaysValidUntilNextCall) {
+  Platform p;
+  p.add_host("h", 1e9);
+  p.seal();
+  Engine e(std::move(p));
+  e.exec_start(0, 1e8);
+  e.exec_start(0, 1e8);
+  const auto fired = e.run_until();
+  ASSERT_EQ(fired.size(), 2u);
+  // The span is a view into engine-owned storage: readable after the call,
+  // and starting or cancelling activities does not touch it...
+  auto c = e.exec_start(0, 1e8);
+  c->cancel();
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[0].action->state(), ActionState::kDone);
+  EXPECT_EQ(fired[1].action->state(), ActionState::kDone);
+  // ...while the cancellation is delivered by the next call.
+  const auto next = e.run_until();
+  ASSERT_EQ(next.size(), 1u);
+  EXPECT_EQ(next[0].action.get(), c.get());
+}
+
+// ---------------------------------------------------------------------------
+// The typed config registry
+// ---------------------------------------------------------------------------
+
+TEST(ConfigRegistryTest, TypedGettersReturnDeclaredValues) {
+  declare_engine_config();
+  sg::kernel::declare_context_config();
+  EXPECT_GE(sg::config::get(kCfgTcpGamma), 0.0);
+  EXPECT_FALSE(sg::config::get(kCfgKillTransitComms));
+  // contexts/backend defaults to "fiber" but the SG_CONTEXTS env var seeds
+  // the declared default (CI re-runs the suite with SG_CONTEXTS=thread).
+  const std::string backend = sg::config::get(sg::kernel::kCfgContextBackend);
+  if (const char* env = std::getenv("SG_CONTEXTS"))
+    EXPECT_EQ(backend, env);
+  else
+    EXPECT_EQ(backend, "fiber");
+  const long guard = sg::config::get(sg::kernel::kCfgContextGuardPages);
+  sg::config::set(sg::kernel::kCfgContextGuardPages, 4);
+  EXPECT_EQ(sg::config::get(sg::kernel::kCfgContextGuardPages), 4);
+  sg::config::set(sg::kernel::kCfgContextGuardPages, guard);
+}
+
+TEST(ConfigRegistryTest, TypeMismatchThrows) {
+  declare_engine_config();
+  sg::kernel::declare_context_config();
+  // engine/kill-transit-comms is a flag; reading it through an IntKey is a
+  // bug in the caller and must throw, not silently coerce.
+  EXPECT_THROW(sg::config::get(sg::config::IntKey{"engine/kill-transit-comms"}),
+               sg::xbt::InvalidArgument);
+  EXPECT_THROW(sg::config::get(sg::config::StringKey{"contexts/guard-pages"}),
+               sg::xbt::InvalidArgument);
+}
+
+TEST(ConfigRegistryTest, UnknownKeyDiagnosticListsValidKeys) {
+  declare_engine_config();
+  try {
+    sg::config::get(sg::config::FlagKey{"engine/no-such-key"});
+    FAIL() << "expected InvalidArgument";
+  } catch (const sg::xbt::InvalidArgument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("unknown config key: engine/no-such-key"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("engine/kill-transit-comms"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("engine/profile"), std::string::npos) << msg;
+  }
+}
+
+TEST(ConfigRegistryTest, IntRangeIsEnforced) {
+  sg::kernel::declare_context_config();
+  const auto key = sg::kernel::kCfgContextGuardPages;  // declared range [0, 64]
+  const long guard = sg::config::get(key);
+  EXPECT_THROW(sg::config::set(key, -1), sg::xbt::InvalidArgument);
+  EXPECT_THROW(sg::config::set(key, 1000), sg::xbt::InvalidArgument);
+  // The raw store (and --cfg passthrough) can hold any double; the typed
+  // getter clamps instead of propagating a nonsense page count.
+  sg::xbt::Config::instance().set("contexts/guard-pages", 1e9);
+  EXPECT_EQ(sg::config::get(key), 64);
+  sg::xbt::Config::instance().set("contexts/guard-pages", -3.0);
+  EXPECT_EQ(sg::config::get(key), 0);
+  sg::config::set(key, guard);
+}
+
+TEST(ConfigRegistryTest, KeysEnumerationDocumentsEnvSeeds) {
+  declare_engine_config();
+  sg::kernel::declare_context_config();
+  bool saw_profile = false, saw_backend = false;
+  for (const auto& info : sg::config::keys()) {
+    if (info.name == "engine/profile") {
+      saw_profile = true;
+      EXPECT_EQ(info.env, "SG_PROFILE");
+      EXPECT_EQ(info.type, sg::config::Type::kFlag);
+      EXPECT_FALSE(info.description.empty());
+    }
+    if (info.name == "contexts/backend") {
+      saw_backend = true;
+      EXPECT_EQ(info.env, "SG_CONTEXTS");
+      EXPECT_EQ(info.type, sg::config::Type::kString);
+    }
+  }
+  EXPECT_TRUE(saw_profile);
+  EXPECT_TRUE(saw_backend);
+}
+
+TEST(ConfigRegistryTest, RawStringKeyedAccessKeepsWorking) {
+  // The registry is a typed façade over xbt::Config: raw set/get on the same
+  // storage must stay coherent with the typed accessors (existing call
+  // sites and the --cfg command-line path use the raw store).
+  sg::kernel::declare_context_config();
+  const auto key = sg::kernel::kCfgContextGuardPages;
+  const long guard = sg::config::get(key);
+  auto& cfg = sg::xbt::Config::instance();
+  cfg.set("contexts/guard-pages", 2.0);
+  EXPECT_EQ(sg::config::get(key), 2);
+  sg::config::set(key, 3);
+  EXPECT_DOUBLE_EQ(cfg.get("contexts/guard-pages"), 3.0);
+  sg::config::set(key, guard);
 }
 
 }  // namespace

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "platform/builders.hpp"
+#include "platform/parser.hpp"
 #include "trace/trace.hpp"
 #include "xbt/config.hpp"
 #include "xbt/random.hpp"
@@ -129,7 +133,7 @@ TEST_F(FaultInjectionTest, RandomFlapsMatchBruteForceReference) {
                     tracked.end());
     };
 
-    auto drain = [&](const std::vector<ActionEvent>& events) {
+    auto drain = [&](StepLog events) {
       for (const auto& ev : events) {
         if (ev.failed)
           ++failure_deliveries[ev.action];
@@ -143,9 +147,9 @@ TEST_F(FaultInjectionTest, RandomFlapsMatchBruteForceReference) {
     for (int round = 0; round < 120; ++round) {
       // Advance a little, letting completions interleave with failures.
       const double until = e.now() + rng.uniform(0.01, 0.3);
-      while (e.next_event_time() < until)
-        drain(e.step(until));
-      drain(e.step(until));
+      do
+        drain(e.run_until(until));
+      while (e.now() < until);
 
       const double op = rng.uniform01();
       if (op < 0.4) {
@@ -159,14 +163,14 @@ TEST_F(FaultInjectionTest, RandomFlapsMatchBruteForceReference) {
                             : static_cast<int>(rng.uniform_int(0, static_cast<std::uint64_t>(n_links - 1)));
       const bool currently_on = is_host ? e.host_is_on(index) : e.link_is_on(index);
       if (!currently_on) {
-        // Heal it; nothing may fail because of a recovery. step(now) cannot
-        // advance time, so only pending events (and completions due exactly
-        // now) surface here.
+        // Heal it; nothing may fail because of a recovery. run_until(now)
+        // cannot advance time, so only pending events (and completions due
+        // exactly now) surface here.
         if (is_host)
           e.set_host_state(index, true);
         else
           e.set_link_state(index, true);
-        for (const auto& ev : e.step(e.now())) {
+        for (const auto& ev : e.run_until(e.now())) {
           EXPECT_FALSE(ev.failed) << "recovery produced a failure event";
           drop_finished(ev.action.get());
         }
@@ -180,10 +184,11 @@ TEST_F(FaultInjectionTest, RandomFlapsMatchBruteForceReference) {
       else
         e.set_link_state(index, false);
 
-      // step(now) delivers the pending failures without advancing the clock;
-      // completions that happen to be due exactly now are drained normally.
+      // run_until(now) delivers the pending failures without advancing the
+      // clock; completions that happen to be due exactly now are drained
+      // normally.
       std::set<const Action*> actual;
-      for (const auto& ev : e.step(flap_time)) {
+      for (const auto& ev : e.run_until(flap_time)) {
         if (!ev.failed) {
           drop_finished(ev.action.get());
           continue;
@@ -248,11 +253,7 @@ std::vector<LoggedEvent> run_workload(Engine& e, double horizon,
     double bound = horizon;
     if (next_flap < manual_flaps.size())
       bound = std::min(bound, manual_flaps[next_flap].first);
-    const double t = e.next_event_time();
-    if (t > bound && next_flap >= manual_flaps.size() && bound == horizon)
-      break;
-    auto events = e.step(bound);
-    for (const auto& ev : events) {
+    for (const auto& ev : e.run_until(bound)) {
       log.push_back({e.now(), ev.failed, ev.action->kind(), ev.action->host()});
       if (ev.action->kind() == ActionKind::kExec)
         submit_exec(ev.action->host());
@@ -261,7 +262,7 @@ std::vector<LoggedEvent> run_workload(Engine& e, double horizon,
     }
     if (next_flap < manual_flaps.size() && e.now() >= manual_flaps[next_flap].first - 1e-12) {
       e.set_host_state(flapping_host, manual_flaps[next_flap].second);
-      for (const auto& ev : e.step()) {  // deliver the injected failures
+      for (const auto& ev : e.run_until()) {  // deliver the injected failures
         log.push_back({e.now(), ev.failed, ev.action->kind(), ev.action->host()});
         if (ev.action->kind() == ActionKind::kExec)
           submit_exec(ev.action->host());
@@ -322,6 +323,115 @@ TEST_F(FaultInjectionTest, TraceDrivenEqualsDirectInjection) {
     failures += log_a[i].failed;
   }
   EXPECT_GT(failures, 0u) << "the scenario never exercised a failure";
+}
+
+// ---------------------------------------------------------------------------
+// Multi-zone churn over flapping WAN links: every failure must trace back to
+// a link that is down at that moment, no flow may beat its solo lower bound,
+// and the ordered log must be reproducible.
+// ---------------------------------------------------------------------------
+
+struct ZoneChurnEvent {
+  int slot;
+  bool failed;
+  double time;
+  bool operator==(const ZoneChurnEvent& o) const {
+    return slot == o.slot && failed == o.failed && time == o.time;
+  }
+};
+
+/// Four cluster zones behind fat-pipe backbones, joined through a core
+/// router by fat-pipe WAN links; the WAN links of zones 1 and 3 flap on
+/// periodic state traces. Each client/server pair keeps one flow in flight,
+/// replaced when it ends; one replacement in ten targets another zone.
+/// After every run_until(), a failed flow must have a dead link on its
+/// route and a running one none.
+std::vector<ZoneChurnEvent> run_zone_churn(size_t n_events) {
+  constexpr int kZones = 4;
+  constexpr int kPairs = 24;  // per zone
+  std::string text;
+  for (int z = 0; z < kZones; ++z)
+    text += sg::xbt::format(
+        "cluster z%d hosts:%d prefix:z%d- speed:1Gf bw:125MBps lat:50us backbone:10GBps "
+        "blat:50us fatpipe\n",
+        z, 2 * kPairs, z);
+  text += "router core\n";
+  for (int z = 0; z < kZones; ++z) {
+    text += sg::xbt::format("link wan%d bw:1.25GBps lat:100us fatpipe", z);
+    if (z % 2 == 1)  // down 4 ms in every 20 ms, at a per-link phase
+      text += sg::xbt::format(" state:\"0 1;%.4f 0;%.4f 1;P:0.02\"", 0.003 * z, 0.003 * z + 0.004);
+    text += sg::xbt::format("\nedge core z%d-out wan%d\n", z, z);
+  }
+  Engine e(sg::platform::parse_platform(text));
+  const Platform& p = e.platform();
+  std::vector<int> first;
+  for (int z = 0; z < kZones; ++z)
+    first.push_back(p.zone_first_host(*p.zone_by_name(sg::xbt::format("z%d", z))));
+
+  sg::xbt::Rng rng(2006);
+  std::vector<ActionPtr> flows(kZones * kPairs);
+  auto start_flow = [&](int slot) {
+    const int zone = slot / kPairs;
+    const int src = first[static_cast<size_t>(zone)] + 2 * (slot % kPairs);
+    int dst = src + 1;
+    if (rng.uniform01() < 0.1) {
+      const int other = (zone + 1 + static_cast<int>(rng.uniform_int(0, kZones - 2))) % kZones;
+      dst = first[static_cast<size_t>(other)] + static_cast<int>(rng.uniform_int(0, 2 * kPairs - 1));
+    }
+    ActionPtr a = e.comm_start(src, dst, std::pow(10.0, rng.uniform(4.0, 6.5)));
+    a->user_data = reinterpret_cast<void*>(static_cast<std::intptr_t>(slot));
+    flows[static_cast<size_t>(slot)] = std::move(a);
+  };
+  for (int slot = 0; slot < kZones * kPairs; ++slot)
+    start_flow(slot);
+
+  auto route_has_dead_link = [&](const Action& a) {
+    for (LinkId l : p.route(a.host(), a.peer_host()))
+      if (!e.link_is_on(l))
+        return true;
+    return false;
+  };
+  auto solo_lower_bound = [&](const Action& a) {
+    const auto route = p.route(a.host(), a.peer_host());
+    double min_bw = INFINITY;
+    for (LinkId l : route)
+      min_bw = std::min(min_bw, p.link(l).bandwidth_Bps);
+    return route.latency() + a.total() / min_bw;
+  };
+
+  std::vector<ZoneChurnEvent> log;
+  while (log.size() < n_events) {
+    for (const ActionEvent& ev : e.run_until()) {
+      const Action& a = *ev.action;
+      const int slot = static_cast<int>(reinterpret_cast<std::intptr_t>(a.user_data));
+      log.push_back({slot, ev.failed, a.finish_time()});
+      if (ev.failed) {
+        EXPECT_TRUE(route_has_dead_link(a))
+            << "flow of slot " << slot << " failed at t=" << e.now() << " with every link up";
+      } else {
+        EXPECT_EQ(a.state(), ActionState::kDone);
+        const double bound = solo_lower_bound(a);
+        EXPECT_GE(a.finish_time() - a.start_time(), bound * (1 - 1e-9) - 1e-12)
+            << "flow of slot " << slot << " beat its solo lower bound";
+      }
+      start_flow(slot);
+    }
+    for (const ActionPtr& a : flows)
+      if (a->state() == ActionState::kRunning && route_has_dead_link(*a)) {
+        ADD_FAILURE() << "a flow kept running over a dead link at t=" << e.now();
+        return log;
+      }
+  }
+  return log;
+}
+
+TEST(FaultInjection, CrossZoneFailuresHappenOnlyWhileALinkIsDown) {
+  const std::vector<ZoneChurnEvent> log = run_zone_churn(20000);
+  const auto failures =
+      std::count_if(log.begin(), log.end(), [](const ZoneChurnEvent& ev) { return ev.failed; });
+  EXPECT_GT(failures, 100) << "the WAN flaps never failed a flow";
+  EXPECT_GT(log.size() - static_cast<size_t>(failures), 10000u);
+  EXPECT_TRUE(run_zone_churn(20000) == log) << "two runs gave different ordered logs";
 }
 
 }  // namespace

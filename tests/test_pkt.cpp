@@ -196,7 +196,7 @@ double fluid_finish_time(const Platform& p, int src, int dst, double bytes) {
   sg::core::Engine engine(std::move(copy));
   auto comm = engine.comm_start(src, dst, bytes);
   while (comm->state() == sg::core::ActionState::kRunning)
-    engine.step();
+    engine.run_until();
   return comm->finish_time();
 }
 
@@ -254,7 +254,7 @@ TEST_F(PktTest, FluidMatchesPacketOnRandomTopology) {
   for (const auto& pair : pairs)
     comms.push_back(engine.comm_start(pair.src, pair.dst, bytes));
   for (int guard = 0; guard < 100000 && engine.running_action_count() > 0; ++guard)
-    engine.step();
+    engine.run_until();
 
   for (size_t i = 0; i < pairs.size(); ++i) {
     const double rate_pkt = bytes / net.result(static_cast<int>(i)).finish_time;

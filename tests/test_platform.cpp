@@ -2,6 +2,7 @@
 /// graph-derived routing, the text parser, and the builders.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <typeinfo>
 
 #include "platform/builders.hpp"
@@ -378,6 +379,53 @@ TEST(Builders, ClusterIsZoneBacked) {
       }
   EXPECT_EQ(p.resolved_route_count(), 0u);
   EXPECT_EQ(p.cached_sssp_tree_count(), 0u);
+}
+
+// Two 4-host cluster zones behind a WAN fatpipe, plus one unzoned host on a
+// router — the standard mixed-topology fixture.
+Platform make_two_zone_platform(int per_zone = 4) {
+  Platform p;
+  for (int z = 0; z < 2; ++z) {
+    ClusterZoneSpec zone;
+    zone.name = "z" + std::to_string(z);
+    zone.count = per_zone;
+    zone.host_speed = 1e9;
+    zone.link_bandwidth = 1e8;
+    zone.link_latency = 0;
+    zone.backbone_bandwidth = 1e9;
+    zone.backbone_latency = 0;
+    p.add_cluster_zone(zone);
+  }
+  const LinkId wan = p.add_link("wan", 5e8, 0, SharingPolicy::kFatpipe);
+  p.add_edge(p.zone_gateway(0), p.zone_gateway(1), wan);
+  const auto router = p.add_router("r");
+  const LinkId rlink = p.add_link("r-up", 2e8, 0);
+  p.add_edge(p.zone_gateway(0), router, rlink);
+  const auto lone = p.add_host("lone", 1e9);
+  const LinkId lonelink = p.add_link("lone-up", 2e8, 0);
+  p.add_edge(router, lone, lonelink);
+  p.seal();
+  return p;
+}
+
+// The shard map keys the kernel's per-zone run queues. The suite keeps the
+// name it had in the retired sharded-core tests, so the test id stays stable.
+TEST(ShardedEngineTest, ShardMapPartitionsZonesAndBackbone) {
+  Platform p = make_two_zone_platform();
+  const auto& map = p.shard_map();
+  EXPECT_EQ(map.shard_count, 3);
+  EXPECT_EQ(map.host_shard[0], 1);  // z00
+  EXPECT_EQ(map.host_shard[4], 2);  // z10
+  EXPECT_EQ(map.host_shard[8], 0);  // lone host is backbone
+  EXPECT_EQ(map.link_shard[*p.link_by_name("z00-link")], 1);
+  EXPECT_EQ(map.link_shard[*p.link_by_name("z10-link")], 2);
+  EXPECT_EQ(map.link_shard[*p.link_by_name("wan")], 0);
+  EXPECT_EQ(map.link_shard[*p.link_by_name("z0-backbone")], 0);
+  // Gateway links: the WAN and the router uplink hang off gateways; the
+  // cluster backbones cross into the gateways too.
+  EXPECT_FALSE(map.gateway_links.empty());
+  const auto& gl = map.gateway_links;
+  EXPECT_NE(std::find(gl.begin(), gl.end(), *p.link_by_name("wan")), gl.end());
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ TEST_F(VizTest, RecordsExecAndComm) {
   auto exec = e.exec_start(0, 1e9, 1.0, "work");
   auto comm = e.comm_start(0, 1, 5e7, -1.0, "xfer");
   while (e.running_action_count() > 0)
-    e.step();
+    e.run_until();
   (void)exec;
   (void)comm;
   // 1 exec interval + send + recv mirror = 3
@@ -64,7 +64,7 @@ TEST_F(VizTest, AsciiRenderShape) {
   Tracer tracer(e);
   auto a = e.exec_start(0, 1e9);
   while (e.running_action_count() > 0)
-    e.step();
+    e.run_until();
   (void)a;
   const std::string chart = tracer.render_ascii(40);
   // Two host rows plus header.
@@ -79,7 +79,7 @@ TEST_F(VizTest, CsvExport) {
   Tracer tracer(e);
   auto a = e.exec_start(0, 1e9, 1.0, "my-task");
   while (e.running_action_count() > 0)
-    e.step();
+    e.run_until();
   (void)a;
   const std::string csv = tracer.to_csv();
   EXPECT_NE(csv.find("host,name,kind,start,end"), std::string::npos);
