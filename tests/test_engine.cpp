@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "kernel/context.hpp"
@@ -1111,6 +1114,90 @@ TEST_F(ShardedEngineTest, KillTransitSuspendedCommFailsToo) {
 }
 
 // ---------------------------------------------------------------------------
+// Multi-zone platforms: one solver over every zone's links
+// ---------------------------------------------------------------------------
+
+// Two 4-host cluster zones behind a WAN fat pipe, plus one unzoned host on a
+// router — the standard mixed-topology fixture. Its shard map (the zones the
+// kernel's run queues follow) is zone 0 -> 1, zone 1 -> 2, the rest -> 0.
+Platform make_two_zone_platform(int per_zone = 4) {
+  Platform p;
+  for (int z = 0; z < 2; ++z) {
+    ClusterZoneSpec zone;
+    zone.name = "z" + std::to_string(z);
+    zone.count = per_zone;
+    zone.host_speed = 1e9;
+    zone.link_bandwidth = 1e8;
+    zone.link_latency = 0;  // keep the fluid math exact for unit checks
+    zone.backbone_bandwidth = 1e9;
+    zone.backbone_latency = 0;
+    p.add_cluster_zone(zone);
+  }
+  const LinkId wan = p.add_link("wan", 5e8, 0, SharingPolicy::kFatpipe);
+  p.add_edge(p.zone_gateway(0), p.zone_gateway(1), wan);
+  const auto router = p.add_router("r");
+  const LinkId rlink = p.add_link("r-up", 2e8, 0);
+  p.add_edge(p.zone_gateway(0), router, rlink);
+  const auto lone = p.add_host("lone", 1e9);
+  const LinkId lonelink = p.add_link("lone-up", 2e8, 0);
+  p.add_edge(router, lone, lonelink);
+  p.seal();
+  return p;
+}
+
+TEST_F(ShardedEngineTest, CrossZoneCommSpansThreeShards) {
+  Engine e(make_two_zone_platform());
+  const auto& map = e.platform().shard_map();
+  ASSERT_EQ(map.shard_count, 3);
+  // z00 -> z10 crosses zone 0's links, the backbone and zone 1's links.
+  std::set<std::int32_t> shards;
+  for (LinkId l : e.platform().route(0, 4))
+    shards.insert(map.link_shard[static_cast<size_t>(l)]);
+  EXPECT_EQ(shards, (std::set<std::int32_t>{0, 1, 2}));
+
+  auto comm = e.comm_start(0, 4, 1e6);
+  e.run_until(0.0);  // assign rates without firing the completion
+  // One solver variable, on a constraint of every link of the route.
+  EXPECT_EQ(e.sharing_system().variable_count(), 1u);
+  // Rate: min(uplink 1e8, backbone, wan fat pipe, downlink) = 1e8.
+  EXPECT_NEAR(comm->rate(), 1e8, 1.0);
+  // A flow inside zone 1 on the far side shares z10's downlink with it.
+  auto local = e.comm_start(5, 4, 1e6);
+  e.run_until(0.0);
+  EXPECT_NEAR(comm->rate(), 5e7, 1.0);
+  EXPECT_NEAR(local->rate(), 5e7, 1.0);
+  EXPECT_NEAR(run_until_done(e, comm), 0.02, 1e-9);
+  EXPECT_NEAR(local->finish_time(), 0.02, 1e-9);
+}
+
+TEST_F(ShardedEngineTest, IntraZoneChurnLeavesOtherShardsCold) {
+  Engine e(make_two_zone_platform());
+  // Park a flow inside zone 1: churn inside zone 0 must never re-solve it.
+  auto parked = e.comm_start(4, 5, 1e18);
+  e.run_until(0.0);
+  const double parked_rate = parked->rate();
+  const auto before = e.sharing_system().solve_stats();
+
+  auto flow = e.comm_start(0, 1, 1e6);
+  int restarts = 0;
+  for (int i = 0; i < 200; ++i) {
+    for (const auto& ev : e.run_until())
+      if (ev.action.get() == flow.get()) {
+        flow = e.comm_start(0, 1, 1e6);
+        ++restarts;
+      }
+  }
+  const auto after = e.sharing_system().solve_stats();
+  EXPECT_EQ(restarts, 200);
+  EXPECT_EQ(after.full_solves, before.full_solves);
+  // Every solve re-solved the churned flow alone.
+  EXPECT_GT(after.solves, before.solves);
+  EXPECT_EQ(after.vars_visited - before.vars_visited, after.solves - before.solves);
+  EXPECT_EQ(parked->state(), ActionState::kRunning);
+  EXPECT_EQ(parked->rate(), parked_rate);
+}
+
+// ---------------------------------------------------------------------------
 // The phase profiler, the tie-break and run_until() semantics. The suite
 // keeps the name it had in the retired parallel-stepping tests, so the test
 // ids stay stable.
@@ -1222,6 +1309,44 @@ TEST_F(ParallelStepTest, TraceEventBeatsCompletionAtTheSameDate) {
   EXPECT_EQ(a->state(), ActionState::kFailed);
   EXPECT_DOUBLE_EQ(a->finish_time(), 1.0);
   EXPECT_FALSE(e.host_is_on(0));
+}
+
+TEST_F(ParallelStepTest, SameDateMultiShardBatch) {
+  // Three zones, one exec each, all completing at EXACTLY t=1.0 — plus a
+  // state trace killing the middle zone's host at exactly t=1.0, so that
+  // exec fails while its neighbours complete. One run_until() must deliver
+  // all three events of that date.
+  constexpr int kZones = 3;
+  Platform p;
+  for (int z = 0; z < kZones; ++z) {
+    ClusterZoneSpec zone;
+    zone.name = "b" + std::to_string(z);
+    zone.count = 2;
+    zone.host_speed = 1e9;
+    p.add_cluster_zone(zone);
+  }
+  p.host_mutable(2).state = sg::trace::Trace("die", {{0.0, 1.0}, {1.0, 0.0}}, -1.0);
+  p.seal();
+  Engine e(std::move(p));
+  ASSERT_EQ(e.platform().shard_map().shard_count, kZones + 1);
+  std::vector<ActionPtr> execs;
+  for (int z = 0; z < kZones; ++z)
+    execs.push_back(e.exec_start(z * 2, 1e9));  // completes at exactly 1.0
+  const auto fired = e.run_until();
+  EXPECT_DOUBLE_EQ(e.now(), 1.0);
+  ASSERT_EQ(fired.size(), 3u) << "same-date events must come out of one run_until()";
+  // The trace event applies first (kTraceEventsBeforeCompletions): zone 1's
+  // failure leads, then both completions.
+  EXPECT_EQ(fired[0].action.get(), execs[1].get());
+  EXPECT_TRUE(fired[0].failed) << "equal-date trace event must beat the completion";
+  for (size_t k : {size_t{1}, size_t{2}}) {
+    EXPECT_FALSE(fired[k].failed);
+    EXPECT_TRUE(fired[k].action.get() == execs[0].get() || fired[k].action.get() == execs[2].get());
+  }
+  EXPECT_NE(fired[1].action.get(), fired[2].action.get());
+  for (int z = 0; z < kZones; ++z)
+    EXPECT_DOUBLE_EQ(execs[static_cast<size_t>(z)]->finish_time(), 1.0);
+  EXPECT_TRUE(e.run_until().empty());
 }
 
 TEST_F(ParallelStepTest, RunUntilJumpsToDeadlineWhenNothingFires) {

@@ -1337,4 +1337,327 @@ TEST(MaxMinLists, TwinUnlinkMatchesScanOrder) {
   }
 }
 
+// -- zone-structured systems -------------------------------------------------------
+//
+// The constraints of a multi-zone platform fall into zones (each cluster's
+// links) and a backbone (WANs, gateways), and a cross-zone flow couples
+// them. One system solves them all; these tests pin what that must give on
+// such shapes. The suites keep the names they had when each zone was a
+// separate solver shard, so the test ids stay stable.
+
+TEST(ShardedMaxMin, DetachedVariableGetsUnconstrainedRate) {
+  MaxMinSystem sys;
+  const auto v = sys.new_variable(2.0);
+  EXPECT_EQ(sys.variable_degree(v), 0u);
+  EXPECT_TRUE(sys.needs_solve());
+  sys.solve();
+  EXPECT_GE(sys.value(v), MaxMinSystem::kUnlimited);
+  sys.set_weight(v, 0.0);
+  sys.solve();
+  EXPECT_EQ(sys.value(v), 0.0);
+}
+
+TEST(ShardedMaxMin, CrossShardVariableCouplesItsShards) {
+  // One flow crossing zone 1's uplink, the backbone WAN and zone 2's
+  // downlink: the tightest of the three sets the rate, wherever it lives.
+  MaxMinSystem sys;
+  const auto up = sys.new_constraint(100.0);
+  const auto wan = sys.new_constraint(40.0);
+  const auto down = sys.new_constraint(100.0);
+  const auto flow = sys.new_variable(1.0);
+  sys.expand(up, flow);
+  sys.expand(wan, flow);
+  sys.expand(down, flow);
+  EXPECT_EQ(sys.variable_degree(flow), 3u);
+  sys.solve();
+  EXPECT_NEAR(sys.value(flow), 40.0, 1e-9);
+  EXPECT_NEAR(sys.usage(up), 40.0, 1e-9);
+  EXPECT_NEAR(sys.usage(down), 40.0, 1e-9);
+
+  // Tightening the far zone's downlink reaches the flow incrementally.
+  sys.set_capacity(down, 10.0);
+  sys.solve();
+  EXPECT_NEAR(sys.value(flow), 10.0, 1e-9);
+  ASSERT_EQ(sys.changed_variables().size(), 1u);
+  EXPECT_EQ(sys.changed_variables()[0], flow);
+  EXPECT_NEAR(sys.usage(up), 10.0, 1e-9);
+  EXPECT_NEAR(sys.usage(wan), 10.0, 1e-9);
+}
+
+TEST(ShardedMaxMin, CrossShardFlowSharesWithLocalFlows) {
+  // An intra-zone flow shares zone 1's uplink with a cross-zone flow; the
+  // max-min solution couples the zones through it.
+  MaxMinSystem sys;
+  const auto up1 = sys.new_constraint(100.0);
+  const auto wan = sys.new_constraint(1000.0);
+  const auto up2 = sys.new_constraint(30.0);
+  const auto local = sys.new_variable(1.0);
+  sys.expand(up1, local);
+  const auto cross = sys.new_variable(1.0);
+  sys.expand(up1, cross);
+  sys.expand(wan, cross);
+  sys.expand(up2, cross);
+  sys.solve();
+  // cross is capped at 30 by zone 2; local then grows to 70 on up1.
+  EXPECT_NEAR(sys.value(cross), 30.0, 1e-9);
+  EXPECT_NEAR(sys.value(local), 70.0, 1e-9);
+}
+
+TEST(ShardedMaxMin, IntraShardChurnNeverTouchesOtherShards) {
+  // Three zones with one flow each; churn in zone 1 only. The incremental
+  // solve must re-solve zone 1's component and nothing else.
+  MaxMinSystem sys;
+  std::vector<MaxMinSystem::CnstId> cnsts;
+  std::vector<MaxMinSystem::VarId> seed;
+  for (int z = 0; z < 3; ++z) {
+    cnsts.push_back(sys.new_constraint(100.0));
+    seed.push_back(sys.new_variable(1.0));
+    sys.expand(cnsts.back(), seed.back());
+  }
+  sys.solve();  // the first solve is full
+  const auto before = sys.solve_stats();
+
+  auto expect_zone1_only = [&](size_t max_visited) {
+    const auto visited = sys.solve_stats().vars_visited;
+    sys.solve();
+    EXPECT_LE(sys.solve_stats().vars_visited - visited, max_visited);
+    for (MaxMinSystem::VarId v : sys.changed_variables()) {
+      EXPECT_NE(v, seed[1]);
+      EXPECT_NE(v, seed[2]);
+    }
+  };
+  for (int i = 0; i < 100; ++i) {
+    const auto v = sys.new_variable(1.0);
+    sys.expand(cnsts[0], v);
+    expect_zone1_only(2);  // the new flow and zone 1's seed
+    EXPECT_NEAR(sys.value(seed[0]), 50.0, 1e-9);
+    sys.release_variable(v);
+    expect_zone1_only(1);
+    EXPECT_NEAR(sys.value(seed[0]), 100.0, 1e-9);
+  }
+  EXPECT_EQ(sys.solve_stats().solves, before.solves + 200);
+  EXPECT_EQ(sys.solve_stats().full_solves, before.full_solves);
+  EXPECT_NEAR(sys.value(seed[1]), 100.0, 1e-9);
+  EXPECT_NEAR(sys.value(seed[2]), 100.0, 1e-9);
+}
+
+TEST(ShardedMaxMin, ReleasedCrossShardVariableRecyclesCleanly) {
+  MaxMinSystem sys;
+  const auto c1 = sys.new_constraint(100.0);
+  const auto c2 = sys.new_constraint(50.0);
+  const auto cross = sys.new_variable(1.0);
+  sys.expand(c1, cross);
+  sys.expand(c2, cross);
+  sys.solve();
+  EXPECT_NEAR(sys.value(cross), 50.0, 1e-9);
+  sys.release_variable(cross);
+  sys.solve();
+  EXPECT_NEAR(sys.usage(c1), 0.0, 1e-12);
+  EXPECT_NEAR(sys.usage(c2), 0.0, 1e-12);
+  EXPECT_EQ(sys.constraint_degree(c1), 0u);
+  EXPECT_EQ(sys.constraint_degree(c2), 0u);
+  // The recycled id comes back as a fresh variable on one zone's link only.
+  const auto v = sys.new_variable(1.0);
+  EXPECT_EQ(v, cross);
+  sys.expand(c1, v);
+  sys.solve();
+  EXPECT_EQ(sys.variable_degree(v), 1u);
+  EXPECT_NEAR(sys.value(v), 100.0, 1e-9);
+  EXPECT_NEAR(sys.usage(c2), 0.0, 1e-12);
+}
+
+TEST(ShardedMaxMin, FatpipeCapsFoldAcrossShards) {
+  // A backbone fat pipe caps a zone flow on its own (capacity / coeff),
+  // without sharing, while the zone link is shared as usual.
+  MaxMinSystem sys;
+  const auto shared1 = sys.new_constraint(100.0);
+  const auto fat = sys.new_constraint(12.0, /*shared=*/false);
+  const auto v = sys.new_variable(1.0);
+  sys.expand(shared1, v);
+  sys.expand(fat, v, 2.0);  // cap: 12 / 2 = 6
+  const auto other = sys.new_variable(1.0);
+  sys.expand(shared1, other);
+  sys.solve();
+  EXPECT_NEAR(sys.value(v), 6.0, 1e-9);
+  EXPECT_NEAR(sys.value(other), 94.0, 1e-9);
+}
+
+// Mirror a random mutation history into two systems over four zones and a
+// backbone: `sys` solves incrementally, `ref` from scratch every time.
+// Variables take an intra-zone route or a cross route through the backbone
+// touching up to three zones; mutations include weight/bound churn,
+// releases and capacity fault flaps (capacity -> 0 and back). After every
+// third solve, every live variable must agree to 1e-9.
+TEST(ShardedEquivalence, MatchesGlobalSolverUnderChurnAndFaults) {
+  sg::xbt::Rng rng(20260731);
+  constexpr int kZones = 4;
+  constexpr int kCnstsPerZone = 4;
+  constexpr int kBackboneCnsts = 3;
+  MaxMinSystem sys;
+  MaxMinSystem ref;
+
+  struct Cnst {
+    MaxMinSystem::CnstId id;
+    double capacity;
+  };
+  auto add_cnst = [&](double cap, bool shared) {
+    const auto id = sys.new_constraint(cap, shared);
+    EXPECT_EQ(ref.new_constraint(cap, shared), id);
+    return Cnst{id, cap};
+  };
+  std::vector<std::vector<Cnst>> zone_cnsts(kZones);
+  std::vector<Cnst> backbone;
+  for (auto& zc : zone_cnsts)
+    for (int c = 0; c < kCnstsPerZone; ++c) {
+      const double cap = rng.uniform(20.0, 500.0);
+      zc.push_back(add_cnst(cap, rng.uniform01() < 0.8));
+    }
+  for (int c = 0; c < kBackboneCnsts; ++c) {
+    const double cap = rng.uniform(50.0, 800.0);
+    backbone.push_back(add_cnst(cap, rng.uniform01() < 0.5));  // WANs are often fat pipes
+  }
+
+  std::vector<MaxMinSystem::VarId> live;
+  int cross_flows = 0;
+  auto add_var = [&] {
+    const double weight = rng.uniform01() < 0.1 ? 0.0 : rng.uniform(0.5, 4.0);
+    const double bound = rng.uniform01() < 0.3 ? rng.uniform(5.0, 200.0) : MaxMinSystem::kNoBound;
+    const auto v = sys.new_variable(weight, bound);
+    EXPECT_EQ(ref.new_variable(weight, bound), v);
+    auto touch = [&](const Cnst& c) {
+      const double coeff = rng.uniform(0.5, 2.0);
+      sys.expand(c.id, v, coeff);
+      ref.expand(c.id, v, coeff);
+    };
+    const size_t za = rng.uniform_int(0, kZones - 1);
+    touch(zone_cnsts[za][rng.uniform_int(0, kCnstsPerZone - 1)]);
+    if (rng.uniform01() < 0.35) {
+      // Cross-zone: the backbone plus up to two more zones.
+      ++cross_flows;
+      touch(backbone[rng.uniform_int(0, kBackboneCnsts - 1)]);
+      const size_t zb = rng.uniform_int(0, kZones - 1);
+      if (zb != za)
+        touch(zone_cnsts[zb][rng.uniform_int(0, kCnstsPerZone - 1)]);
+      if (rng.uniform01() < 0.3) {
+        const size_t zc = rng.uniform_int(0, kZones - 1);
+        if (zc != za && zc != zb)
+          touch(zone_cnsts[zc][rng.uniform_int(0, kCnstsPerZone - 1)]);
+      }
+    } else if (rng.uniform01() < 0.3) {
+      touch(zone_cnsts[za][rng.uniform_int(0, kCnstsPerZone - 1)]);
+    }
+    live.push_back(v);
+  };
+
+  std::vector<Cnst*> flat_cnsts;
+  for (auto& zc : zone_cnsts)
+    for (Cnst& c : zc)
+      flat_cnsts.push_back(&c);
+  for (Cnst& c : backbone)
+    flat_cnsts.push_back(&c);
+  std::vector<Cnst*> dead;  // fault-flapped constraints awaiting heal
+
+  for (int i = 0; i < 40; ++i)
+    add_var();
+
+  int checked = 0;
+  for (int step = 1; step <= 1200; ++step) {
+    const double kind = rng.uniform01();
+    if (kind < 0.3 || live.empty()) {
+      add_var();
+    } else if (kind < 0.5) {
+      const size_t k = rng.uniform_int(0, live.size() - 1);
+      sys.release_variable(live[k]);
+      ref.release_variable(live[k]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    } else if (kind < 0.65) {
+      const auto v = live[rng.uniform_int(0, live.size() - 1)];
+      const double w = rng.uniform01() < 0.15 ? 0.0 : rng.uniform(0.5, 4.0);
+      sys.set_weight(v, w);
+      ref.set_weight(v, w);
+    } else if (kind < 0.78) {
+      const auto v = live[rng.uniform_int(0, live.size() - 1)];
+      const double b = rng.uniform01() < 0.3 ? MaxMinSystem::kNoBound : rng.uniform(5.0, 200.0);
+      sys.set_bound(v, b);
+      ref.set_bound(v, b);
+    } else if (kind < 0.92 || dead.empty()) {
+      // Fault flap down: a resource loses all capacity.
+      Cnst* c = flat_cnsts[rng.uniform_int(0, flat_cnsts.size() - 1)];
+      sys.set_capacity(c->id, 0.0);
+      ref.set_capacity(c->id, 0.0);
+      dead.push_back(c);
+    } else {
+      // Heal a dead resource.
+      const size_t k = rng.uniform_int(0, dead.size() - 1);
+      Cnst* c = dead[k];
+      sys.set_capacity(c->id, c->capacity);
+      ref.set_capacity(c->id, c->capacity);
+      dead.erase(dead.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+
+    sys.solve();
+    ref.solve_full();
+    if (step % 3 == 0) {
+      for (const auto v : live) {
+        const double want = ref.value(v);
+        ASSERT_NEAR(sys.value(v), want, 1e-9 * std::max(1.0, std::abs(want)))
+            << "step " << step << " var " << v;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(cross_flows, 50);
+  EXPECT_GT(checked, 1000);
+  // Cross flows couple most of the system, so most solves escalate to a
+  // full one; the sweep must still have taken the incremental path too.
+  const auto& stats = sys.solve_stats();
+  EXPECT_GT(stats.solves - stats.full_solves, 20u)
+      << "solves=" << stats.solves << ", full=" << stats.full_solves;
+}
+
+// changed_variables() must report every moved allocation (the engine
+// refreshes only those rates — a missed report is a silently wrong clock).
+TEST(ShardedEquivalence, ChangedVariablesCoverEveryMovedAllocation) {
+  sg::xbt::Rng rng(987);
+  MaxMinSystem sys;
+  std::vector<MaxMinSystem::CnstId> cnsts;
+  for (int c = 0; c < 6; ++c)
+    cnsts.push_back(sys.new_constraint(rng.uniform(50.0, 200.0)));
+  std::vector<MaxMinSystem::VarId> live;
+  for (int i = 0; i < 30; ++i) {
+    const auto v = sys.new_variable(rng.uniform(0.5, 2.0));
+    sys.expand(cnsts[rng.uniform_int(0, cnsts.size() - 1)], v);
+    if (rng.uniform01() < 0.4)
+      sys.expand(cnsts[rng.uniform_int(0, cnsts.size() - 1)], v);
+    live.push_back(v);
+  }
+  sys.solve();
+  std::vector<double> last(live.size());
+  for (size_t k = 0; k < live.size(); ++k)
+    last[k] = sys.value(live[k]);
+
+  size_t moved = 0;
+  for (int step = 0; step < 200; ++step) {
+    sys.set_weight(live[rng.uniform_int(0, live.size() - 1)], rng.uniform(0.5, 3.0));
+    if (step % 7 == 0)
+      sys.set_capacity(cnsts[rng.uniform_int(0, cnsts.size() - 1)], rng.uniform(50.0, 200.0));
+    sys.solve();
+    std::vector<char> reported(live.size(), 0);
+    for (MaxMinSystem::VarId v : sys.changed_variables())
+      for (size_t k = 0; k < live.size(); ++k)
+        if (live[k] == v)
+          reported[k] = 1;
+    for (size_t k = 0; k < live.size(); ++k) {
+      const double now = sys.value(live[k]);
+      if (now != last[k]) {
+        ++moved;
+        ASSERT_TRUE(reported[k]) << "allocation of var " << live[k] << " moved from " << last[k]
+                                 << " to " << now << " without a changed_variables report";
+      }
+      last[k] = now;
+    }
+  }
+  EXPECT_GT(moved, 200u);
+}
+
 }  // namespace
