@@ -6,7 +6,7 @@
 ///
 ///  * spawn_per_sec    — actor creation rate (slot arena + lazy contexts)
 ///  * wakeups_per_sec  — blocked->ready transitions retired per wall second
-///    (the scheduler's useful-work rate; mailbox matching, per-shard queues
+///    (the scheduler's useful-work rate; mailbox matching, the ready queue
 ///    and comm pooling all sit on this path)
 ///  * bytes_per_actor  — peak RSS growth divided by actor count (stacks are
 ///    lazily committed and slab-pooled, so this is far below stack-size)
@@ -55,8 +55,8 @@ size_t read_rss(bool peak) {
   return bytes;
 }
 
-/// Multi-zone cluster big enough to spread the swarm; zone count scales so
-/// the per-shard run queues are exercised at every size.
+/// Multi-zone cluster big enough to spread the swarm; the zone count grows
+/// with the swarm so routes compose across more gateways at larger sizes.
 sg::platform::Platform make_swarm_platform(long n_actors) {
   const int zones = n_actors >= 500000 ? 16 : 4;
   sg::platform::Platform p;

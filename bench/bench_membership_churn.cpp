@@ -1,6 +1,6 @@
 /// Membership-churn cost: join_host / leave_host / rejoin_host on a sealed
-/// platform must cost O(affected) per event — the joined member's segments,
-/// constraints, and shard-map rows; the departed leaf's presence bits and
+/// platform must cost O(affected) per event — the joined member's segments
+/// and constraints; the departed leaf's presence bits and
 /// private-link constraints — never a re-seal or a scan of the bystanders.
 ///
 /// Scenario: an N-host star cluster idles (every host runs one long exec so
@@ -77,7 +77,7 @@ double run_churn(int n_hosts, int n_rounds, const char* zone_name, double* per_e
     engine.exec_start(h, 1e18);
   engine.run_until(engine.now());
 
-  // Warm-up: push every growth array (platform, shard map, engine per-host
+  // Warm-up: push every growth array (platform, engine per-host
   // state) past the next capacity boundary so no geometric reallocation
   // lands inside the timed window. The doubling copy is O(N) once per ~N
   // joins — amortized O(1) per join over a long churn run, but at a fixed
@@ -136,7 +136,7 @@ int main(int argc, char** argv) {
   }
   const double ratio = per_event_2k > 0 ? per_event_32k / per_event_2k : 0.0;
   std::printf("\nshape: a membership event touches the affected member only — its interned\n");
-  std::printf("segments, shard rows, presence bits, and recycled constraint ids — so 16x\n");
+  std::printf("segments, presence bits, and recycled constraint ids — so 16x\n");
   std::printf("the bystanders leaves the per-event cost flat (32000/2000 ratio: %.2f;\n", ratio);
   std::printf("acceptance <= 1.2; a re-seal would scale with the platform, ratio ~16).\n");
 

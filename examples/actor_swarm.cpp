@@ -4,7 +4,7 @@
 /// pair lives on one host and rendezvouses over its own interned mailbox a
 /// few times, then both actors exit. This exercises exactly the scale path
 /// the fiber runtime is built for — pooled recycled stacks, slot-arena
-/// actors, dense mailbox ids, per-shard run queues — and reports the cost:
+/// actors, dense mailbox ids, one FIFO ready queue — and reports the cost:
 /// spawn rate, wakeups/s, context switches/s, and peak bytes per actor.
 ///
 /// Usage: actor_swarm [n_actors] [rounds]
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   cfg.set("contexts/stack-size", 64.0 * 1024);
   cfg.set("contexts/guard-pages", 0.0);
 
-  // A few cluster zones so the per-shard run queues actually shard.
+  // A few cluster zones, so routes compose across zone gateways.
   const int zones = n_actors >= 500000 ? 16 : 4;
   const int hosts_per_zone = 64;
   sg::platform::Platform p;

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   const auto zone = *k.engine().platform().zone_by_name("overlay");
 
   // Three volunteers donated after seal: join_host wires each into the
-  // cluster — shard map, route segments, solver constraints — in O(affected).
+  // cluster — route segments, solver constraints — in O(affected).
   std::vector<int> volunteers{1, 2, 3, 4};
   for (int j = 0; j < 3; ++j)
     volunteers.push_back(k.join_host(zone));

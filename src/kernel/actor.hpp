@@ -7,13 +7,12 @@
 /// death are O(1) slot pushes, dead actors' slots (and their fiber stacks)
 /// are recycled, and the hot per-actor state below is packed so a parked
 /// actor costs well under 200 bytes on top of its (lazily committed) stack
-/// pages. Cross-actor bookkeeping — which actors live on a host, which are
-/// ready per shard — is index-linked through the slot ids rather than held
-/// in per-actor containers, like the PR 3 solver arena.
+/// pages. Cross-actor bookkeeping — which actors live on a host — is
+/// index-linked through the slot ids rather than held in per-actor
+/// containers, like the solver's element arena.
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <string>
@@ -45,70 +44,6 @@ struct Comm;
 using CommPtr = std::shared_ptr<Comm>;
 
 class Kernel;
-
-/// A simcall recorded during a scheduling phase and committed by the maestro
-/// in the serial epilogue (the deferred-simcall half of the lists-local rule;
-/// see the execution-model notes in kernel.hpp). The record itself lives in
-/// the simcall wrapper's stack frame: the actor parks right after filling it
-/// in, so the frame — including any pointed-to arguments — stays stable until
-/// the commit, and result fields written by the commit are read back by the
-/// wrapper when the actor next runs.
-struct PendingSimcall {
-  enum class Kind : std::uint8_t {
-    kNone,
-    kYield,          ///< yield_now / sleep_for(<=0): requeue for the next round
-    kExec,           ///< execute(flops, priority); blocks
-    kPtask,          ///< execute_parallel(hosts, flops, bytes); blocks
-    kSleep,          ///< sleep_for(duration > 0); blocks
-    kSendWait,       ///< blocking send: async enqueue/match fused with the wait
-    kRecvWait,       ///< blocking recv, same fusion
-    kCommWait,       ///< comm_wait(comm, timeout) on an existing comm; blocks
-    kSendAsync,      ///< cross-shard send_async / send_detached; resumes after
-    kRecvAsync,      ///< cross-shard recv_async; resumes after
-    kCommTest,       ///< comm_test(comm); resumes after
-    kCommProbe,      ///< comm_waiting on a non-home mailbox; resumes after
-    kInternMailbox,  ///< mailbox_by_name first use; resumes after
-    kSpawn,          ///< spawn(...); resumes after
-    kKill,           ///< kill(other); resumes after
-    kSuspendSelf,    ///< suspend(self): parks until resumed by someone
-    kSuspendOther,   ///< suspend(other); resumes after
-    kResume,         ///< resume(other); resumes after
-    kHostState,      ///< host_off / host_on; resumes after
-    kLeaveHost,      ///< leave_host(host); resumes after
-    kRejoinHost,     ///< rejoin_host(host); resumes after
-  };
-
-  Kind kind = Kind::kNone;
-
-  // Arguments — only the fields relevant to `kind` are meaningful. Pointer
-  // fields point into the parked wrapper's frame (stable, see above).
-  double flops = 0;
-  double priority = 1.0;
-  double duration = 0;
-  double bytes = 0;
-  double rate = -1.0;
-  double timeout = -1.0;
-  MailboxId mailbox = kNoMailbox;
-  void* payload = nullptr;
-  bool detached = false;
-  bool host_on = false;
-  ActorId target = -1;
-  int host = -1;
-  CommPtr comm;  ///< kCommWait/kCommTest argument; kSendWait/... result
-  const std::vector<int>* ptask_hosts = nullptr;
-  const std::vector<double>* ptask_flops = nullptr;
-  const std::vector<std::vector<double>>* ptask_bytes = nullptr;
-  const std::string* name = nullptr;          ///< kInternMailbox / kSpawn
-  std::function<void()>* spawn_body = nullptr;
-  bool spawn_daemon = false;
-  bool spawn_auto_restart = false;
-
-  // Results, filled by the commit.
-  ActorId spawned = -1;
-  MailboxId interned = kNoMailbox;
-  bool flag_result = false;            ///< kCommTest / kCommProbe
-  std::exception_ptr error;            ///< rethrown by the wrapper on resume
-};
 
 /// One simulated process. All state is owned by the kernel; user code
 /// interacts through Kernel's simcall methods and through the ids.
@@ -142,7 +77,6 @@ private:
 
   ActorId id_;
   std::int32_t host_;
-  std::int32_t shard_ = 0;  ///< run-queue shard (from Platform::shard_map())
 
   // Intrusive membership in the per-host live list (slot indices, -1 = end):
   // host failure kills residents in O(residents), not O(all actors ever).
@@ -166,20 +100,6 @@ private:
   // What the actor is blocked on (at most one at a time).
   core::ActionPtr blocked_action_;
   CommPtr blocked_comm_;
-
-  /// Simcall recorded in the current scheduling phase, awaiting its serial
-  /// commit; points into the parked wrapper's frame (see PendingSimcall).
-  PendingSimcall* pending_ = nullptr;
-
-  /// True while the actor's quantum runs inside a scheduling phase. Carried
-  /// on the actor — not in a thread-local — because thread-backend bodies
-  /// execute on their own OS thread, not on the resuming lane. Set by the
-  /// lane right before the resume and cleared right after it; the context
-  /// switch handshake orders both against the body.
-  bool phase_quantum_ = false;
-  /// Comms this quantum matched inline on its home mailboxes, pending their
-  /// serial engine start (valid only while phase_quantum_ is set).
-  std::vector<CommPtr>* phase_starts_ = nullptr;
 
   std::vector<std::function<void(bool)>> exit_callbacks_;
 };

@@ -33,9 +33,6 @@ struct Comm {
   enum class State : std::uint8_t {
     kQueuedSend,  ///< sender waiting for a receiver
     kQueuedRecv,  ///< receiver waiting for a sender
-    kMatched,     ///< both parties met on the mailbox's home lane during a
-                  ///< scheduling phase; the engine transfer starts when the
-                  ///< maestro replays the lane's pending starts (kernel.hpp)
     kStarted,     ///< transfer in flight
     kFinished,    ///< completed / failed / timed out / canceled
   };
@@ -63,12 +60,6 @@ struct Comm {
 struct Mailbox {
   std::deque<CommPtr> queued_sends;
   std::deque<CommPtr> queued_recvs;
-  /// Run-queue shard whose lane may match on this mailbox inline during a
-  /// parallel scheduling phase (assigned at intern time: the interning
-  /// actor's shard, 0 when interned from the maestro). Actors on any other
-  /// shard go through the deferred-simcall path instead, so the queues are
-  /// only ever touched by the home lane or the serial maestro.
-  std::int32_t home = 0;
 };
 
 }  // namespace sg::kernel

@@ -1,6 +1,5 @@
 #include "kernel/context.hpp"
 
-#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -46,15 +45,6 @@
 SG_LOG_NEW_CATEGORY(context, "actor execution contexts");
 
 namespace sg::kernel {
-
-namespace {
-thread_local int t_context_lane = 0;
-}  // namespace
-
-void set_context_lane(int lane) {
-  t_context_lane = (lane < 0 || lane >= kMaxContextLanes) ? 0 : lane;
-}
-int context_lane() { return t_context_lane; }
 
 void declare_context_config() {
   config::declare(kCfgContextBackend, "fiber",
@@ -156,14 +146,9 @@ public:
 /// process at vm.max_map_count VMAs, which per-stack mmaps would exhaust
 /// around 65k actors), committed lazily by the kernel as pages are touched,
 /// and recycled LIFO so a respawned actor reuses cache- and TLB-hot pages.
-///
-/// Lane safety: a stack is acquired on whatever lane first resumes the actor
-/// and released on whatever lane unwinds it. Recycling goes through small per-lane LIFO caches keyed off
-/// context_lane() — the hot acquire/release path never takes a lock and
-/// keeps its cache-warm stacks lane-local — while the cold paths (carving a
-/// fresh stack out of a slab, mapping a new slab, and the shared overflow
-/// list that rebalances stacks released on a different lane than they were
-/// acquired on) serialize on one mutex.
+/// One mutex guards the pool so it stays safe to share across threads; the
+/// kernel acquires and releases stacks from the thread that runs it only,
+/// so the lock is never contended.
 class StackPool {
 public:
   StackPool(size_t usable_bytes, size_t guard_bytes)
@@ -182,16 +167,10 @@ public:
 
   /// Returns the lowest usable address of a stack (just above its guard).
   void* acquire() {
-    auto& free = lanes_[static_cast<size_t>(context_lane())].free;
-    if (!free.empty()) {
-      void* s = free.back();
-      free.pop_back();
-      return s;
-    }
-    std::lock_guard<std::mutex> lock(slab_mutex_);
-    if (!overflow_.empty()) {
-      void* s = overflow_.back();
-      overflow_.pop_back();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!free_.empty()) {
+      void* s = free_.back();
+      free_.pop_back();
       return s;
     }
     if (slabs_.empty() || cursor_ == kStacksPerSlab) {
@@ -211,61 +190,35 @@ public:
   }
 
   void release(void* stack) {
-    auto& free = lanes_[static_cast<size_t>(context_lane())].free;
-    if (free.size() < kLaneCacheCap) {
-      free.push_back(stack);
-      return;
-    }
-    // Beyond the small lane-local cache, spill to the shared overflow list.
-    // Stacks are acquired on whichever lane first resumes an actor but often
-    // released on the maestro (kill unwinds, reaps); without the spill the
-    // maestro's list would hoard every recycled stack while the other lanes
-    // carve fresh ones forever.
-    std::lock_guard<std::mutex> lock(slab_mutex_);
-    overflow_.push_back(stack);
+    std::lock_guard<std::mutex> lock(mutex_);
+    free_.push_back(stack);
   }
 
   size_t usable_bytes() const { return usable_; }
-  // Aggregated accounting; exact when called from a serial section (the
-  // kernel only reads pool stats between scheduling phases).
   size_t carved() const {
-    std::lock_guard<std::mutex> lock(slab_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     return carved_;
   }
   size_t free_count() const {
-    size_t n;
-    {
-      std::lock_guard<std::mutex> lock(slab_mutex_);
-      n = overflow_.size();
-    }
-    for (const auto& lane : lanes_)
-      n += lane.free.size();
-    return n;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return free_.size();
   }
   size_t slab_count() const {
-    std::lock_guard<std::mutex> lock(slab_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     return slabs_.size();
   }
 
 private:
   static constexpr size_t kStacksPerSlab = 256;
-  /// Stacks a lane keeps to itself before spilling to the shared overflow.
-  static constexpr size_t kLaneCacheCap = 8;
   static size_t round_up(size_t v, size_t to) { return (v + to - 1) / to * to; }
   size_t slab_bytes() const { return stride_ * kStacksPerSlab; }
-
-  /// Padded so two lanes' free-list hot fields never share a cache line.
-  struct alignas(64) LaneFreeList {
-    std::vector<void*> free;  ///< LIFO of usable-base pointers
-  };
 
   size_t page_;
   size_t usable_;
   size_t guard_;
   size_t stride_;
-  std::array<LaneFreeList, kMaxContextLanes> lanes_;
-  mutable std::mutex slab_mutex_;   ///< guards the slab list, carve cursor, overflow
-  std::vector<void*> overflow_;     ///< spill-over free stacks, any lane may take
+  mutable std::mutex mutex_;       ///< guards everything below
+  std::vector<void*> free_;        ///< LIFO of recycled usable-base pointers
   std::vector<void*> slabs_;
   size_t cursor_ = kStacksPerSlab;  ///< next uncarved stack in slabs_.back()
   size_t carved_ = 0;

@@ -20,19 +20,20 @@
 ///
 /// ## Switch protocol invariants (all backends)
 ///
-/// 1. **Per-lane serialization.** Each context is driven by at most one OS
-///    thread at a time: resume_and_wait() transfers control resumer->actor
-///    and returns only when the actor has yielded or terminated; yield()
+/// 1. **Serialization.** Each context is driven by at most one OS thread
+///    at a time: resume_and_wait() transfers control resumer->actor and
+///    returns only when the actor has yielded or terminated; yield()
 ///    transfers actor->resumer and returns only at the next resume. The
-///    kernel always resumes from the maestro, so the whole simulation is
-///    strictly serialized. Both backends support cross-thread resumes all
-///    the same: the fiber backend saves the resumer's stack per resume, the
-///    thread backend hands off through semaphores.
+///    maestro resumes actors one at a time, and an actor resumes another
+///    only from inside its own quantum (a kill unwinds the victim on the
+///    spot), so the whole simulation is strictly serialized. Both backends
+///    support such nested resumes: the fiber backend saves the resumer's
+///    stack per resume, the thread backend hands off through semaphores.
 /// 2. **Resumer-side calls vs actor-side calls.** resume_and_wait() and
-///    request_kill() may only be called by the current resumer (maestro or
-///    owning lane); yield() may only be called from inside the context's
-///    body. Backends are free to assume this (the fiber backend keeps the
-///    resumer's saved stack pointer in the context being resumed).
+///    request_kill() may only be called by the current resumer (the maestro
+///    or the killing actor); yield() may only be called from inside the
+///    context's body. Backends are free to assume this (the fiber backend
+///    keeps the resumer's saved stack pointer in the context being resumed).
 /// 3. **Kill protocol.** request_kill() arms the kill; the *next* wakeup of
 ///    the body (via resume_and_wait()) throws ForcedExit inside yield(), so
 ///    the body unwinds with normal C++ semantics (RAII runs). A context
@@ -72,16 +73,6 @@ inline constexpr config::IntKey kCfgContextGuardPages{"contexts/guard-pages"};
 
 /// Register the `contexts/*` config keys (idempotent).
 void declare_context_config();
-
-/// Lane id of the calling OS thread, used to pick per-lane context resources
-/// (the fiber backend's stack free lists). Thread-local; defaults to 0 (the
-/// maestro), which is the only lane the kernel resumes actors from.
-void set_context_lane(int lane);
-int context_lane();
-
-/// Number of per-lane resource slots backends keep; set_context_lane()
-/// maps out-of-range ids to 0.
-inline constexpr int kMaxContextLanes = 256;
 
 class Context {
 public:
@@ -141,8 +132,6 @@ public:
   virtual const char* backend_name() const = 0;
 
   /// Stack-pool accounting (all zero for backends without pooled stacks).
-  /// Totals are aggregated over the per-lane free lists; call from a serial
-  /// section (no lane concurrently acquiring) for an exact snapshot.
   struct PoolStats {
     size_t stacks_allocated = 0;  ///< stacks carved out of slabs so far
     size_t stacks_free = 0;       ///< currently parked in the free list

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <mutex>
 #include <new>
@@ -20,10 +21,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // The actor currently executing and its kernel, per OS thread. Under the
 // thread context backend each actor body runs on its own OS thread, and the
 // semaphore handoff publishes the resumer's write to that thread (release
-// before acquire): resume_context and run_shard_batch set these on the
-// resuming thread, and ThreadContext bodies publish them in their own slots
-// (see spawn). g_active_kernel stays a plain global: it is only written
-// from kernel construction/destruction (serial by definition).
+// before acquire): resume_context sets these on the resuming thread, and
+// ThreadContext bodies publish them in their own slots (see spawn).
+// g_active_kernel stays a plain global: it is only written from kernel
+// construction/destruction (serial by definition).
 thread_local Actor* g_current_actor = nullptr;
 thread_local Kernel* g_current_kernel = nullptr;
 Kernel* g_active_kernel = nullptr;
@@ -46,6 +47,23 @@ void check_status(WakeStatus st) {
       throw xbt::CancelException();
   }
 }
+
+/// Send arguments are checked in the caller: a bad size that only surfaced
+/// when a receiver matched the comm would fail the wrong actor and strand
+/// the sender. The rate follows the engine's rule (finite; <= 0 = no cap).
+void check_send_args(const char* call, double bytes, double rate) {
+  if (!(bytes >= 0 && bytes < kInf))
+    throw xbt::InvalidArgument(
+        xbt::format("%s: bytes must be finite and non-negative (got %g)", call, bytes));
+  if (!std::isfinite(rate))
+    throw xbt::InvalidArgument(xbt::format("%s: rate must be finite (got %g)", call, rate));
+}
+
+/// A negative timeout means "wait forever"; NaN means nothing and is refused.
+void check_timeout(const char* call, double timeout) {
+  if (std::isnan(timeout))
+    throw xbt::InvalidArgument(xbt::format("%s: timeout must not be NaN (got %g)", call, timeout));
+}
 }  // namespace
 
 Actor::Actor(ActorId id, std::string name, int host, std::function<void()> body, bool daemon,
@@ -58,9 +76,9 @@ Actor::Actor(ActorId id, std::string name, int host, std::function<void()> body,
 // and its shared_ptr control block into one allocation of a single size,
 // which a LIFO free list then recycles — at millions of rendezvous per run
 // the allocator drops off the profile and recycled blocks come back
-// cache-warm. One pool per run-queue shard. The last CommPtr reference to a
-// block can drop on an actor's own OS thread (thread context backend), so
-// both sides of the free list take the pool's mutex.
+// cache-warm. The last CommPtr reference to a block can drop on an actor's
+// own OS thread (thread context backend), so both sides of the free list
+// take the pool's mutex.
 
 struct CommBlockPool {
   static constexpr size_t kMaxFreeBlocks = 64 * 1024;
@@ -118,10 +136,7 @@ struct CommPoolAllocator {
 };
 }  // namespace
 
-CommPtr Kernel::make_comm(Actor* for_actor) {
-  const size_t shard = for_actor != nullptr ? static_cast<size_t>(for_actor->shard_) : 0;
-  return std::allocate_shared<Comm>(CommPoolAllocator<Comm>(comm_pools_[shard]));
-}
+CommPtr Kernel::make_comm() { return std::allocate_shared<Comm>(CommPoolAllocator<Comm>(comm_pool_)); }
 
 // -- actor slot arena ----------------------------------------------------------
 
@@ -178,42 +193,20 @@ void Kernel::host_list_remove(Actor* a) {
   a->host_prev_ = a->host_next_ = -1;
 }
 
-std::int32_t Kernel::shard_for_host(int host) const {
-  if (ready_.size() <= 1)
-    return 0;
-  const auto& sm = engine_.platform().shard_map();
-  if (static_cast<size_t>(host) < sm.host_shard.size()) {
-    const std::int32_t s = sm.host_shard[static_cast<size_t>(host)];
-    if (s >= 0 && static_cast<size_t>(s) < ready_.size())
-      return s;
-  }
-  return 0;
-}
-
 // -- kernel lifecycle ----------------------------------------------------------
 
 Kernel::Kernel(platform::Platform platform)
-    : context_factory_(ContextFactory::from_config()), engine_(std::move(platform)) {
+    : context_factory_(ContextFactory::from_config()), engine_(std::move(platform)),
+      comm_pool_(std::make_shared<CommBlockPool>()) {
   engine_.set_resource_observer([this](bool is_host, int index, bool on) {
     if (is_host)
       host_changes_.push_back({index, on});
   });
-  const auto& pf = engine_.platform();
-  host_live_head_.assign(pf.host_count(), -1);
-  const auto& sm = pf.shard_map();
-  const bool sharded = sm.shard_count > 0 && sm.host_shard.size() == pf.host_count();
-  ready_.resize(sharded ? static_cast<size_t>(sm.shard_count) : 1);
-  batch_.resize(ready_.size());
-  ran_.resize(ready_.size());
-  comm_pools_.resize(ready_.size());
-  for (auto& pool : comm_pools_)
-    pool = std::make_shared<CommBlockPool>();
-  lane_counters_.resize(1);  // one lane: the maestro
+  host_live_head_.assign(engine_.platform().host_count(), -1);
   g_active_kernel = this;
   xbt::log_set_clock_provider(&clock_provider);
   xbt::log_set_actor_provider(&actor_provider);
-  SG_DEBUG(kernel, "kernel up: %s contexts, %zu run-queue shard(s)", context_factory_->backend_name(),
-           ready_.size());
+  SG_DEBUG(kernel, "kernel up: %s contexts", context_factory_->backend_name());
 }
 
 Kernel::~Kernel() {
@@ -234,15 +227,13 @@ void Kernel::teardown_all_actors() {
     if (a->alive())
       kill_internal(a, false);
   }
-  // Reap the zombies those deaths left in the run queues.
-  for (auto& q : ready_) {
-    while (!q.empty()) {
-      Actor* a = q.front();
-      q.pop_front();
-      a->in_ready_queue_ = false;
-      if (!a->alive())
-        reap_actor(a);
-    }
+  // Reap the zombies those deaths left in the ready queue.
+  while (!ready_.empty()) {
+    Actor* a = ready_.front();
+    ready_.pop_front();
+    a->in_ready_queue_ = false;
+    if (!a->alive())
+      reap_actor(a);
   }
 }
 
@@ -251,21 +242,6 @@ Kernel* Kernel::current() { return g_current_kernel != nullptr ? g_current_kerne
 
 ActorId Kernel::spawn(const std::string& name, int host, std::function<void()> body, bool daemon,
                       bool auto_restart) {
-  if (Actor* a = self(); a != nullptr && a->phase_quantum_) {
-    // Spawning touches the slot arena, the id map and (via schedule) a ready
-    // queue of another shard — epilogue work, all of it.
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kSpawn;
-    rec.name = &name;
-    rec.host = host;
-    rec.spawn_body = &body;
-    rec.spawn_daemon = daemon;
-    rec.spawn_auto_restart = auto_restart;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    return rec.spawned;
-  }
   if (host < 0 || static_cast<size_t>(host) >= engine_.platform().host_count())
     throw xbt::InvalidArgument("spawn: no such host");
   if (!engine_.host_present(host))
@@ -277,7 +253,6 @@ ActorId Kernel::spawn(const std::string& name, int host, std::function<void()> b
     throw xbt::HostFailureException("spawn: host " + engine_.platform().host(host).name + " is down");
   const ActorId id = next_actor_id_++;
   Actor* a = allocate_actor(id, name, host, std::move(body), daemon, auto_restart);
-  a->shard_ = shard_for_host(host);
   a->context_ = context_factory_->create([this, a] {
     // Publish identity in the *body's* thread-local slots: thread-backend
     // actors run on their own OS thread, which resume_context (running on
@@ -301,20 +276,9 @@ ActorId Kernel::spawn(const std::string& name, int host, std::function<void()> b
 
 void Kernel::schedule(Actor* a) {
   if (a->state_ == Actor::State::kReady && !a->suspended_ && !a->in_ready_queue_) {
-    ready_[static_cast<size_t>(a->shard_)].push_back(a);
+    ready_.push_back(a);
     a->in_ready_queue_ = true;
   }
-}
-
-size_t Kernel::total_ready() const {
-  size_t n = 0;
-  for (const auto& q : ready_)
-    n += q.size();
-  return n;
-}
-
-bool Kernel::in_scheduling_phase() {
-  return g_current_actor != nullptr && g_current_actor->phase_quantum_;
 }
 
 void Kernel::wake(Actor* a, WakeStatus status) {
@@ -330,17 +294,8 @@ void Kernel::wake(Actor* a, WakeStatus status) {
     a->blocked_action_.reset();
   }
   a->blocked_comm_.reset();
-  ++lane_counters_[static_cast<size_t>(context_lane())].wakeups;
+  ++stats_.wakeups;
   schedule(a);
-}
-
-Kernel::Stats Kernel::stats() const {
-  Stats out = stats_;
-  for (const auto& lane : lane_counters_) {
-    out.wakeups += lane.wakeups;
-    out.context_switches += lane.context_switches;
-  }
-  return out;
 }
 
 WakeStatus Kernel::block_self(Actor* a, double timeout) {
@@ -358,7 +313,7 @@ void Kernel::resume_context(Actor* a) {
   Kernel* const prev_kernel = g_current_kernel;
   g_current_actor = a;
   g_current_kernel = this;
-  ++lane_counters_[static_cast<size_t>(context_lane())].context_switches;
+  ++stats_.context_switches;
   const bool finished = a->context_->resume_and_wait();
   g_current_actor = prev_actor;
   g_current_kernel = prev_kernel;
@@ -370,7 +325,6 @@ void Kernel::handle_actor_end(Actor* a) {
   if (a->state_ == Actor::State::kDead)
     return;
   a->state_ = Actor::State::kDead;
-  a->pending_ = nullptr;
   ++a->timer_gen_;
   if (a->blocked_action_) {
     a->blocked_action_->user_data = nullptr;
@@ -395,24 +349,39 @@ void Kernel::handle_actor_end(Actor* a) {
   if (a->auto_restart_ && a->killed_by_failure_)
     pending_restarts_.push_back({a->name_, a->host_, a->body_, a->daemon_});
   SG_DEBUG(kernel, "actor %ld '%s' terminated", a->id_, a->name_.c_str());
-  // Recycle the slot right away unless the actor still sits in a run queue
-  // (killed while ready); the scheduler sweep reaps it when popped.
+  // Recycle the slot right away unless the actor still sits in the ready
+  // queue (killed while ready); run() reaps it when popped.
   if (!a->in_ready_queue_)
     reap_actor(a);
 }
 
 double Kernel::run() {
   running_ = true;
-  long idle_rounds = 0;
+  long idle_steps = 0;
   while (true) {
+    // Drain the ready queue in FIFO order. Each actor runs up to its next
+    // blocking simcall; its simcalls took effect as it made them, so actors
+    // it woke are already queued behind it and run in this same drain.
     bool any_ran = false;
-    while (total_ready() > 0)
-      any_ran = run_scheduling_round() || any_ran;
+    while (!ready_.empty()) {
+      Actor* a = ready_.front();
+      ready_.pop_front();
+      a->in_ready_queue_ = false;
+      if (!a->alive()) {
+        reap_actor(a);  // killed while queued
+        continue;
+      }
+      if (a->state_ != Actor::State::kReady || a->suspended_)
+        continue;
+      any_ran = true;
+      resume_context(a);
+      process_resource_changes();
+    }
 
     if (live_nondaemon_ == 0)
       break;
 
-    // Engine time advance; all actor-visible effects were committed above.
+    // Engine time advance.
     const double timer_bound = timers_.empty() ? kInf : timers_.top().time;
     const auto events = engine_.run_until(timer_bound);
     for (const auto& ev : events)
@@ -420,12 +389,12 @@ double Kernel::run() {
     fire_due_timers();
     process_resource_changes();
 
-    if (!events.empty() || any_ran || total_ready() > 0) {
-      idle_rounds = 0;
+    if (!events.empty() || any_ran || !ready_.empty()) {
+      idle_steps = 0;
       continue;
     }
     const double next = engine_.next_event_time();
-    if (next == kInf && timers_.empty() && total_ready() == 0) {
+    if (next == kInf && timers_.empty()) {
       deadlocked_ = true;
       SG_WARN(kernel, "deadlock: %zu actor(s) blocked forever at t=%g; stopping the simulation",
               alive_actor_count(), engine_.now());
@@ -436,9 +405,9 @@ double Kernel::run() {
       }
       break;
     }
-    if (++idle_rounds > 1000000) {
+    if (++idle_steps > 1000000) {
       deadlocked_ = true;
-      SG_ERROR(kernel, "giving up: 1e6 idle scheduling rounds (runaway trace events?)");
+      SG_ERROR(kernel, "giving up: 1e6 idle engine steps (runaway trace events?)");
       break;
     }
   }
@@ -449,304 +418,11 @@ double Kernel::run() {
   return engine_.now();
 }
 
-// -- round-based scheduling -----------------------------------------------------
-
-bool Kernel::run_scheduling_round() {
-  const int shards = static_cast<int>(ready_.size());
-  // Snapshot every shard's batch up front: a round runs exactly the actors
-  // that were ready when it began, so mid-round wakes always land in the
-  // next round regardless of which shard they touch.
-  for (int s = 0; s < shards; ++s) {
-    batch_[static_cast<size_t>(s)] = ready_[static_cast<size_t>(s)].size();
-    ran_[static_cast<size_t>(s)].clear();
-  }
-
-  // Scheduling phase: user code runs up to its next simcall (see the
-  // execution-model notes in kernel.hpp), shard by shard on the maestro.
-  for (int s = 0; s < shards; ++s)
-    run_shard_batch(s);
-
-  // Serial epilogue: commit every quantum in fixed shard order, batch order
-  // within a shard. All engine actions, timers, wakes, spawns, kills, and
-  // reaps happen here.
-  bool any_ran = false;
-  for (int s = 0; s < shards; ++s) {
-    for (RanActor& r : ran_[static_cast<size_t>(s)]) {
-      if (!r.zombie)
-        any_ran = true;
-      commit_ran(r);
-      process_resource_changes();
-    }
-    ran_[static_cast<size_t>(s)].clear();  // drop CommPtr references promptly
-  }
-  return any_ran;
-}
-
-void Kernel::run_shard_batch(int shard) {
-  auto& q = ready_[static_cast<size_t>(shard)];
-  auto& ran = ran_[static_cast<size_t>(shard)];
-  for (size_t n = batch_[static_cast<size_t>(shard)]; n > 0; --n) {
-    Actor* a = q.front();
-    q.pop_front();
-    a->in_ready_queue_ = false;
-    if (!a->alive()) {
-      // Killed while queued: reaping touches the shared arena, so defer it
-      // to the epilogue (deterministic zombie reaping).
-      RanActor r;
-      r.actor = a;
-      r.id = a->id_;
-      r.zombie = true;
-      ran.push_back(std::move(r));
-      continue;
-    }
-    if (a->state_ != Actor::State::kReady || a->suspended_)
-      continue;
-    RanActor r;
-    r.actor = a;
-    r.id = a->id_;
-    a->pending_ = nullptr;
-    a->phase_quantum_ = true;
-    a->phase_starts_ = &r.started;
-    // Not resume_context(): a body that finishes here must have its end
-    // handled by the epilogue.
-    Actor* const prev_actor = g_current_actor;
-    Kernel* const prev_kernel = g_current_kernel;
-    g_current_actor = a;
-    g_current_kernel = this;
-    ++lane_counters_[static_cast<size_t>(context_lane())].context_switches;
-    r.finished = a->context_->resume_and_wait();
-    g_current_actor = prev_actor;
-    g_current_kernel = prev_kernel;
-    a->phase_quantum_ = false;
-    a->phase_starts_ = nullptr;  // r.started moves below; never read parked
-    r.rec = r.finished ? nullptr : a->pending_;
-    assert((r.finished || r.rec != nullptr) && "a quantum must end in a simcall or termination");
-    ran.push_back(std::move(r));
-  }
-}
-
-void Kernel::record_and_park(Actor* a, PendingSimcall& rec) {
-  a->pending_ = &rec;
-  a->state_ = Actor::State::kBlocked;
-  a->context_->yield();
-  // Woken by the epilogue: the record was committed (results valid), or the
-  // actor was resumed with a wake status after blocking.
-}
-
-void Kernel::serial_resume(Actor* a) {
-  a->state_ = Actor::State::kReady;
-  resume_context(a);
-}
-
-void Kernel::arm_timeout(Actor* a, double timeout) {
-  if (timeout >= 0)
-    timers_.push(Timer{engine_.now() + timeout, a->id_, a->timer_gen_});
-}
-
-void Kernel::commit_comm_wait(Actor* a, PendingSimcall& rec, const CommPtr& comm) {
-  if (comm->state == Comm::State::kFinished) {
-    // Already resolved: requeue the actor with the comm's outcome.
-    wake(a, comm->result);
-    return;
-  }
-  if (comm->sender_id == a->id_)
-    comm->sender_waiting = true;
-  else
-    comm->receiver_waiting = true;
-  a->blocked_comm_ = comm;
-  arm_timeout(a, rec.timeout);
-}
-
-void Kernel::commit_ran(RanActor& r) {
-  if (r.zombie) {
-    reap_actor(r.actor);
-    return;
-  }
-  Actor* a = r.actor;
-  // Replay the quantum's inline-matched comm starts first: in program order
-  // they happened before whatever the actor last recorded — and they must
-  // replay even if the actor was killed meanwhile, or the matched peer would
-  // be stranded on a comm that never starts. A comm detached (finished) by
-  // such a kill is skipped via the state guard.
-  for (CommPtr& c : r.started)
-    if (c->state == Comm::State::kMatched)
-      start_comm(c);
-  r.started.clear();
-
-  // Identity guard: an earlier commit in this same epilogue may have killed
-  // the actor — and its slot may already host a respawned successor.
-  auto it = id_to_slot_.find(r.id);
-  if (it == id_to_slot_.end() || slot(it->second) != a)
-    return;
-
-  if (r.finished) {
-    if (a->alive())
-      handle_actor_end(a);
-    return;
-  }
-  if (!a->alive() || a->pending_ != r.rec)
-    return;  // killed while parked earlier in this epilogue; already unwound
-  PendingSimcall* rec = r.rec;
-  a->pending_ = nullptr;
-
-  switch (rec->kind) {
-    case PendingSimcall::Kind::kYield:
-      a->state_ = Actor::State::kReady;
-      schedule(a);
-      break;
-
-    case PendingSimcall::Kind::kExec:
-    case PendingSimcall::Kind::kPtask:
-    case PendingSimcall::Kind::kSleep:
-      try {
-        core::ActionPtr action;
-        if (rec->kind == PendingSimcall::Kind::kExec)
-          action = engine_.exec_start(a->host_, rec->flops, rec->priority, a->name_ + ":exec");
-        else if (rec->kind == PendingSimcall::Kind::kPtask)
-          action = engine_.ptask_start(*rec->ptask_hosts, *rec->ptask_flops, *rec->ptask_bytes,
-                                       a->name_ + ":ptask");
-        else
-          action = engine_.sleep_start(a->host_, rec->duration, a->name_ + ":sleep");
-        action->user_data = a;
-        if (a->suspended_)
-          action->suspend();  // suspended while parked: start the work paused
-        a->blocked_action_ = std::move(action);
-      } catch (...) {
-        // Surface creation failures (host down, bad arguments) inside the
-        // actor, as the inline path would have.
-        rec->error = std::current_exception();
-        wake(a, WakeStatus::kOk);
-      }
-      break;
-
-    case PendingSimcall::Kind::kSendWait: {
-      CommPtr comm = send_async_impl(a, rec->mailbox, rec->payload, rec->bytes, rec->rate);
-      rec->comm = comm;
-      commit_comm_wait(a, *rec, comm);
-      break;
-    }
-    case PendingSimcall::Kind::kRecvWait: {
-      CommPtr comm = recv_async_impl(a, rec->mailbox);
-      rec->comm = comm;
-      commit_comm_wait(a, *rec, comm);
-      break;
-    }
-    case PendingSimcall::Kind::kCommWait:
-      commit_comm_wait(a, *rec, rec->comm);
-      break;
-
-    case PendingSimcall::Kind::kSendAsync: {
-      CommPtr comm = send_async_impl(a, rec->mailbox, rec->payload, rec->bytes, rec->rate);
-      comm->detached = rec->detached;
-      rec->comm = comm;
-      serial_resume(a);
-      break;
-    }
-    case PendingSimcall::Kind::kRecvAsync:
-      rec->comm = recv_async_impl(a, rec->mailbox);
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kCommTest:
-      rec->flag_result = rec->comm->state == Comm::State::kFinished;
-      serial_resume(a);
-      break;
-    case PendingSimcall::Kind::kCommProbe:
-      rec->flag_result =
-          rec->mailbox != kNoMailbox && !mailbox_ref(rec->mailbox).queued_sends.empty();
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kInternMailbox:
-      rec->interned = intern_mailbox(*rec->name, a->shard_);
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kSpawn:
-      try {
-        rec->spawned = spawn(*rec->name, rec->host, std::move(*rec->spawn_body),
-                             rec->spawn_daemon, rec->spawn_auto_restart);
-      } catch (...) {
-        rec->error = std::current_exception();
-      }
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kKill: {
-      Actor* victim = actor(rec->target);
-      if (victim != nullptr && victim->alive())
-        kill_internal(victim, false);
-      // The victim's exit callbacks may have killed the caller in turn.
-      if (a->alive())
-        serial_resume(a);
-      break;
-    }
-
-    case PendingSimcall::Kind::kSuspendSelf:
-      // Like the inline self-suspend: runnable again the moment someone
-      // resume()s it; stays parked until then.
-      a->suspended_ = true;
-      a->state_ = Actor::State::kReady;
-      break;
-    case PendingSimcall::Kind::kSuspendOther:
-      suspend(rec->target);
-      serial_resume(a);
-      break;
-    case PendingSimcall::Kind::kResume:
-      resume(rec->target);
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kHostState:
-      try {
-        engine_.set_host_state(rec->host, rec->host_on);
-      } catch (...) {
-        rec->error = std::current_exception();
-      }
-      // Resource changes are processed when this quantum fully ends (after
-      // the serial continuation blocks), matching the inline ordering.
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kLeaveHost:
-      try {
-        engine_.leave_host(rec->host);
-      } catch (...) {
-        rec->error = std::current_exception();
-      }
-      serial_resume(a);
-      break;
-    case PendingSimcall::Kind::kRejoinHost:
-      try {
-        engine_.rejoin_host(rec->host);
-      } catch (...) {
-        rec->error = std::current_exception();
-      }
-      serial_resume(a);
-      break;
-
-    case PendingSimcall::Kind::kNone:
-      assert(false && "parked without a record");
-      break;
-  }
-}
-
 // -- simcalls ---------------------------------------------------------------
 
 void Kernel::execute(double flops, double priority) {
   Actor* a = self();
   assert(a != nullptr && "execute() must be called from an actor");
-  if (a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kExec;
-    rec.flops = flops;
-    rec.priority = priority;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    check_status(a->wake_status_);
-    return;
-  }
   auto action = engine_.exec_start(a->host_, flops, priority, a->name_ + ":exec");
   action->user_data = a;
   a->blocked_action_ = action;
@@ -757,18 +433,6 @@ void Kernel::execute_parallel(const std::vector<int>& hosts, const std::vector<d
                               const std::vector<std::vector<double>>& bytes) {
   Actor* a = self();
   assert(a != nullptr && "execute_parallel() must be called from an actor");
-  if (a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kPtask;
-    rec.ptask_hosts = &hosts;
-    rec.ptask_flops = &flops;
-    rec.ptask_bytes = &bytes;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    check_status(a->wake_status_);
-    return;
-  }
   auto action = engine_.ptask_start(hosts, flops, bytes, a->name_ + ":ptask");
   action->user_data = a;
   a->blocked_action_ = action;
@@ -782,16 +446,6 @@ void Kernel::sleep_for(double duration) {
     yield_now();
     return;
   }
-  if (a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kSleep;
-    rec.duration = duration;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    check_status(a->wake_status_);
-    return;
-  }
   auto action = engine_.sleep_start(a->host_, duration, a->name_ + ":sleep");
   action->user_data = a;
   a->blocked_action_ = action;
@@ -801,14 +455,6 @@ void Kernel::sleep_for(double duration) {
 void Kernel::yield_now() {
   Actor* a = self();
   assert(a != nullptr);
-  if (a->phase_quantum_) {
-    // The requeue touches the shard's own deque, but the epilogue does it
-    // so the ready order interleaves in commit order.
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kYield;
-    record_and_park(a, rec);
-    return;
-  }
   a->state_ = Actor::State::kReady;
   schedule(a);
   a->context_->yield();
@@ -822,28 +468,10 @@ void Kernel::exit_self() {
 // -- mailboxes & communications -------------------------------------------------
 
 MailboxId Kernel::mailbox_by_name(const std::string& name) {
-  Actor* a = self();
-  if (a != nullptr && a->phase_quantum_) {
-    // The id map is only mutated serially, so phase-time lookups are
-    // race-free; a miss defers the insertion to the epilogue.
-    auto it = mailbox_ids_.find(name);
-    if (it != mailbox_ids_.end())
-      return it->second;
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kInternMailbox;
-    rec.name = &name;
-    record_and_park(a, rec);
-    return rec.interned;
-  }
-  return intern_mailbox(name, a != nullptr ? a->shard_ : 0);
-}
-
-MailboxId Kernel::intern_mailbox(const std::string& name, std::int32_t home) {
   auto [it, inserted] = mailbox_ids_.try_emplace(name, MailboxId{0});
   if (inserted) {
     it->second = static_cast<MailboxId>(mailboxes_.size());
     mailboxes_.emplace_back();
-    mailboxes_.back().home = home;
     mailbox_names_.push_back(name);
   }
   return it->second;
@@ -852,16 +480,7 @@ MailboxId Kernel::intern_mailbox(const std::string& name, std::int32_t home) {
 CommPtr Kernel::send_async(MailboxId mb, void* payload, double bytes, double rate) {
   Actor* a = self();
   assert(a != nullptr && "send must be called from an actor");
-  if (a->phase_quantum_ && mailbox_ref(mb).home != a->shard_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kSendAsync;
-    rec.mailbox = mb;
-    rec.payload = payload;
-    rec.bytes = bytes;
-    rec.rate = rate;
-    record_and_park(a, rec);
-    return rec.comm;
-  }
+  check_send_args("send_async", bytes, rate);
   return send_async_impl(a, mb, payload, bytes, rate);
 }
 
@@ -876,17 +495,10 @@ CommPtr Kernel::send_async_impl(Actor* a, MailboxId mb, void* payload, double by
     comm->payload = payload;
     comm->bytes = bytes;
     comm->rate = rate;
-    if (a->phase_quantum_) {
-      // Lanes never touch the engine: park the match until the maestro
-      // replays this shard's pending starts (lists-local rule, kernel.hpp).
-      comm->state = Comm::State::kMatched;
-      a->phase_starts_->push_back(comm);
-    } else {
-      start_comm(comm);
-    }
+    start_comm(comm);
     return comm;
   }
-  CommPtr comm = make_comm(a);
+  CommPtr comm = make_comm();
   comm->mailbox = mb;
   comm->state = Comm::State::kQueuedSend;
   comm->sender = a;
@@ -902,17 +514,6 @@ CommPtr Kernel::send_async_impl(Actor* a, MailboxId mb, void* payload, double by
 CommPtr Kernel::recv_async(MailboxId mb) {
   Actor* a = self();
   assert(a != nullptr && "recv must be called from an actor");
-  if (a->phase_quantum_ && mailbox_ref(mb).home != a->shard_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kRecvAsync;
-    rec.mailbox = mb;
-    record_and_park(a, rec);
-    return rec.comm;
-  }
-  return recv_async_impl(a, mb);
-}
-
-CommPtr Kernel::recv_async_impl(Actor* a, MailboxId mb) {
   Mailbox& box = mailbox_ref(mb);
   if (!box.queued_sends.empty()) {
     CommPtr comm = box.queued_sends.front();
@@ -920,15 +521,10 @@ CommPtr Kernel::recv_async_impl(Actor* a, MailboxId mb) {
     comm->receiver = a;
     comm->receiver_id = a->id_;
     comm->dst_host = a->host_;
-    if (a->phase_quantum_) {
-      comm->state = Comm::State::kMatched;
-      a->phase_starts_->push_back(comm);
-    } else {
-      start_comm(comm);
-    }
+    start_comm(comm);
     return comm;
   }
-  CommPtr comm = make_comm(a);
+  CommPtr comm = make_comm();
   comm->mailbox = mb;
   comm->state = Comm::State::kQueuedRecv;
   comm->receiver = a;
@@ -962,21 +558,7 @@ void Kernel::finish_comm(const CommPtr& comm, WakeStatus result) {
 void* Kernel::comm_wait(const CommPtr& comm, double timeout) {
   Actor* a = self();
   assert(a != nullptr);
-  if (a->phase_quantum_) {
-    // Even a home-shard comm defers the wait: its state can be flipped by the
-    // serial epilogue only.
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kCommWait;
-    rec.comm = comm;
-    rec.timeout = timeout;
-    record_and_park(a, rec);
-    if (comm->sender_id == a->id_)
-      comm->sender_waiting = false;
-    else
-      comm->receiver_waiting = false;
-    check_status(a->wake_status_);
-    return comm->payload;
-  }
+  check_timeout("comm_wait", timeout);
   WakeStatus st;
   if (comm->state == Comm::State::kFinished) {
     st = comm->result;
@@ -1000,59 +582,20 @@ void* Kernel::comm_wait(const CommPtr& comm, double timeout) {
 void Kernel::send(MailboxId mb, void* payload, double bytes, double timeout, double rate) {
   Actor* a = self();
   assert(a != nullptr && "send must be called from an actor");
-  if (a->phase_quantum_ && mailbox_ref(mb).home != a->shard_) {
-    // Fused enqueue+wait: one park instead of an async record followed by a
-    // second park in comm_wait.
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kSendWait;
-    rec.mailbox = mb;
-    rec.payload = payload;
-    rec.bytes = bytes;
-    rec.rate = rate;
-    rec.timeout = timeout;
-    record_and_park(a, rec);
-    if (rec.comm)
-      rec.comm->sender_waiting = false;
-    check_status(a->wake_status_);
-    return;
-  }
-  comm_wait(send_async(mb, payload, bytes, rate), timeout);
+  check_send_args("send", bytes, rate);
+  check_timeout("send", timeout);
+  comm_wait(send_async_impl(a, mb, payload, bytes, rate), timeout);
 }
 
 void Kernel::send_detached(MailboxId mb, void* payload, double bytes, double rate) {
   Actor* a = self();
   assert(a != nullptr && "send_detached must be called from an actor");
-  if (a->phase_quantum_ && mailbox_ref(mb).home != a->shard_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kSendAsync;
-    rec.mailbox = mb;
-    rec.payload = payload;
-    rec.bytes = bytes;
-    rec.rate = rate;
-    rec.detached = true;
-    record_and_park(a, rec);
-    return;
-  }
-  CommPtr comm = send_async_impl(a, mb, payload, bytes, rate);
-  comm->detached = true;
+  check_send_args("send_detached", bytes, rate);
+  send_async_impl(a, mb, payload, bytes, rate)->detached = true;
 }
 
 void* Kernel::recv(MailboxId mb, double timeout, ActorId* source) {
-  Actor* a = self();
-  assert(a != nullptr && "recv must be called from an actor");
-  if (a->phase_quantum_ && mailbox_ref(mb).home != a->shard_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kRecvWait;
-    rec.mailbox = mb;
-    rec.timeout = timeout;
-    record_and_park(a, rec);
-    if (rec.comm)
-      rec.comm->receiver_waiting = false;
-    check_status(a->wake_status_);
-    if (source != nullptr)
-      *source = rec.comm->sender_id;
-    return rec.comm->payload;
-  }
+  check_timeout("recv", timeout);
   CommPtr comm = recv_async(mb);
   void* payload = comm_wait(comm, timeout);
   if (source != nullptr)
@@ -1060,39 +603,15 @@ void* Kernel::recv(MailboxId mb, double timeout, ActorId* source) {
   return payload;
 }
 
-bool Kernel::comm_waiting(MailboxId mb) {
-  Actor* a = self();
-  if (a != nullptr && a->phase_quantum_ && mailbox_ref(mb).home != a->shard_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kCommProbe;
-    rec.mailbox = mb;
-    record_and_park(a, rec);
-    return rec.flag_result;
-  }
-  return !mailboxes_[static_cast<size_t>(mb)].queued_sends.empty();
-}
+bool Kernel::comm_waiting(MailboxId mb) { return !mailbox_ref(mb).queued_sends.empty(); }
 
 bool Kernel::comm_waiting(const std::string& mb) {
   // Probe without interning: an unknown name trivially has nothing queued.
-  // The id map only mutates serially, so the phase-time find is race-free.
   auto it = mailbox_ids_.find(mb);
   return it != mailbox_ids_.end() && comm_waiting(it->second);
 }
 
-bool Kernel::comm_test(const CommPtr& comm) {
-  Actor* a = self();
-  if (a != nullptr && a->phase_quantum_ &&
-      (comm->mailbox == kNoMailbox || mailbox_ref(comm->mailbox).home != a->shard_)) {
-    // A foreign-shard comm may still have a pending match in this round's
-    // records; only the serial epilogue reads its state in order.
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kCommTest;
-    rec.comm = comm;
-    record_and_park(a, rec);
-    return rec.flag_result;
-  }
-  return comm->state == Comm::State::kFinished;
-}
+bool Kernel::comm_test(const CommPtr& comm) { return comm->state == Comm::State::kFinished; }
 
 // -- event handling -----------------------------------------------------------
 
@@ -1184,16 +703,6 @@ void Kernel::detach_from_comm(Actor* a) {
     remove_from_mailbox(comm);
     comm->state = Comm::State::kFinished;
     comm->result = WakeStatus::kCanceled;
-  } else if (comm->state == Comm::State::kMatched) {
-    // Matched during the scheduling phase but its engine transfer was never
-    // started (the party died before the pending start replayed). There is
-    // no action to cancel; just fail the peer if it is already waiting.
-    comm->state = Comm::State::kFinished;
-    comm->result = WakeStatus::kCanceled;
-    const bool a_is_sender = comm->sender_id == a->id_;
-    Actor* peer = a_is_sender ? comm->receiver : comm->sender;
-    if (peer != nullptr && (a_is_sender ? comm->receiver_waiting : comm->sender_waiting))
-      wake(peer, WakeStatus::kNetworkFailure);
   } else if (comm->state == Comm::State::kStarted) {
     comm->state = Comm::State::kFinished;
     comm->result = WakeStatus::kCanceled;
@@ -1210,22 +719,6 @@ void Kernel::detach_from_comm(Actor* a) {
 // -- actor management -----------------------------------------------------------
 
 void Kernel::suspend(ActorId id) {
-  if (Actor* caller = self(); caller != nullptr && caller->phase_quantum_) {
-    PendingSimcall rec;
-    if (id == caller->id_) {
-      // Self-suspend parks right here; the commit flips the flag and leaves
-      // the actor out of the queues until someone calls resume().
-      rec.kind = PendingSimcall::Kind::kSuspendSelf;
-      record_and_park(caller, rec);
-    } else {
-      // The target may belong to another shard's batch of this round — the
-      // commit does the lookup and the flag work in epilogue order.
-      rec.kind = PendingSimcall::Kind::kSuspendOther;
-      rec.target = id;
-      record_and_park(caller, rec);
-    }
-    return;
-  }
   Actor* a = actor(id);
   if (a == nullptr || !a->alive() || a->suspended_)
     return;
@@ -1241,13 +734,6 @@ void Kernel::suspend(ActorId id) {
 }
 
 void Kernel::resume(ActorId id) {
-  if (Actor* caller = self(); caller != nullptr && caller->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kResume;
-    rec.target = id;
-    record_and_park(caller, rec);
-    return;
-  }
   Actor* a = actor(id);
   if (a == nullptr || !a->alive() || !a->suspended_)
     return;
@@ -1260,17 +746,6 @@ void Kernel::resume(ActorId id) {
 }
 
 void Kernel::kill(ActorId id) {
-  if (Actor* caller = self(); caller != nullptr && caller->phase_quantum_) {
-    if (id == caller->id_) {
-      caller->killed_by_failure_ = false;
-      throw ForcedExit{};
-    }
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kKill;
-    rec.target = id;
-    record_and_park(caller, rec);
-    return;
-  }
   Actor* a = actor(id);
   if (a == nullptr || !a->alive())
     return;
@@ -1290,14 +765,6 @@ void Kernel::kill_internal(Actor* a, bool by_failure) {
     a->blocked_action_.reset();
     action->cancel();
   }
-  a->pending_ = nullptr;
-  if (a->context_->finished()) {
-    // The body already ran to completion during a scheduling phase and its
-    // end handling is waiting for the epilogue commit; resuming a finished
-    // context would never come back. Finish it here instead.
-    handle_actor_end(a);
-    return;
-  }
   a->context_->request_kill();
   // Resume until the body has unwound (RAII during the unwind may yield).
   // Track by id, not pointer: the final resume runs handle_actor_end, which
@@ -1309,7 +776,7 @@ void Kernel::kill_internal(Actor* a, bool by_failure) {
       return;  // reaped
     Actor* cur = slot(it->second);
     if (!cur->alive())
-      return;  // zombie awaiting its run-queue reap
+      return;  // zombie awaiting its ready-queue reap
     resume_context(cur);
   }
 }
@@ -1337,30 +804,10 @@ std::vector<ActorId> Kernel::live_actors() const {
 // -- platform control -------------------------------------------------------------
 
 void Kernel::host_off(int host) {
-  if (Actor* a = self(); a != nullptr && a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kHostState;
-    rec.host = host;
-    rec.host_on = false;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    return;
-  }
   engine_.set_host_state(host, false);
 }
 
 void Kernel::host_on(int host) {
-  if (Actor* a = self(); a != nullptr && a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kHostState;
-    rec.host = host;
-    rec.host_on = true;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    return;
-  }
   engine_.set_host_state(host, true);
 }
 
@@ -1382,28 +829,10 @@ int Kernel::join_host(const platform::HostSpec& spec, platform::NodeId attach,
 }
 
 void Kernel::leave_host(int host) {
-  if (Actor* a = self(); a != nullptr && a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kLeaveHost;
-    rec.host = host;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    return;
-  }
   engine_.leave_host(host);
 }
 
 void Kernel::rejoin_host(int host) {
-  if (Actor* a = self(); a != nullptr && a->phase_quantum_) {
-    PendingSimcall rec;
-    rec.kind = PendingSimcall::Kind::kRejoinHost;
-    rec.host = host;
-    record_and_park(a, rec);
-    if (rec.error)
-      std::rethrow_exception(rec.error);
-    return;
-  }
   engine_.rejoin_host(host);
 }
 

@@ -5,35 +5,29 @@
 ///
 /// ## Execution model
 ///
-/// Everything runs on the maestro, one actor at a time. Scheduling proceeds
-/// in rounds. Each round snapshots every shard's ready batch, then runs two
-/// phases:
+/// The classic maestro loop of SimGrid's MSG: every simulated process runs
+/// inside this one OS process, and the maestro resumes one actor at a time.
+/// run() repeats two steps until no non-daemon actor is left:
 ///
-///  * **Scheduling phase** — each batched actor is resumed, shard by shard,
-///    and runs user code up to its next simcall. The simcall follows the
-///    lists-local rule: side effects confined to the actor's home shard
-///    (matching on a home-shard mailbox, allocating from the shard's comm
-///    pool) commit inline; everything else — engine action creation,
-///    timers, wakes, spawns, kills, cross-shard mailboxes — is *recorded*
-///    into a PendingSimcall and the actor parks.
-///  * **Serial epilogue** — the maestro replays the records in fixed shard
-///    order (batch order within a shard, quantum order within an actor):
-///    starts the matched comms, creates engine actions, arms timers, reaps
-///    zombies, runs exit callbacks. Non-blocking simcalls resume their actor
-///    inline here, so the rest of that quantum runs under classic serial
-///    semantics.
+///  * **Drain the ready queue.** One FIFO holds the runnable actors. The
+///    maestro pops the front actor and resumes it; the actor runs user code
+///    up to its next blocking simcall. Every simcall takes effect on the
+///    spot, on the actor's own stack: a mailbox match starts its engine
+///    transfer at once, an actor it wakes, spawns or resumes joins the back
+///    of the queue and runs later in the same drain, a kill unwinds the
+///    victim immediately. Host failures the quantum caused are processed
+///    right after it. Same-date actors thus run in FIFO wake order.
+///  * **Advance the engine** to its next event or the next timeout timer,
+///    and wake the actors whose actions, comms or timers completed.
 ///
 /// The kernel starts no threads of its own (the thread context backend
-/// gives each actor an OS thread, strictly serialized with the maestro).
+/// gives each actor an OS thread, strictly serialized with the maestro), and
+/// the thread and fiber backends produce identical schedules.
 ///
 /// Scale shape (the "millions of users" path): actors live in a chunked slot
 /// arena with O(1) spawn/death and slot+stack recycling, mailbox names are
-/// interned to dense ids once at the API boundary (each mailbox homed on the
-/// interning actor's shard), comm control blocks are pooled per shard, and
-/// the ready set is split into per-shard run queues keyed off
-/// Platform::shard_map() — a round drains one zone's wakeups as a batch,
-/// and the fixed shard rotation keeps the schedule deterministic and
-/// reproducible across context backends.
+/// interned to dense ids once at the API boundary, and comm control blocks
+/// are recycled through one LIFO block pool.
 #pragma once
 
 #include <cstdint>
@@ -106,6 +100,9 @@ public:
 
   /// Blocking send: rendezvous on the mailbox, then transfer `bytes` from the
   /// caller's host to the receiver's host. timeout < 0 = wait forever.
+  /// Throws xbt::InvalidArgument, before queuing anything, when `bytes` is
+  /// NaN, infinite or negative, `rate` is not finite (<= 0 = no cap) or
+  /// `timeout` is NaN; the same checks guard every send and wait below.
   void send(MailboxId mailbox, void* payload, double bytes, double timeout = -1.0, double rate = -1.0);
   /// Fire-and-forget send (the comm lives on after the caller moves on).
   void send_detached(MailboxId mailbox, void* payload, double bytes, double rate = -1.0);
@@ -174,15 +171,13 @@ public:
   void rejoin_host(int host);
 
   // -- introspection -------------------------------------------------------------
-  /// Scheduler counters (monotonic over the kernel's lifetime). Wakeups and
-  /// context switches accumulate in per-lane counters (one lane: the
-  /// maestro) and are summed here on read.
+  /// Scheduler counters (monotonic over the kernel's lifetime).
   struct Stats {
     std::uint64_t actors_spawned = 0;
     std::uint64_t wakeups = 0;           ///< blocked -> ready transitions
     std::uint64_t context_switches = 0;  ///< scheduler -> actor resumes
   };
-  Stats stats() const;
+  Stats stats() const { return stats_; }
   /// The context backend in use (pool stats, backend name).
   const ContextFactory& context_factory() const { return *context_factory_; }
 
@@ -212,11 +207,10 @@ private:
   Actor* allocate_actor(ActorId id, const std::string& name, int host, std::function<void()> body,
                         bool daemon, bool auto_restart);
   /// Destroy a dead actor and recycle its slot. Only legal once the actor is
-  /// no longer in a ready queue (scheduler sweeps reap deferred zombies).
+  /// no longer in the ready queue (run() reaps zombies as it pops them).
   void reap_actor(Actor* a);
   void host_list_insert(Actor* a);
   void host_list_remove(Actor* a);
-  std::int32_t shard_for_host(int host) const;
 
   /// Run one actor: publish it as current, resume its context, and handle
   /// its termination. Safe to call re-entrantly (an actor killing another).
@@ -227,41 +221,9 @@ private:
   /// Park the calling actor until woken; returns the wake status.
   WakeStatus block_self(Actor* a, double timeout);
 
-  // -- round-based scheduling (see the execution-model notes above) -------------
-  /// One actor's quantum as observed by the scheduling phase: what it
-  /// recorded, the comms its inline simcalls matched, whether its body ended.
-  struct RanActor {
-    Actor* actor = nullptr;
-    ActorId id = -1;  ///< guards against the slot being reaped + reused mid-epilogue
-    PendingSimcall* rec = nullptr;
-    std::vector<CommPtr> started;  ///< home-shard matches, in quantum order
-    bool finished = false;
-    bool zombie = false;  ///< popped dead: reap in the epilogue
-  };
-  /// Snapshot batches, run the scheduling phase, then commit the epilogue.
-  /// Returns true when any actor ran.
-  bool run_scheduling_round();
-  /// Drain one shard's batch during the scheduling phase.
-  void run_shard_batch(int shard);
-  /// Serial commit of one quantum's record.
-  void commit_ran(RanActor& r);
-  /// Commit helper: park-for-wait bookkeeping for a (possibly fresh) comm.
-  void commit_comm_wait(Actor* a, PendingSimcall& rec, const CommPtr& comm);
-  /// Actor side: publish `rec` and park until the epilogue commits it.
-  void record_and_park(Actor* a, PendingSimcall& rec);
-  /// Epilogue side: resume a parked actor inline (non-blocking simcalls).
-  void serial_resume(Actor* a);
-  void arm_timeout(Actor* a, double timeout);
-  size_t total_ready() const;
-  /// True while the calling thread executes a scheduling phase (i.e. self()
-  /// must defer or stay lists-local rather than mutate shared kernel state).
-  static bool in_scheduling_phase();
-
-  CommPtr make_comm(Actor* for_actor);
+  CommPtr make_comm();
   Mailbox& mailbox_ref(MailboxId id) { return mailboxes_[static_cast<size_t>(id)]; }
-  MailboxId intern_mailbox(const std::string& name, std::int32_t home);
   CommPtr send_async_impl(Actor* a, MailboxId mb, void* payload, double bytes, double rate);
-  CommPtr recv_async_impl(Actor* a, MailboxId mb);
   void start_comm(const CommPtr& comm);
   void finish_comm(const CommPtr& comm, WakeStatus result);
   void handle_action_event(const core::ActionEvent& ev);
@@ -270,7 +232,7 @@ private:
   void kill_internal(Actor* a, bool by_failure);
   void process_resource_changes();
   void remove_from_mailbox(const CommPtr& comm);
-  /// Kill every live actor (id order) and reap zombies left in run queues.
+  /// Kill every live actor (id order) and reap zombies left in the queue.
   void teardown_all_actors();
 
   // Declared first so it is destroyed last: Actor teardown returns fiber
@@ -288,32 +250,22 @@ private:
   size_t live_count_ = 0;
   size_t live_nondaemon_ = 0;
 
-  // Per-shard run queues (see the file comment).
-  std::vector<std::deque<Actor*>> ready_;
-  // Round scratch: per-shard batch sizes and quantum records.
-  std::vector<size_t> batch_;
-  std::vector<std::vector<RanActor>> ran_;
+  std::deque<Actor*> ready_;  ///< FIFO of runnable actors (see the file comment)
 
-  // Interned mailboxes. The tables are only mutated serially; scheduling-
-  // phase reads (name lookups, home checks) are therefore race-free.
+  // Interned mailboxes.
   std::deque<Mailbox> mailboxes_;  ///< by id; deque keeps references stable
   std::vector<std::string> mailbox_names_;
   std::unordered_map<std::string, MailboxId> mailbox_ids_;
 
-  /// Per-shard comm-block pools; deallocation (a CommPtr can drop on an
-  /// actor's own thread) is mutex-guarded inside the pool.
-  std::vector<std::shared_ptr<CommBlockPool>> comm_pools_;
+  /// Comm-block pool; deallocation (a CommPtr can drop on an actor's own
+  /// thread) is mutex-guarded inside the pool. Shared with every block's
+  /// allocator, so comms that outlive the kernel can still be freed.
+  std::shared_ptr<CommBlockPool> comm_pool_;
   std::unordered_map<const core::Action*, CommPtr> inflight_;  ///< running transfers
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::vector<std::pair<int, bool>> host_changes_;  ///< deferred (host, now_on)
   std::vector<RestartSpec> pending_restarts_;  ///< respawn when host returns
-  Stats stats_;  ///< serial-only counters (actors_spawned)
-  /// Per-lane wakeup/switch counters, padded so lanes never share a line.
-  struct alignas(64) LaneCounters {
-    std::uint64_t wakeups = 0;
-    std::uint64_t context_switches = 0;
-  };
-  std::vector<LaneCounters> lane_counters_;
+  Stats stats_;
   bool deadlocked_ = false;
   bool running_ = false;
 };

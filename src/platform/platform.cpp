@@ -457,81 +457,7 @@ void Platform::seal() {
                   "seal() raises it to hosts/16 when that is larger");
   const long configured = config::get(kCfgSsspCache);
   sssp_cache_cap_ = std::max(static_cast<size_t>(configured), hosts_.size() / 16);
-  build_shard_map();
   sealed_ = true;
-}
-
-void Platform::build_shard_map() {
-  ShardMap& map = shard_map_;
-  map.shard_count = static_cast<int>(zones_.size()) + 1;
-  map.zone_shard.resize(zones_.size());
-  for (size_t z = 0; z < zones_.size(); ++z)
-    map.zone_shard[z] = static_cast<std::int32_t>(z) + 1;
-  map.host_shard.assign(hosts_.size(), 0);
-  for (size_t h = 0; h < hosts_.size(); ++h)
-    if (host_zone_[h] >= 0)
-      map.host_shard[h] = map.zone_shard[static_cast<size_t>(host_zone_[h])];
-
-  // Link placement. Cluster zones are structural: member up/down links are
-  // interior by construction, the backbone link is the gateway crossing
-  // (backbone shard). Graph-zone interiority is derived from the edges: a
-  // link is interior to zone z iff every edge it serves joins two hosts of
-  // z — any edge touching a router or another zone makes it backbone.
-  constexpr std::int32_t kUnset = -2;
-  constexpr std::int32_t kBackbone = -1;
-  std::vector<std::int32_t> link_zone(links_.size(), kUnset);
-  for (const ZoneRec& z : zones_) {
-    if (z.kind != ZoneKind::kCluster)
-      continue;
-    const ZoneId zid = static_cast<ZoneId>(&z - zones_.data());
-    for (int m = 0; m < z.count; ++m)
-      link_zone[static_cast<size_t>(z.first_uplink + m)] = zid;
-    if (z.backbone >= 0)
-      link_zone[static_cast<size_t>(z.backbone)] = kBackbone;
-  }
-  auto node_zone = [&](NodeId nd) -> std::int32_t {
-    const NodeRec& rec = nodes_[static_cast<size_t>(nd)];
-    return rec.host ? host_zone_[static_cast<size_t>(rec.host_index)] : -1;
-  };
-  for (const Edge& e : edges_) {
-    std::int32_t& lz = link_zone[static_cast<size_t>(e.link)];
-    if (lz == kBackbone || (lz >= 0 && zones_[static_cast<size_t>(lz)].kind == ZoneKind::kCluster))
-      continue;  // cluster placement is structural, not edge-derived
-    const std::int32_t za = node_zone(e.a);
-    const std::int32_t zb = node_zone(e.b);
-    const std::int32_t ez = (za >= 0 && za == zb) ? za : kBackbone;
-    if (lz == kUnset)
-      lz = ez;
-    else if (lz != ez)
-      lz = kBackbone;
-  }
-  map.link_shard.assign(links_.size(), 0);
-  for (size_t l = 0; l < links_.size(); ++l)
-    if (link_zone[l] >= 0)
-      map.link_shard[l] = map.zone_shard[static_cast<size_t>(link_zone[l])];
-
-  // Gateway links: the backbone-shard links adjacent to a zone's gateway —
-  // the coupling surface every cross-zone flow of that zone runs through.
-  map.gateway_links.clear();
-  std::vector<char> is_gateway(nodes_.size(), 0);
-  for (const ZoneRec& z : zones_)
-    if (z.gateway >= 0)
-      is_gateway[static_cast<size_t>(z.gateway)] = 1;
-  std::vector<char> seen(links_.size(), 0);
-  for (const Edge& e : edges_) {
-    if (!is_gateway[static_cast<size_t>(e.a)] && !is_gateway[static_cast<size_t>(e.b)])
-      continue;
-    if (map.link_shard[static_cast<size_t>(e.link)] == 0 && !seen[static_cast<size_t>(e.link)]) {
-      seen[static_cast<size_t>(e.link)] = 1;
-      map.gateway_links.push_back(e.link);
-    }
-  }
-}
-
-const ShardMap& Platform::shard_map() const {
-  if (!sealed_)
-    throw xbt::InvalidArgument("shard_map: platform must be sealed first");
-  return shard_map_;
 }
 
 // ---------------------------------------------------------------------------
@@ -595,8 +521,6 @@ int Platform::join_host(ZoneId zone, const std::string& name, double speed_flops
   z.extra_index.emplace(h, z.extra.size());
   z.extra.push_back(em);
 
-  shard_map_.host_shard.push_back(shard_map_.zone_shard[static_cast<size_t>(zone)]);
-  shard_map_.link_shard.push_back(shard_map_.zone_shard[static_cast<size_t>(zone)]);
   extend_sssp_trees(z.hub, l);
   return h;
 }
@@ -632,10 +556,6 @@ int Platform::join_host(const HostSpec& spec, NodeId attach, const LinkSpec& upl
   adj_[static_cast<size_t>(attach)].push_back({hnode, l});
   link_degree_.push_back(1);
 
-  // Unzoned hosts and their uplinks live on the backbone shard, exactly
-  // where a fresh seal() would place them.
-  shard_map_.host_shard.push_back(0);
-  shard_map_.link_shard.push_back(0);
   extend_sssp_trees(attach, l);
   return h;
 }

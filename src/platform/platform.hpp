@@ -205,23 +205,6 @@ private:
   double latency_ = 0.0;
 };
 
-/// How the platform partitions into zone shards, computed at seal() time.
-/// Shard 0 is the *backbone* shard: every resource that is not interior to
-/// a single zone (WAN links, gateway/backbone links, unzoned hosts, routers'
-/// links) lives there, and it is the only shard a cross-zone route is
-/// guaranteed to touch. Each zone gets its own shard holding its member
-/// hosts and zone-interior links. The kernel keys its per-shard run queues
-/// off host_shard.
-struct ShardMap {
-  int shard_count = 1;                    ///< zones + 1; >= 1 (shard 0 = backbone)
-  std::vector<std::int32_t> zone_shard;   ///< zone id -> shard id (zone id + 1)
-  std::vector<std::int32_t> host_shard;   ///< host index -> shard id
-  std::vector<std::int32_t> link_shard;   ///< link id -> shard id
-  /// Backbone-shard links adjacent to a zone gateway — the constraints
-  /// through which all cross-zone coupling flows (per-zone stats, tests).
-  std::vector<LinkId> gateway_links;
-};
-
 /// Routing-state footprint, for benches and the scaling metrics: everything
 /// the platform holds to answer route(), split by structure. O(hosts +
 /// resolved pairs); cluster-zone traffic adds nothing to the pair cache.
@@ -283,8 +266,8 @@ public:
   /// hub edge, named after the zone spec (`<prefix><N>` where N counts
   /// members ever created; pass `name` to override, `speed_flops` > 0 to
   /// override the spec's host speed). Every seal-time structure is updated in
-  /// place in O(affected): the shard map gains the member and its uplink, the
-  /// member's route segments are appended to the arena, and each cached SSSP
+  /// place in O(affected): the member's route segments are appended to the
+  /// arena, and each cached SSSP
   /// tree is extended with the one new leaf — no re-seal, no flush. Returns
   /// the new host index.
   int join_host(ZoneId zone, const std::string& name = "", double speed_flops = -1.0);
@@ -367,9 +350,6 @@ public:
   /// unreachable.
   RouteView route(int src_host, int dst_host) const;
   bool reachable(int src_host, int dst_host) const;
-
-  /// Zone-based shard partition (computed by seal(); throws before that).
-  const ShardMap& shard_map() const;
 
   /// All (undirected) graph edges, for export/inspection.
   struct Edge { NodeId a; NodeId b; LinkId link; };
@@ -599,9 +579,6 @@ private:
   /// Existing record for key, or a freshly inserted empty one.
   RouteRef& route_slot(std::uint64_t key) const;
   void route_index_grow() const;
-
-  void build_shard_map();
-  ShardMap shard_map_;  ///< built by seal()
 
   size_t sssp_cache_cap_ = 64;  ///< adjusted by seal() (config + host count)
   /// LRU by last_used tick: a cache hit is an O(1) counter bump; eviction

@@ -256,6 +256,9 @@ TEST_F(ActorRuntimeTest, StringAndIdKeyedSimcallsShareTheMailbox) {
   EXPECT_FALSE(k.comm_waiting("never-used"));  // probe must not intern
 }
 
+// A ring over three cluster zones schedules identically on both backends
+// and on a rerun. The name is kept from when the kernel split its ready
+// set into per-zone run queues, so the test id stays stable.
 TEST_F(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
   auto run_sharded = [](const std::string& backend) {
     sg::xbt::Config::instance().set_string("contexts/backend", backend);
@@ -269,7 +272,6 @@ TEST_F(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
     }
     p.seal();
     Kernel k(std::move(p));
-    EXPECT_GT(k.engine().platform().shard_map().shard_count, 1);
 
     // One log per actor, concatenated in actor order.
     std::vector<std::vector<std::string>> logs(12);

@@ -1118,8 +1118,7 @@ TEST_F(ShardedEngineTest, KillTransitSuspendedCommFailsToo) {
 // ---------------------------------------------------------------------------
 
 // Two 4-host cluster zones behind a WAN fat pipe, plus one unzoned host on a
-// router — the standard mixed-topology fixture. Its shard map (the zones the
-// kernel's run queues follow) is zone 0 -> 1, zone 1 -> 2, the rest -> 0.
+// router — the standard mixed-topology fixture.
 Platform make_two_zone_platform(int per_zone = 4) {
   Platform p;
   for (int z = 0; z < 2; ++z) {
@@ -1147,13 +1146,12 @@ Platform make_two_zone_platform(int per_zone = 4) {
 
 TEST_F(ShardedEngineTest, CrossZoneCommSpansThreeShards) {
   Engine e(make_two_zone_platform());
-  const auto& map = e.platform().shard_map();
-  ASSERT_EQ(map.shard_count, 3);
-  // z00 -> z10 crosses zone 0's links, the backbone and zone 1's links.
-  std::set<std::int32_t> shards;
+  // z00 -> z10 crosses zone 0's links, the WAN and zone 1's links.
+  std::set<std::string> crossed;
   for (LinkId l : e.platform().route(0, 4))
-    shards.insert(map.link_shard[static_cast<size_t>(l)]);
-  EXPECT_EQ(shards, (std::set<std::int32_t>{0, 1, 2}));
+    crossed.insert(e.platform().link(l).name);
+  for (const char* name : {"z00-link", "z0-backbone", "wan", "z1-backbone", "z10-link"})
+    EXPECT_EQ(crossed.count(name), 1u) << name;
 
   auto comm = e.comm_start(0, 4, 1e6);
   e.run_until(0.0);  // assign rates without firing the completion
@@ -1328,7 +1326,7 @@ TEST_F(ParallelStepTest, SameDateMultiShardBatch) {
   p.host_mutable(2).state = sg::trace::Trace("die", {{0.0, 1.0}, {1.0, 0.0}}, -1.0);
   p.seal();
   Engine e(std::move(p));
-  ASSERT_EQ(e.platform().shard_map().shard_count, kZones + 1);
+  ASSERT_EQ(e.platform().zone_count(), static_cast<size_t>(kZones));
   std::vector<ActionPtr> execs;
   for (int z = 0; z < kZones; ++z)
     execs.push_back(e.exec_start(z * 2, 1e9));  // completes at exactly 1.0

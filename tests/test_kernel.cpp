@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -463,17 +464,88 @@ TEST_F(KernelTest, UncaughtActorExceptionIsContained) {
   EXPECT_TRUE(other_ran);
 }
 
+// Bad send arguments are refused in the sender, before anything is queued.
+// Queued unchecked, they surfaced only when a receiver matched the comm,
+// as an exception out of Kernel::run() itself.
+TEST_F(KernelTest, SendRejectsBadBytesAndRateInTheCaller) {
+  Kernel k(two_hosts());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<std::string> errors;
+  std::intptr_t got = 0;
+  k.spawn("tx", 0, [&] {
+    auto refused = [&errors](auto&& call) {
+      try {
+        call();
+        errors.push_back("accepted");
+      } catch (const sg::xbt::InvalidArgument& e) {
+        errors.push_back(e.what());
+      }
+    };
+    refused([&] { k.send("mb", nullptr, nan); });
+    refused([&] { k.send_detached("mb", nullptr, inf); });
+    refused([&] { k.send_async("mb", nullptr, -1.0); });
+    refused([&] { k.send("mb", nullptr, 1e3, -1.0, nan); });
+    k.send("mb", reinterpret_cast<void*>(std::intptr_t{42}), 1e3);
+  });
+  k.spawn("rx", 1, [&] { got = reinterpret_cast<std::intptr_t>(k.recv("mb")); });
+  EXPECT_NO_THROW(k.run());
+  EXPECT_FALSE(k.deadlocked());
+  EXPECT_EQ(got, 42);
+  ASSERT_EQ(errors.size(), 4u);
+  EXPECT_EQ(errors[0].rfind("send: bytes", 0), 0u) << errors[0];
+  EXPECT_EQ(errors[1].rfind("send_detached: bytes", 0), 0u) << errors[1];
+  EXPECT_EQ(errors[2].rfind("send_async: bytes", 0), 0u) << errors[2];
+  EXPECT_EQ(errors[3].rfind("send: rate", 0), 0u) << errors[3];
+}
+
+// A NaN timeout is refused, naming the call; it used to wait forever and
+// end the run in a deadlock. Negative timeouts still mean "wait forever".
+TEST_F(KernelTest, NanTimeoutIsRefusedNotWaitedOn) {
+  Kernel k(two_hosts());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::string> errors;
+  bool timed_out = false;
+  k.spawn("a", 0, [&] {
+    auto refused = [&errors](auto&& call) {
+      try {
+        call();
+        errors.push_back("accepted");
+      } catch (const sg::xbt::InvalidArgument& e) {
+        errors.push_back(e.what());
+      }
+    };
+    const MailboxId mb = k.mailbox_by_name("nobody");
+    refused([&] { k.recv(mb, nan); });
+    refused([&] { k.send(mb, nullptr, 1e3, nan); });
+    CommPtr c = k.recv_async(mb);
+    refused([&] { k.comm_wait(c, nan); });
+    try {
+      k.comm_wait(c, 0.5);  // the queued recv still times out normally
+    } catch (const sg::xbt::TimeoutException&) {
+      timed_out = true;
+    }
+  });
+  k.run();
+  EXPECT_FALSE(k.deadlocked());
+  EXPECT_TRUE(timed_out);
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_EQ(errors[0].rfind("recv: timeout", 0), 0u) << errors[0];
+  EXPECT_EQ(errors[1].rfind("send: timeout", 0), 0u) << errors[1];
+  EXPECT_EQ(errors[2].rfind("comm_wait: timeout", 0), 0u) << errors[2];
+}
+
 // ---------------------------------------------------------------------------
-// Cross-shard mailbox traffic. Each mailbox is homed on the shard (zone) of
-// the actor that interns it; an actor's side effects on a mailbox homed
-// elsewhere are recorded during the round and replayed by the maestro in
-// the round's epilogue. The suite keeps the name it had in the retired
-// parallel-actor tests, so the test ids stay stable.
+// Cross-zone mailbox traffic. Every simcall takes effect on the spot, so
+// neither the zone of an actor nor who interned a mailbox (an actor or the
+// maestro) changes the simulation: one FIFO ready queue runs every actor.
+// The suite keeps the name it had in the retired parallel-actor tests, so
+// the test ids stay stable.
 // ---------------------------------------------------------------------------
 
 using ParallelActorsTest = KernelTest;
 
-/// Multi-zone platform, so the kernel splits its run queues across zones.
+/// Multi-zone platform: zone z holds hosts [z * per_zone, (z + 1) * per_zone).
 Platform make_zoned_platform(int zones, int per_zone) {
   Platform p;
   for (int z = 0; z < zones; ++z) {
@@ -506,12 +578,10 @@ struct TrafficResult {
 };
 
 /// Six sender/receiver pairs between zone 1 and zone 2. With
-/// `maestro_boxes`, every mailbox is interned from the maestro, so its home
-/// is shard 0 — the backbone shard, where no actor lives — and every send,
-/// recv, probe and test the zone actors make is cross-shard. Otherwise each
-/// actor interns its pair's mailbox itself, and part of the traffic is
-/// local. The scenario mixes blocking pairs, async+wait, detached sends,
-/// polling via comm_waiting/comm_test, and timeouts that actually fire.
+/// `maestro_boxes`, every mailbox is interned from the maestro before the
+/// run; otherwise each actor interns its pair's mailbox itself. The scenario
+/// mixes blocking pairs, async+wait, detached sends, polling via
+/// comm_waiting/comm_test, and timeouts that actually fire.
 TrafficResult run_cross_shard_traffic(bool maestro_boxes) {
   constexpr int kZones = 3;
   constexpr int kPerZone = 4;
@@ -593,17 +663,43 @@ TEST_F(ParallelActorsTest, AllCrossShardTrafficReplaysIdentically) {
   EXPECT_EQ(cross.completions, 18);  // 6 pairs x 3 rounds, all delivered
   // Four lines per sender; six per polling receiver, three per async one.
   EXPECT_EQ(cross.log.size(), 6u * 4 + 3u * 6 + 3u * 3);
-  // Replaying the records gives the same run twice...
+  // The same run twice...
   const TrafficResult again = run_cross_shard_traffic(true);
   EXPECT_EQ(again.log, cross.log);
   EXPECT_EQ(again.end_clock, cross.end_clock);
   EXPECT_EQ(again.wakeups, cross.wakeups);
   EXPECT_EQ(again.switches, cross.switches);
-  // ...and the same simulation as when part of the traffic is home-shard.
+  // ...and the same simulation when the actors intern their own mailboxes.
   const TrafficResult local = run_cross_shard_traffic(false);
   EXPECT_EQ(local.completions, 18);
   EXPECT_EQ(local.log, cross.log);
   EXPECT_EQ(local.end_clock, cross.end_clock);
+}
+
+// A simcall takes effect the moment the actor makes it: a detached send
+// from zone 0 is queued on the mailbox before the zone-1 actor that
+// interned it runs again, later in the same drain of the ready queue.
+TEST_F(ParallelActorsTest, CrossZoneSendIsVisibleLaterInTheSameDrain) {
+  Kernel k(make_zoned_platform(2, 2));
+  bool seen = false;
+  double probed_at = -1.0;
+  std::intptr_t got = 0;
+  k.spawn("a", 0, [&k] {
+    k.yield_now();  // b interns its mailbox first
+    k.send_detached(k.mailbox_by_name("b"), reinterpret_cast<void*>(std::intptr_t{7}), 1e3);
+  });
+  k.spawn("b", 2, [&] {
+    const MailboxId mb = k.mailbox_by_name("b");
+    k.yield_now();  // queued behind a, which sends now
+    seen = k.comm_waiting(mb);
+    probed_at = k.now();
+    got = reinterpret_cast<std::intptr_t>(k.recv(mb));
+  });
+  k.run();
+  EXPECT_TRUE(seen);
+  EXPECT_EQ(probed_at, 0.0);
+  EXPECT_EQ(got, 7);
+  EXPECT_FALSE(k.deadlocked());
 }
 
 }  // namespace

@@ -80,12 +80,10 @@ TEST_F(MembershipTest, JoinExtendsSealedStructuresInPlace) {
   EXPECT_EQ(p.host(h).name, "n4");  // members ever created
   EXPECT_EQ(p.zone_of_host(h), zone);
 
-  // The shard map gained the member and its uplink in place.
-  const auto& sm = p.shard_map();
-  ASSERT_EQ(sm.host_shard.size(), p.host_count());
-  ASSERT_EQ(sm.link_shard.size(), p.link_count());
-  EXPECT_EQ(sm.host_shard[static_cast<size_t>(h)], sm.zone_shard[static_cast<size_t>(zone)]);
-  EXPECT_EQ(sm.host_shard[static_cast<size_t>(h)], sm.host_shard[0]);
+  // The member got exactly one private uplink, wired in place.
+  const auto uplinks = p.host_private_links(h);
+  ASSERT_EQ(uplinks.size(), 1u);
+  EXPECT_EQ(p.link(uplinks[0]).name, "n4-link");
 
   // Routes to and from the joined member compose like any other member's.
   const auto r01 = p.route(0, 1).links();
@@ -260,16 +258,13 @@ TEST_F(MembershipTest, ChurnEqualsRebuildSweep) {
     ASSERT_GE(survivors.size(), 4u);
     ASSERT_EQ(fresh.host_count(), survivors.size());
 
-    const auto& sm = churned.shard_map();
-    const auto zone_shard = sm.zone_shard[static_cast<size_t>(zone)];
     for (size_t i = 0; i < survivors.size(); ++i) {
       const int ci = survivors[i];
       const int fi = *fresh.host_by_name(churned.host(ci).name);
-      // Shard grouping: every present member (seal-time or joined) lives in
-      // the zone's shard, as does its uplink.
-      EXPECT_EQ(sm.host_shard[static_cast<size_t>(ci)], zone_shard);
-      for (LinkId l : churned.host_private_links(ci))
-        EXPECT_EQ(sm.link_shard[static_cast<size_t>(l)], zone_shard);
+      // Zone membership: every present member (seal-time or joined) is in
+      // the zone, and owns exactly its one private uplink.
+      EXPECT_EQ(churned.zone_of_host(ci), zone);
+      EXPECT_EQ(churned.host_private_links(ci).size(), 1u);
       // Routes: same latency, same physical link sequence as the rebuild.
       for (size_t j = 0; j < survivors.size(); ++j) {
         if (i == j)

@@ -408,24 +408,17 @@ Platform make_two_zone_platform(int per_zone = 4) {
   return p;
 }
 
-// The shard map keys the kernel's per-zone run queues. The suite keeps the
-// name it had in the retired sharded-core tests, so the test id stays stable.
+// Zone membership of the mixed-topology fixture's hosts. The suite and test
+// names are kept from the retired sharded-core tests (and the removed
+// platform shard map), so the test id stays stable.
 TEST(ShardedEngineTest, ShardMapPartitionsZonesAndBackbone) {
   Platform p = make_two_zone_platform();
-  const auto& map = p.shard_map();
-  EXPECT_EQ(map.shard_count, 3);
-  EXPECT_EQ(map.host_shard[0], 1);  // z00
-  EXPECT_EQ(map.host_shard[4], 2);  // z10
-  EXPECT_EQ(map.host_shard[8], 0);  // lone host is backbone
-  EXPECT_EQ(map.link_shard[*p.link_by_name("z00-link")], 1);
-  EXPECT_EQ(map.link_shard[*p.link_by_name("z10-link")], 2);
-  EXPECT_EQ(map.link_shard[*p.link_by_name("wan")], 0);
-  EXPECT_EQ(map.link_shard[*p.link_by_name("z0-backbone")], 0);
-  // Gateway links: the WAN and the router uplink hang off gateways; the
-  // cluster backbones cross into the gateways too.
-  EXPECT_FALSE(map.gateway_links.empty());
-  const auto& gl = map.gateway_links;
-  EXPECT_NE(std::find(gl.begin(), gl.end(), *p.link_by_name("wan")), gl.end());
+  EXPECT_EQ(p.zone_count(), 2u);
+  for (int h = 0; h < 4; ++h) {
+    EXPECT_EQ(p.zone_of_host(h), 0);      // z00..z03
+    EXPECT_EQ(p.zone_of_host(h + 4), 1);  // z10..z13
+  }
+  EXPECT_EQ(p.zone_of_host(8), -1);  // the lone host on the router is unzoned
 }
 
 }  // namespace
