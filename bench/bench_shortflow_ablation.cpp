@@ -11,7 +11,6 @@
 #include "bench_common.hpp"
 #include "core/engine.hpp"
 #include "pkt/pkt.hpp"
-#include "xbt/config.hpp"
 
 namespace {
 

@@ -22,7 +22,6 @@
 #include "kernel/context.hpp"
 #include "kernel/kernel.hpp"
 #include "platform/platform.hpp"
-#include "xbt/config.hpp"
 
 using sg::kernel::Kernel;
 using sg::kernel::MailboxId;
@@ -72,9 +71,8 @@ int main(int argc, char** argv) {
   // default vm.max_map_count VMA budget; slab pooling keeps mappings at
   // one per 256 stacks instead.
   sg::kernel::declare_context_config();
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.set("contexts/stack-size", 64.0 * 1024);
-  cfg.set("contexts/guard-pages", 0.0);
+  sg::config::set(sg::kernel::kCfgContextStackSize, 64L << 10);
+  sg::config::set(sg::kernel::kCfgContextGuardPages, 0);
 
   // A few cluster zones, so routes compose across zone gateways.
   const int zones = n_actors >= 500000 ? 16 : 4;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/log.hpp"
 #include "xbt/str.hpp"
@@ -72,12 +71,12 @@ auto& checked(Table& table, int id, const char* call, const char* kind) {
 }  // namespace
 
 void declare_engine_config() {
-  config::declare(kCfgTcpGamma, 65536.0,
+  config::declare(kCfgTcpGamma, 65536.0, 1.0, 1e30,
                   "TCP window size (bytes); flow rate is capped at gamma / (2 * route latency)");
-  config::declare(kCfgBandwidthFactor, 1460.0 / 1500.0,
+  config::declare(kCfgBandwidthFactor, 1460.0 / 1500.0, 1e-6, 1.0,
                   "fraction of nominal link bandwidth usable as goodput (TCP/IP header overhead)");
-  config::declare(kCfgLoopbackBw, 1e10, "intra-host communication bandwidth, B/s");
-  config::declare(kCfgLoopbackLat, 1e-7, "intra-host communication latency, s");
+  config::declare(kCfgLoopbackBw, 1e10, 1.0, 1e30, "intra-host communication bandwidth, B/s");
+  config::declare(kCfgLoopbackLat, 1e-7, 0.0, 1.0, "intra-host communication latency, s");
   config::declare(kCfgKillTransitComms,
                   false,
                   "a host's death also fails every comm it is an endpoint of (L07-style); "

@@ -10,7 +10,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/log.hpp"
 
@@ -52,7 +51,7 @@ void declare_context_config() {
                   "stacks, scales to millions of actors) or 'thread' (one OS thread per "
                   "actor, debugger-friendly)",
                   "SG_CONTEXTS");
-  config::declare(kCfgContextStackSize, 128.0 * 1024,
+  config::declare(kCfgContextStackSize, 128L << 10, 16L << 10, 1L << 30,
                   "usable stack bytes per fiber (rounded up to whole pages); pages are "
                   "committed lazily, so small per-actor footprints come from touching "
                   "few pages, not from tiny virtual sizes");

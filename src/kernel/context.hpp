@@ -68,7 +68,7 @@ struct ForcedExit {};
 /// Typed config keys owned by the context layer; declare_context_config()
 /// registers them. contexts/backend is seeded by SG_CONTEXTS.
 inline constexpr config::StringKey kCfgContextBackend{"contexts/backend"};
-inline constexpr config::NumberKey kCfgContextStackSize{"contexts/stack-size"};
+inline constexpr config::IntKey kCfgContextStackSize{"contexts/stack-size"};
 inline constexpr config::IntKey kCfgContextGuardPages{"contexts/guard-pages"};
 
 /// Register the `contexts/*` config keys (idempotent).

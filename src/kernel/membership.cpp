@@ -17,11 +17,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 void declare_membership_config() {
   config::declare(kCfgRetryMax, 4, 1, 1000,
                   "bounded-retry comm helpers: total attempts before giving up");
-  config::declare(kCfgRetryTimeout, 1.0,
+  config::declare(kCfgRetryTimeout, 1.0, 0.0, 1e9,
                   "bounded-retry comm helpers: first attempt's timeout, seconds");
-  config::declare(kCfgRetryBackoff, 2.0,
+  config::declare(kCfgRetryBackoff, 2.0, 1.0, 1e3,
                   "bounded-retry comm helpers: timeout multiplier between attempts");
-  config::declare(kCfgRetryMaxTimeout, 30.0,
+  config::declare(kCfgRetryMaxTimeout, 30.0, 0.0, 1e9,
                   "bounded-retry comm helpers: cap on the per-attempt timeout, seconds");
 }
 

@@ -29,6 +29,12 @@ inline std::uint64_t seg_content_hash(const LinkId* links, size_t n) {
 }
 }  // namespace
 
+void declare_platform_config() {
+  config::declare(kCfgSsspCache, 64, 1, 1 << 20,
+                  "max memoized single-source shortest-path trees (LRU); "
+                  "seal() raises it to hosts/16 when that is larger");
+}
+
 // ---------------------------------------------------------------------------
 // Resolved-route index (open addressing, RouteRefs stored inline)
 // ---------------------------------------------------------------------------
@@ -452,9 +458,7 @@ void Platform::seal() {
   // SSSP-tree LRU capacity: configured floor, raised adaptively with the
   // platform size so that > 64 concurrently active sources (each tree is
   // O(nodes)) do not evict each other in a thrash loop.
-  config::declare(kCfgSsspCache, 64, 1, 1 << 20,
-                  "max memoized single-source shortest-path trees (LRU); "
-                  "seal() raises it to hosts/16 when that is larger");
+  declare_platform_config();
   const long configured = config::get(kCfgSsspCache);
   sssp_cache_cap_ = std::max(static_cast<size_t>(configured), hosts_.size() / 16);
   sealed_ = true;

@@ -71,6 +71,9 @@ namespace sg::platform {
 /// raises the effective capacity to hosts/16 when that is larger.
 inline constexpr config::IntKey kCfgSsspCache{"routing/sssp-cache"};
 
+/// Register the `routing/*` config keys (idempotent).
+void declare_platform_config();
+
 using NodeId = int;  ///< index of a netpoint (host or router)
 using LinkId = int;  ///< index of a link
 using ZoneId = int;  ///< index of a zone

@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "kernel/kernel.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/log.hpp"
 
@@ -138,20 +137,24 @@ void progress_recv(RankState& st, RequestRec& req) {
 
 // -- world --------------------------------------------------------------------
 
+void declare_smpi_config() {
+  config::declare(kCfgEagerThreshold, 65536.0, 0.0, 1e30,
+                  "messages up to this size (bytes) are sent eagerly (buffered); larger ones "
+                  "rendezvous");
+}
+
 double smpi_run(platform::Platform platform, int nranks, std::function<void(int)> rank_main,
                 const std::vector<std::string>& host_names) {
   if (nranks <= 0)
     throw xbt::InvalidArgument("smpi_run: need at least one rank");
-  auto& cfg = xbt::Config::instance();
-  cfg.declare("smpi/eager-threshold", 65536.0,
-              "messages below this size are sent eagerly (buffered); larger ones rendezvous");
+  declare_smpi_config();
 
   kernel::Kernel kernel(std::move(platform));
   World world;
   world.kernel = &kernel;
   world.size = nranks;
   world.ranks.resize(static_cast<size_t>(nranks));
-  world.eager_threshold = cfg.get("smpi/eager-threshold");
+  world.eager_threshold = config::get(kCfgEagerThreshold);
 
   const auto& p = kernel.engine().platform();
   std::vector<int> hosts;

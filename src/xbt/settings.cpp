@@ -3,27 +3,29 @@
 #include <cmath>
 #include <cstdlib>
 #include <map>
+#include <utility>
 
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/str.hpp"
 
 namespace sg::config {
 namespace {
 
-struct Meta {
+/// One declared key. Flags, ints and numbers keep their value in `num`
+/// (flags as 0/1), strings in `str`; [min, max] bounds `num`.
+struct Entry {
   Type type = Type::kNumber;
-  long min = 0, max = 0;  ///< IntKey range
+  double num = 0.0;
+  std::string str;
+  double min = 0.0, max = 0.0;
   std::string description;
   std::string env;
 };
 
-std::map<std::string, Meta>& registry() {
-  static std::map<std::string, Meta> r;
+std::map<std::string, Entry>& registry() {
+  static std::map<std::string, Entry> r;
   return r;
 }
-
-xbt::Config& store() { return xbt::Config::instance(); }
 
 const char* type_name(Type t) {
   switch (t) {
@@ -35,166 +37,149 @@ const char* type_name(Type t) {
   return "?";
 }
 
-[[noreturn]] void throw_unknown(const char* key) {
-  std::string msg = std::string("unknown config key: ") + key + " (valid keys:";
+Entry& find(const std::string& key) {
+  auto it = registry().find(key);
+  if (it != registry().end())
+    return it->second;
+  std::string msg = "unknown config key: " + key + " (valid keys:";
   bool first = true;
-  for (const auto& [name, meta] : registry()) {
+  for (const auto& [name, entry] : registry()) {
     msg += first ? " " : ", ";
     msg += name;
     first = false;
   }
   if (first)
     msg += " none declared yet";
-  msg += ")";
-  throw xbt::InvalidArgument(msg);
+  throw xbt::InvalidArgument(msg + ")");
 }
 
-const Meta& require(const char* key, Type want) {
-  auto it = registry().find(key);
-  if (it == registry().end())
-    throw_unknown(key);
-  if (it->second.type != want)
-    throw xbt::InvalidArgument(std::string("config key ") + key + " is a " +
-                               type_name(it->second.type) + ", accessed as a " + type_name(want));
-  return it->second;
+Entry& require(const char* key, Type want) {
+  Entry& entry = find(key);
+  if (entry.type != want)
+    throw xbt::InvalidArgument(std::string("config key ") + key + " is a " + type_name(entry.type) +
+                               ", accessed as a " + type_name(want));
+  return entry;
 }
 
-/// Parse an env override for a numeric/flag key; flags accept 0/1 and
-/// true/false/on/off/yes/no (case matters: these are config literals).
-bool parse_env_number(const char* text, Type type, double* out) {
-  const std::string v = xbt::trim(text);
-  if (v.empty())
-    return false;
-  if (type == Type::kFlag) {
-    if (v == "1" || v == "true" || v == "on" || v == "yes") { *out = 1.0; return true; }
-    if (v == "0" || v == "false" || v == "off" || v == "no") { *out = 0.0; return true; }
+/// The one validation step every flag, int and number write goes through.
+/// `origin` says where the value came from, for the diagnostic.
+void store(Entry& entry, const std::string& key, double value, const std::string& origin = "") {
+  if (!(value >= entry.min && value <= entry.max))  // NaN fails both
+    throw xbt::InvalidArgument(xbt::format("config key %s: value %.15g%s outside [%.15g, %.15g]",
+                                           key.c_str(), value, origin.c_str(), entry.min,
+                                           entry.max));
+  if (entry.type != Type::kNumber && value != std::trunc(value))
+    throw xbt::InvalidArgument(xbt::format("config key %s: value %.15g%s is not an integer",
+                                           key.c_str(), value, origin.c_str()));
+  entry.num = value;
+}
+
+/// Parse string input (apply() or an env seed) by the entry's type and store
+/// it. Numbers must be one whole token; flags one of the literals below.
+void assign(Entry& entry, const std::string& key, const std::string& raw,
+            const std::string& origin = "") {
+  const std::string text = xbt::trim(raw);
+  if (entry.type == Type::kString) {
+    entry.str = text;
+    return;
   }
-  char* end = nullptr;
-  const double num = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0')
-    return false;
-  *out = num;
-  return true;
+  double value = 0.0;
+  bool ok = true;
+  if (entry.type == Type::kFlag) {
+    if (text == "1" || text == "true" || text == "on" || text == "yes")
+      value = 1.0;
+    else if (!(text == "0" || text == "false" || text == "off" || text == "no"))
+      ok = false;
+  } else {
+    char* end = nullptr;
+    value = std::strtod(text.c_str(), &end);
+    ok = !text.empty() && *end == '\0';
+  }
+  if (!ok)
+    throw xbt::InvalidArgument(xbt::format("config key %s: cannot read '%s'%s as a %s",
+                                           key.c_str(), text.c_str(), origin.c_str(),
+                                           type_name(entry.type)));
+  store(entry, key, value, origin);
 }
 
-void register_meta(const char* key, Type type, long min, long max, const std::string& description,
-                   const char* env) {
-  Meta& meta = registry()[key];
-  meta.type = type;
-  meta.min = min;
-  meta.max = max;
-  if (meta.description.empty())
-    meta.description = description;
-  if (env != nullptr)
-    meta.env = env;
+void add(const char* key, Entry entry, const char* env) {
+  auto it = registry().find(key);
+  if (it != registry().end()) {
+    if (it->second.type != entry.type)
+      throw xbt::InvalidArgument(std::string("config key ") + key + " is a " +
+                                 type_name(it->second.type) + ", re-declared as a " +
+                                 type_name(entry.type));
+    return;
+  }
+  if (entry.type != Type::kString)
+    store(entry, key, entry.num, " (declared default)");
+  if (env != nullptr) {
+    entry.env = env;
+    if (const char* text = std::getenv(env))
+      assign(entry, key, text, std::string(" (from environment variable ") + env + ")");
+  }
+  registry().emplace(key, std::move(entry));
 }
 
 }  // namespace
 
 void declare(FlagKey key, bool default_value, const std::string& description, const char* env) {
-  double def = default_value ? 1.0 : 0.0;
-  if (env != nullptr)
-    if (const char* text = std::getenv(env))
-      parse_env_number(text, Type::kFlag, &def);
-  register_meta(key.name, Type::kFlag, 0, 0, description, env);
-  store().declare(key.name, def, description);
+  add(key.name, Entry{Type::kFlag, default_value ? 1.0 : 0.0, {}, 0.0, 1.0, description, {}}, env);
 }
 
 void declare(IntKey key, long default_value, long min, long max, const std::string& description,
              const char* env) {
-  double def = static_cast<double>(default_value);
-  if (env != nullptr)
-    if (const char* text = std::getenv(env))
-      parse_env_number(text, Type::kInt, &def);
-  register_meta(key.name, Type::kInt, min, max, description, env);
-  store().declare(key.name, def, description);
+  add(key.name,
+      Entry{Type::kInt, static_cast<double>(default_value), {}, static_cast<double>(min),
+            static_cast<double>(max), description, {}},
+      env);
 }
 
-void declare(NumberKey key, double default_value, const std::string& description, const char* env) {
-  double def = default_value;
-  if (env != nullptr)
-    if (const char* text = std::getenv(env))
-      parse_env_number(text, Type::kNumber, &def);
-  register_meta(key.name, Type::kNumber, 0, 0, description, env);
-  store().declare(key.name, def, description);
+void declare(NumberKey key, double default_value, double min, double max,
+             const std::string& description, const char* env) {
+  add(key.name, Entry{Type::kNumber, default_value, {}, min, max, description, {}}, env);
 }
 
 void declare(StringKey key, const std::string& default_value, const std::string& description,
              const char* env) {
-  std::string def = default_value;
-  if (env != nullptr)
-    if (const char* text = std::getenv(env)) {
-      const std::string v = xbt::trim(text);
-      if (!v.empty())
-        def = v;
-    }
-  register_meta(key.name, Type::kString, 0, 0, description, env);
-  store().declare_string(key.name, def, description);
+  add(key.name, Entry{Type::kString, 0.0, default_value, 0.0, 0.0, description, {}}, env);
 }
 
-bool get(FlagKey key) {
-  require(key.name, Type::kFlag);
-  return store().get(key.name) != 0.0;
-}
-
-long get(IntKey key) {
-  const Meta& meta = require(key.name, Type::kInt);
-  const double raw = store().get(key.name);
-  long value = std::lround(raw);
-  // The raw store (and --cfg passthrough) can hold any double; clamp to the
-  // declared range rather than propagating a nonsense thread/cache count.
-  if (value < meta.min)
-    value = meta.min;
-  if (value > meta.max)
-    value = meta.max;
-  return value;
-}
-
-double get(NumberKey key) {
-  require(key.name, Type::kNumber);
-  return store().get(key.name);
-}
-
-std::string get(StringKey key) {
-  require(key.name, Type::kString);
-  return store().get_string(key.name);
-}
+bool get(FlagKey key) { return require(key.name, Type::kFlag).num != 0.0; }
+long get(IntKey key) { return static_cast<long>(require(key.name, Type::kInt).num); }
+double get(NumberKey key) { return require(key.name, Type::kNumber).num; }
+std::string get(StringKey key) { return require(key.name, Type::kString).str; }
 
 void set(FlagKey key, bool value) {
-  require(key.name, Type::kFlag);
-  store().set(key.name, value ? 1.0 : 0.0);
+  store(require(key.name, Type::kFlag), key.name, value ? 1.0 : 0.0);
 }
-
 void set(IntKey key, long value) {
-  const Meta& meta = require(key.name, Type::kInt);
-  if (value < meta.min || value > meta.max)
-    throw xbt::InvalidArgument(std::string("config key ") + key.name + ": value " +
-                               std::to_string(value) + " outside [" + std::to_string(meta.min) +
-                               ", " + std::to_string(meta.max) + "]");
-  store().set(key.name, static_cast<double>(value));
+  store(require(key.name, Type::kInt), key.name, static_cast<double>(value));
 }
+void set(NumberKey key, double value) { store(require(key.name, Type::kNumber), key.name, value); }
+void set(StringKey key, const std::string& value) { require(key.name, Type::kString).str = value; }
 
-void set(NumberKey key, double value) {
-  require(key.name, Type::kNumber);
-  store().set(key.name, value);
-}
-
-void set(StringKey key, const std::string& value) {
-  require(key.name, Type::kString);
-  store().set_string(key.name, value);
+void apply(const std::string& spec) {
+  std::vector<std::pair<Entry*, Entry>> staged;
+  for (const std::string& item : xbt::split(spec, ',', /*skip_empty=*/true)) {
+    const size_t colon = item.find(':');
+    if (colon == std::string::npos)
+      throw xbt::InvalidArgument("bad config item (want key:value): " + item);
+    const std::string key = xbt::trim(item.substr(0, colon));
+    Entry& entry = find(key);
+    Entry next = entry;
+    assign(next, key, item.substr(colon + 1));
+    staged.emplace_back(&entry, std::move(next));
+  }
+  for (auto& [slot, next] : staged)
+    *slot = std::move(next);
 }
 
 std::vector<KeyInfo> keys() {
   std::vector<KeyInfo> out;
   out.reserve(registry().size());
-  for (const auto& [name, meta] : registry()) {
-    KeyInfo info;
-    info.name = name;
-    info.type = meta.type;
-    info.description = meta.description;
-    info.env = meta.env;
-    out.push_back(std::move(info));
-  }
+  for (const auto& [name, entry] : registry())
+    out.push_back(KeyInfo{name, entry.type, entry.description, entry.env});
   return out;
 }
 

@@ -13,9 +13,9 @@
 #include "kernel/kernel.hpp"
 #include "platform/builders.hpp"
 #include "platform/platform.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
+#include "xbt/settings.hpp"
 #include "xbt/str.hpp"
 
 namespace {
@@ -29,14 +29,14 @@ class ActorRuntimeTest : public ::testing::Test {
 protected:
   void SetUp() override {
     declare_context_config();
-    saved_backend_ = sg::xbt::Config::instance().get_string("contexts/backend");
+    saved_backend_ = sg::config::get(kCfgContextBackend);
   }
   void TearDown() override {
-    sg::xbt::Config::instance().set_string("contexts/backend", saved_backend_);
+    sg::config::set(kCfgContextBackend, saved_backend_);
   }
 
   static void use_backend(const std::string& name) {
-    sg::xbt::Config::instance().set_string("contexts/backend", name);
+    sg::config::set(kCfgContextBackend, name);
   }
 
 private:
@@ -60,7 +60,7 @@ struct ScenarioResult {
 /// exception lands in the log, so two backends agree iff they made exactly
 /// the same scheduling decisions and mapped every wake status identically.
 ScenarioResult run_faulty_master_worker(const std::string& backend, unsigned seed) {
-  sg::xbt::Config::instance().set_string("contexts/backend", backend);
+  sg::config::set(kCfgContextBackend, backend);
 
   sg::platform::ClusterSpec spec;
   spec.count = 5;  // node0 = master, nodes 1..4 = workers
@@ -157,7 +157,7 @@ TEST_F(ActorRuntimeTest, ThreadAndFiberBackendsProduceIdenticalSchedules) {
 
 TEST_F(ActorRuntimeTest, BackendsAgreeOnPureYieldInterleaving) {
   auto run_yield_storm = [](const std::string& backend) {
-    sg::xbt::Config::instance().set_string("contexts/backend", backend);
+    sg::config::set(kCfgContextBackend, backend);
     Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
     std::vector<std::string> order;
     for (int a = 0; a < 8; ++a)
@@ -230,6 +230,27 @@ TEST_F(ActorRuntimeTest, FiberPoolSurvivesKillRestartChurn) {
   EXPECT_LE(pool.stacks_allocated, 60u);
 }
 
+// contexts/stack-size feeds a size_t cast when the fiber factory is built:
+// a negative, NaN or huge value must stop at the config boundary with an
+// error naming the key, and the fiber backend then still runs an actor.
+TEST_F(ActorRuntimeTest, BadStackSizeIsRefusedBeforeTheFactorySeesIt) {
+  const long stack = sg::config::get(kCfgContextStackSize);  // bytes, [16 KiB, 1 GiB]
+  for (const char* bad : {"-1", "nan", "1e30", "0", "4096", "2e9", "65536.5"})
+    EXPECT_THROW(sg::config::apply(std::string("contexts/stack-size:") + bad),
+                 sg::xbt::InvalidArgument)
+        << bad;
+  EXPECT_THROW(sg::config::set(kCfgContextStackSize, -1), sg::xbt::InvalidArgument);
+  EXPECT_THROW(sg::config::set(kCfgContextStackSize, 1L << 40), sg::xbt::InvalidArgument);
+  EXPECT_EQ(sg::config::get(kCfgContextStackSize), stack);
+
+  use_backend("fiber");
+  Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
+  bool ran = false;
+  k.spawn("probe", 0, [&ran] { ran = true; });
+  k.run();
+  EXPECT_TRUE(ran);
+}
+
 TEST_F(ActorRuntimeTest, MailboxNamesInternToStableDenseIds) {
   Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
   const MailboxId a = k.mailbox_by_name("alpha");
@@ -261,7 +282,7 @@ TEST_F(ActorRuntimeTest, StringAndIdKeyedSimcallsShareTheMailbox) {
 // set into per-zone run queues, so the test id stays stable.
 TEST_F(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
   auto run_sharded = [](const std::string& backend) {
-    sg::xbt::Config::instance().set_string("contexts/backend", backend);
+    sg::config::set(kCfgContextBackend, backend);
     Platform p;
     for (int z = 0; z < 3; ++z) {
       sg::platform::ClusterZoneSpec zone;

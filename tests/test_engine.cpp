@@ -16,11 +16,12 @@
 #include "kernel/context.hpp"
 #include "platform/builders.hpp"
 #include "trace/trace.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
 #include "xbt/settings.hpp"
 #include "xbt/str.hpp"
+
+#include "ideal_network.hpp"
 
 namespace {
 
@@ -30,21 +31,9 @@ using sg::platform::LinkId;
 using sg::platform::Platform;
 using sg::platform::SharingPolicy;
 
-/// Pin the model parameters to clean values and restore defaults afterwards.
+/// Runs every test on the ideal network model (see ideal_network.hpp).
 class EngineTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);  // effectively no window cap
-  }
-  void TearDown() override {
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
-  }
-
   /// Run the engine until the given action completes; returns finish time.
   static double run_until_done(Engine& e, const ActionPtr& a) {
     for (int guard = 0; guard < 100000; ++guard) {
@@ -55,6 +44,9 @@ protected:
     ADD_FAILURE() << "action never completed";
     return -1;
   }
+
+private:
+  sg::test::IdealNetwork ideal_network_;
 };
 
 TEST_F(EngineTest, ExecTiming) {
@@ -302,8 +294,7 @@ TEST_F(EngineTest, FatpipeDoesNotDivide) {
 }
 
 TEST_F(EngineTest, TcpWindowBoundsLongFatLinks) {
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.set("network/tcp-gamma", 65536.0);
+  sg::config::set(kCfgTcpGamma, 65536.0);
   // WAN link: 50ms one-way latency -> cap = 65536 / 0.1 = 655360 B/s.
   Engine e(sg::platform::make_dumbbell(1e9, 1e8, 0.05));
   auto c = e.comm_start(0, 1, 655360.0);
@@ -348,8 +339,7 @@ TEST_F(EngineTest, MultiHopRouteSharesEveryLink) {
 }
 
 TEST_F(EngineTest, BandwidthFactorApplied) {
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.set("network/bandwidth-factor", 0.5);
+  sg::config::set(kCfgBandwidthFactor, 0.5);
   Engine e(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
   auto c = e.comm_start(0, 1, 1e8);
   EXPECT_NEAR(run_until_done(e, c), 2.0, 1e-9);
@@ -1442,13 +1432,13 @@ TEST(ConfigRegistryTest, IntRangeIsEnforced) {
   const long guard = sg::config::get(key);
   EXPECT_THROW(sg::config::set(key, -1), sg::xbt::InvalidArgument);
   EXPECT_THROW(sg::config::set(key, 1000), sg::xbt::InvalidArgument);
-  // The raw store (and --cfg passthrough) can hold any double; the typed
-  // getter clamps instead of propagating a nonsense page count.
-  sg::xbt::Config::instance().set("contexts/guard-pages", 1e9);
-  EXPECT_EQ(sg::config::get(key), 64);
-  sg::xbt::Config::instance().set("contexts/guard-pages", -3.0);
-  EXPECT_EQ(sg::config::get(key), 0);
-  sg::config::set(key, guard);
+  // String input gets the same check: a value out of range or not an integer
+  // throws instead of being clamped, and the stored value stays as it was.
+  for (const char* bad : {"1e9", "-3", "1.5"})
+    EXPECT_THROW(sg::config::apply(std::string("contexts/guard-pages:") + bad),
+                 sg::xbt::InvalidArgument)
+        << bad;
+  EXPECT_EQ(sg::config::get(key), guard);
 }
 
 TEST(ConfigRegistryTest, KeysEnumerationDocumentsEnvSeeds) {
@@ -1473,18 +1463,134 @@ TEST(ConfigRegistryTest, KeysEnumerationDocumentsEnvSeeds) {
 }
 
 TEST(ConfigRegistryTest, RawStringKeyedAccessKeepsWorking) {
-  // The registry is a typed façade over xbt::Config: raw set/get on the same
-  // storage must stay coherent with the typed accessors (existing call
-  // sites and the --cfg command-line path use the raw store).
+  // String-keyed apply() and the typed accessors read and write the same
+  // value.
   sg::kernel::declare_context_config();
   const auto key = sg::kernel::kCfgContextGuardPages;
   const long guard = sg::config::get(key);
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.set("contexts/guard-pages", 2.0);
+  sg::config::apply("contexts/guard-pages:2");
   EXPECT_EQ(sg::config::get(key), 2);
   sg::config::set(key, 3);
-  EXPECT_DOUBLE_EQ(cfg.get("contexts/guard-pages"), 3.0);
+  sg::config::apply("contexts/guard-pages:" + std::to_string(sg::config::get(key) + 1));
+  EXPECT_EQ(sg::config::get(key), 4);
   sg::config::set(key, guard);
+}
+
+TEST(ConfigRegistryTest, ApplyReadsNumbersAsWholeTokens) {
+  declare_engine_config();
+  const double gamma = sg::config::get(kCfgTcpGamma);
+  for (const char* bad : {"abc", "1.5x", "", " ", "1 2"})
+    EXPECT_THROW(sg::config::apply(std::string("network/tcp-gamma:") + bad),
+                 sg::xbt::InvalidArgument)
+        << "'" << bad << "'";
+  EXPECT_EQ(sg::config::get(kCfgTcpGamma), gamma);
+  sg::config::apply("network/tcp-gamma: 131072 ");
+  EXPECT_EQ(sg::config::get(kCfgTcpGamma), 131072.0);
+  sg::config::set(kCfgTcpGamma, gamma);
+}
+
+TEST(ConfigRegistryTest, FlagLiteralsAreTheSameOnApplyAndEnv) {
+  declare_engine_config();
+  const bool profile = sg::config::get(kCfgProfile);
+  for (const char* on : {"1", "true", "on", "yes"}) {
+    sg::config::set(kCfgProfile, false);
+    sg::config::apply(std::string("engine/profile:") + on);
+    EXPECT_TRUE(sg::config::get(kCfgProfile)) << on;
+  }
+  for (const char* off : {"0", "false", "off", "no"}) {
+    sg::config::set(kCfgProfile, true);
+    sg::config::apply(std::string("engine/profile:") + off);
+    EXPECT_FALSE(sg::config::get(kCfgProfile)) << off;
+  }
+  for (const char* bad : {"2", "1.0", "maybe", ""})
+    EXPECT_THROW(sg::config::apply(std::string("engine/profile:") + bad),
+                 sg::xbt::InvalidArgument)
+        << "'" << bad << "'";
+  sg::config::set(kCfgProfile, profile);
+
+  // The env seed reads the same literals (test-only key and variable).
+  ::setenv("SG_TEST_CFG_FLAG", "yes", 1);
+  const sg::config::FlagKey seeded{"test/env-flag"};
+  sg::config::declare(seeded, false, "test-only key", "SG_TEST_CFG_FLAG");
+  ::unsetenv("SG_TEST_CFG_FLAG");
+  EXPECT_TRUE(sg::config::get(seeded));
+  ::setenv("SG_TEST_CFG_BAD_FLAG", "2", 1);
+  EXPECT_THROW(sg::config::declare(sg::config::FlagKey{"test/env-bad-flag"}, false,
+                                   "test-only key", "SG_TEST_CFG_BAD_FLAG"),
+               sg::xbt::InvalidArgument);
+  ::unsetenv("SG_TEST_CFG_BAD_FLAG");
+}
+
+TEST(ConfigRegistryTest, BadEnvSeedThrowsNamingVariableAndKey) {
+  const sg::config::NumberKey key{"test/env-number"};
+  for (const char* bad : {"abc", "1.5x", "", "11"}) {  // "11" is outside [0, 10]
+    ::setenv("SG_TEST_CFG_NUMBER", bad, 1);
+    try {
+      sg::config::declare(key, 1.0, 0.0, 10.0, "test-only key", "SG_TEST_CFG_NUMBER");
+      ADD_FAILURE() << "expected InvalidArgument for '" << bad << "'";
+    } catch (const sg::xbt::InvalidArgument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("SG_TEST_CFG_NUMBER"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("test/env-number"), std::string::npos) << msg;
+    }
+  }
+  // A refused seed leaves the key undeclared; a good one seeds it.
+  EXPECT_THROW(sg::config::get(key), sg::xbt::InvalidArgument);
+  ::setenv("SG_TEST_CFG_NUMBER", " 7.25 ", 1);
+  sg::config::declare(key, 1.0, 0.0, 10.0, "test-only key", "SG_TEST_CFG_NUMBER");
+  ::unsetenv("SG_TEST_CFG_NUMBER");
+  EXPECT_EQ(sg::config::get(key), 7.25);
+}
+
+TEST(ConfigRegistryTest, RedeclaringUnderAnotherTypeThrows) {
+  const sg::config::NumberKey key{"test/retyped"};
+  sg::config::declare(key, 1.0, 0.0, 2.0, "test-only key");
+  EXPECT_THROW(sg::config::declare(sg::config::IntKey{"test/retyped"}, 1, 0, 2, "test-only key"),
+               sg::xbt::InvalidArgument);
+  EXPECT_THROW(sg::config::declare(sg::config::FlagKey{"test/retyped"}, true, "test-only key"),
+               sg::xbt::InvalidArgument);
+  EXPECT_THROW(sg::config::declare(sg::config::StringKey{"test/retyped"}, "x", "test-only key"),
+               sg::xbt::InvalidArgument);
+  sg::config::set(key, 1.5);
+  sg::config::declare(key, 1.0, 0.0, 2.0, "test-only key");  // same type: keeps the value
+  EXPECT_EQ(sg::config::get(key), 1.5);
+}
+
+TEST(ConfigRegistryTest, NumberKeysRefuseNanAndOutOfRange) {
+  declare_engine_config();
+  const double gamma = sg::config::get(kCfgTcpGamma);
+  const double factor = sg::config::get(kCfgBandwidthFactor);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(sg::config::set(kCfgTcpGamma, nan), sg::xbt::InvalidArgument);
+  EXPECT_THROW(sg::config::set(kCfgTcpGamma, inf), sg::xbt::InvalidArgument);
+  EXPECT_THROW(sg::config::set(kCfgLoopbackBw, -1.0), sg::xbt::InvalidArgument);
+  EXPECT_THROW(sg::config::apply("network/bandwidth-factor:nan"), sg::xbt::InvalidArgument);
+  try {
+    sg::config::set(kCfgBandwidthFactor, -1.0);
+    FAIL() << "expected InvalidArgument";
+  } catch (const sg::xbt::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("network/bandwidth-factor"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(sg::config::get(kCfgTcpGamma), gamma);
+  EXPECT_EQ(sg::config::get(kCfgBandwidthFactor), factor);
+  // Every value the test suite sets is inside the declared ranges.
+  sg::config::set(kCfgTcpGamma, 1e18);
+  sg::config::set(kCfgBandwidthFactor, 0.5);
+  sg::config::set(kCfgBandwidthFactor, 1.0);
+  sg::config::set(kCfgTcpGamma, gamma);
+  sg::config::set(kCfgBandwidthFactor, factor);
+}
+
+TEST(ConfigRegistryTest, ApplyChecksEveryItemBeforeStoringAny) {
+  declare_engine_config();
+  const double gamma = sg::config::get(kCfgTcpGamma);
+  EXPECT_THROW(sg::config::apply("network/tcp-gamma:1000,network/bandwidth-factor:-1"),
+               sg::xbt::InvalidArgument);
+  EXPECT_THROW(sg::config::apply("network/tcp-gamma:1000,network/no-such-key:1"),
+               sg::xbt::InvalidArgument);
+  EXPECT_EQ(sg::config::get(kCfgTcpGamma), gamma);
 }
 
 }  // namespace

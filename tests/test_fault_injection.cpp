@@ -18,9 +18,10 @@
 #include "platform/builders.hpp"
 #include "platform/parser.hpp"
 #include "trace/trace.hpp"
-#include "xbt/config.hpp"
 #include "xbt/random.hpp"
 #include "xbt/str.hpp"
+
+#include "ideal_network.hpp"
 
 namespace {
 
@@ -29,18 +30,7 @@ using sg::platform::LinkId;
 using sg::platform::Platform;
 
 class FaultInjectionTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
-  void TearDown() override {
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
-  }
+  sg::test::IdealNetwork ideal_network_;
 };
 
 /// What the brute-force reference knows about one running action.

@@ -7,8 +7,9 @@
 
 #include "gras/gras.hpp"
 #include "platform/builders.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
+
+#include "ideal_network.hpp"
 
 namespace {
 
@@ -19,18 +20,12 @@ using sg::datadesc::datadesc_by_name;
 class GrasTest : public ::testing::Test {
 protected:
   void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
     msgtype_declare("ping", datadesc_by_name("int"));
     msgtype_declare("pong", datadesc_by_name("int"));
   }
-  void TearDown() override {
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
-  }
+
+private:
+  sg::test::IdealNetwork ideal_network_;
 };
 
 /// The paper's ping-pong, written once and deployed twice (sim + real).

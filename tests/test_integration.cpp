@@ -17,26 +17,21 @@
 #include "topo/brite.hpp"
 #include "trace/trace.hpp"
 #include "viz/gantt.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
+
+#include "ideal_network.hpp"
 
 namespace {
 
 class IntegrationTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
   void TearDown() override {
     sg::msg::MSG_clean();
     sg::smpi::bench_reset();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
   }
+
+private:
+  sg::test::IdealNetwork ideal_network_;
 };
 
 // -- MSG on generated topologies ---------------------------------------------------
@@ -307,9 +302,8 @@ TEST_F(IntegrationTest, TracedExecutionSurvivesFailuresAndRendersGantt) {
 // -- fluid vs packet consistency through the MSG layer ----------------------------------
 
 TEST_F(IntegrationTest, MsgTransferTimeMatchesEngineAndPacketBallpark) {
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-  cfg.set("network/tcp-gamma", 65536.0);
+  sg::config::set(sg::core::kCfgBandwidthFactor, 1460.0 / 1500.0);
+  sg::config::set(sg::core::kCfgTcpGamma, 65536.0);
   const double bytes = 4e6;
   const auto platform = sg::platform::make_dumbbell(1e9, 1.25e6, 2e-3);
 

@@ -10,9 +10,10 @@
 
 #include "kernel/kernel.hpp"
 #include "platform/builders.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/str.hpp"
+
+#include "ideal_network.hpp"
 
 namespace {
 
@@ -21,19 +22,10 @@ using sg::platform::Platform;
 
 class KernelTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
-  void TearDown() override {
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
-  }
-
   static Platform two_hosts() { return sg::platform::make_dumbbell(1e9, 1e8, 0.0); }
+
+private:
+  sg::test::IdealNetwork ideal_network_;
 };
 
 TEST_F(KernelTest, SingleActorRuns) {

@@ -21,7 +21,6 @@
 #include "platform/parser.hpp"
 #include "platform/platform.hpp"
 #include "trace/trace.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
 #include "xbt/str.hpp"

@@ -8,7 +8,6 @@
 #include "pkt/pkt.hpp"
 #include "platform/builders.hpp"
 #include "topo/brite.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 
 namespace {
@@ -20,9 +19,8 @@ class PktTest : public ::testing::Test {
 protected:
   void SetUp() override {
     sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
+    sg::config::set(sg::core::kCfgBandwidthFactor, 1460.0 / 1500.0);
+    sg::config::set(sg::core::kCfgTcpGamma, 65536.0);
   }
 };
 

@@ -12,7 +12,6 @@
 
 #include "platform/platform.hpp"
 #include "topo/brite.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
 
@@ -357,18 +356,18 @@ void check_against_full_dijkstra(Platform& p, sg::xbt::Rng& rng, int ops) {
 }
 
 TEST(LazyRouting, ResumableTreesMatchFullDijkstra) {
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.declare("routing/sssp-cache", 64.0);
-  for (double cache : {2.0, 64.0})
+  declare_platform_config();
+  const long saved = sg::config::get(kCfgSsspCache);
+  for (long cache : {2L, 64L})
     for (Shape shape : {Shape::kRandom, Shape::kChain, Shape::kStar})
       for (std::uint64_t seed : {1u, 5u, 23u, 77u}) {
-        SCOPED_TRACE("cache " + std::to_string(static_cast<int>(cache)) + ", shape " +
+        SCOPED_TRACE("cache " + std::to_string(cache) + ", shape " +
                      std::to_string(static_cast<int>(shape)) + ", seed " + std::to_string(seed));
         sg::xbt::Rng rng(seed);
         Platform p = shaped_graph(shape, rng);
-        cfg.set("routing/sssp-cache", cache);
+        sg::config::set(kCfgSsspCache, cache);
         p.seal();
-        cfg.set("routing/sssp-cache", 64.0);  // restore the global default
+        sg::config::set(kCfgSsspCache, saved);
         ASSERT_EQ(p.sssp_cache_capacity(), static_cast<size_t>(cache));
         check_against_full_dijkstra(p, rng, 400);
         if (HasFatalFailure())
@@ -464,12 +463,12 @@ Platform star_platform(int n_hosts) {
 }  // namespace
 
 TEST(LazyRouting, SsspCacheCapacityIsConfigurable) {
-  auto& cfg = sg::xbt::Config::instance();
-  cfg.declare("routing/sssp-cache", 64.0);
-  cfg.set("routing/sssp-cache", 4.0);
+  declare_platform_config();
+  const long saved = sg::config::get(kCfgSsspCache);
+  sg::config::set(kCfgSsspCache, 4);
   Platform p = star_platform(32);  // hosts/16 = 2 < configured 4
   p.seal();
-  cfg.set("routing/sssp-cache", 64.0);  // restore the global default
+  sg::config::set(kCfgSsspCache, saved);
   EXPECT_EQ(p.sssp_cache_capacity(), 4u);
   for (int s = 0; s < 12; ++s)
     (void)p.route(s, (s + 1) % 32);

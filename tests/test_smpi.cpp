@@ -8,8 +8,9 @@
 #include "core/engine.hpp"
 #include "platform/builders.hpp"
 #include "smpi/smpi.hpp"
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
+
+#include "ideal_network.hpp"
 
 namespace {
 
@@ -17,17 +18,8 @@ using namespace sg::smpi;
 
 class SmpiTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
   void TearDown() override {
     bench_reset();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
   }
 
   static sg::platform::Platform cluster(int n, double speed = 1e9) {
@@ -39,6 +31,9 @@ protected:
     spec.backbone_bandwidth = 1.25e9;
     return sg::platform::make_cluster(spec);
   }
+
+private:
+  sg::test::IdealNetwork ideal_network_;
 };
 
 TEST_F(SmpiTest, RankAndSize) {

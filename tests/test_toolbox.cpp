@@ -5,25 +5,15 @@
 #include "platform/builders.hpp"
 #include "toolbox/toolbox.hpp"
 #include "trace/trace.hpp"
-#include "xbt/config.hpp"
+
+#include "ideal_network.hpp"
 
 namespace {
 
 using namespace sg::toolbox;
 
 class ToolboxTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
-  void TearDown() override {
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
-  }
+  sg::test::IdealNetwork ideal_network_;
 };
 
 TEST_F(ToolboxTest, CpuMonitorTracksAvailabilityTrace) {

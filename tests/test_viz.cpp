@@ -5,7 +5,8 @@
 #include "msg/msg.hpp"
 #include "platform/builders.hpp"
 #include "viz/gantt.hpp"
-#include "xbt/config.hpp"
+
+#include "ideal_network.hpp"
 
 namespace {
 
@@ -13,18 +14,12 @@ using namespace sg::viz;
 
 class VizTest : public ::testing::Test {
 protected:
-  void SetUp() override {
-    sg::core::declare_engine_config();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1.0);
-    cfg.set("network/tcp-gamma", 1e18);
-  }
   void TearDown() override {
     sg::msg::MSG_clean();
-    auto& cfg = sg::xbt::Config::instance();
-    cfg.set("network/bandwidth-factor", 1460.0 / 1500.0);
-    cfg.set("network/tcp-gamma", 65536.0);
   }
+
+private:
+  sg::test::IdealNetwork ideal_network_;
 };
 
 TEST_F(VizTest, RecordsExecAndComm) {

@@ -5,10 +5,10 @@
 #include <cmath>
 #include <set>
 
-#include "xbt/config.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/log.hpp"
 #include "xbt/random.hpp"
+#include "xbt/settings.hpp"
 #include "xbt/str.hpp"
 #include "xbt/units.hpp"
 
@@ -181,31 +181,36 @@ TEST(Units, Size) {
 }
 
 // -- config -----------------------------------------------------------------------
+// The registry is process-wide, so these tests use keys of their own.
 
 TEST(Config, DeclareGetSet) {
-  Config cfg;
-  cfg.declare("x/y", 3.5, "test key");
-  EXPECT_DOUBLE_EQ(cfg.get("x/y"), 3.5);
-  cfg.set("x/y", 4.0);
-  EXPECT_DOUBLE_EQ(cfg.get("x/y"), 4.0);
-  cfg.declare("x/y", 99.0);  // re-declare keeps current value
-  EXPECT_DOUBLE_EQ(cfg.get("x/y"), 4.0);
+  const sg::config::NumberKey key{"test/xbt-declare-get-set"};
+  sg::config::declare(key, 3.5, 0.0, 100.0, "test key");
+  EXPECT_DOUBLE_EQ(sg::config::get(key), 3.5);
+  sg::config::set(key, 4.0);
+  EXPECT_DOUBLE_EQ(sg::config::get(key), 4.0);
+  sg::config::declare(key, 99.0, 0.0, 100.0, "test key");  // re-declare keeps current value
+  EXPECT_DOUBLE_EQ(sg::config::get(key), 4.0);
+  sg::config::set(key, 3.5);
 }
 
 TEST(Config, UnknownKeyThrows) {
-  Config cfg;
-  EXPECT_THROW(cfg.get("nope"), InvalidArgument);
-  EXPECT_THROW(cfg.set("nope", 1.0), InvalidArgument);
+  const sg::config::NumberKey nope{"test/xbt-never-declared"};
+  EXPECT_THROW(sg::config::get(nope), InvalidArgument);
+  EXPECT_THROW(sg::config::set(nope, 1.0), InvalidArgument);
+  EXPECT_THROW(sg::config::apply("test/xbt-never-declared:1"), InvalidArgument);
 }
 
 TEST(Config, StringsAndApply) {
-  Config cfg;
-  cfg.declare("a", 1.0);
-  cfg.declare_string("mode", "fluid");
-  cfg.apply("a:2.5,mode:packet");
-  EXPECT_DOUBLE_EQ(cfg.get("a"), 2.5);
-  EXPECT_EQ(cfg.get_string("mode"), "packet");
-  EXPECT_THROW(cfg.apply("bogus"), InvalidArgument);
+  const sg::config::NumberKey a{"test/xbt-apply-a"};
+  const sg::config::StringKey mode{"test/xbt-apply-mode"};
+  sg::config::declare(a, 1.0, 0.0, 10.0, "test key");
+  sg::config::declare(mode, "fluid", "test key");
+  sg::config::apply("test/xbt-apply-a:2.5, test/xbt-apply-mode:packet");
+  EXPECT_DOUBLE_EQ(sg::config::get(a), 2.5);
+  EXPECT_EQ(sg::config::get(mode), "packet");
+  EXPECT_THROW(sg::config::apply("bogus"), InvalidArgument);
+  sg::config::apply("test/xbt-apply-a:1,test/xbt-apply-mode:fluid");
 }
 
 }  // namespace
