@@ -53,6 +53,15 @@ void check_amount(const char* call, const char* what, double v, const platform::
                              " (got " + xbt::format("%g", v) + ")");
 }
 
+/// A capacity scale is stored before it reaches the solver (a down or
+/// departed resource applies it later), so it is checked here.
+void check_scale(const char* call, const char* kind, const std::string& name, double scale) {
+  if (scale >= 0 && scale < kInf)
+    return;
+  throw xbt::InvalidArgument(std::string(call) + ": " + kind + " " + name +
+                             ": scale must be finite and non-negative (got " + xbt::format("%g", scale) + ")");
+}
+
 [[noreturn]] void throw_bad_id(const char* call, const char* kind, int id, size_t count) {
   throw xbt::InvalidArgument(std::string(call) + ": " + kind + " id " + std::to_string(id) +
                              " out of range (platform has " + std::to_string(count) + " " + kind +
@@ -1051,12 +1060,16 @@ void Engine::set_link_state(platform::LinkId link, bool on) {
 }
 
 void Engine::set_host_scale(int host, double scale) {
-  checked(hosts_, host, "set_host_scale", "host").scale = scale;
+  HostRes& res = checked(hosts_, host, "set_host_scale", "host");
+  check_scale("set_host_scale", "host", platform_.host(host).name, scale);
+  res.scale = scale;
   refresh_host_capacity(host);
 }
 
 void Engine::set_link_scale(platform::LinkId link, double scale) {
-  checked(links_, link, "set_link_scale", "link").scale = scale;
+  LinkRes& res = checked(links_, link, "set_link_scale", "link");
+  check_scale("set_link_scale", "link", platform_.link(link).name, scale);
+  res.scale = scale;
   refresh_link_capacity(link);
 }
 

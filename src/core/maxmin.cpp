@@ -298,15 +298,19 @@ double MaxMinSystem::capacity(CnstId cnst) const {
 }
 
 void MaxMinSystem::set_weight(VarId var, double weight) {
+  check_var(var, "set_weight");
   check_amount("set_weight", "weight", weight);
-  if (var_weight_.at(static_cast<size_t>(var)) == weight)
+  if (var_weight_[static_cast<size_t>(var)] == weight)
     return;
   var_weight_[static_cast<size_t>(var)] = weight;
   if (var_flags_[static_cast<size_t>(var)] & kFlagAlive)
     mark_var_dirty(var);
 }
 
-double MaxMinSystem::weight(VarId var) const { return var_weight_.at(static_cast<size_t>(var)); }
+double MaxMinSystem::weight(VarId var) const {
+  check_var(var, "weight");
+  return var_weight_[static_cast<size_t>(var)];
+}
 
 void MaxMinSystem::set_bound(VarId var, double bound) {
   check_var(var, "set_bound");
@@ -318,9 +322,15 @@ void MaxMinSystem::set_bound(VarId var, double bound) {
     mark_var_dirty(var);
 }
 
-double MaxMinSystem::bound(VarId var) const { return var_bound_.at(static_cast<size_t>(var)); }
+double MaxMinSystem::bound(VarId var) const {
+  check_var(var, "bound");
+  return var_bound_[static_cast<size_t>(var)];
+}
 
-double MaxMinSystem::value(VarId var) const { return var_value_.at(static_cast<size_t>(var)); }
+double MaxMinSystem::value(VarId var) const {
+  check_var(var, "value");
+  return var_value_[static_cast<size_t>(var)];
+}
 
 double MaxMinSystem::usage(CnstId cnst) const {
   check_cnst(cnst, "usage");

@@ -477,9 +477,16 @@ MailboxId Kernel::mailbox_by_name(const std::string& name) {
   return it->second;
 }
 
+void Kernel::check_mailbox(MailboxId id, const char* call) const {
+  if (id < 0 || static_cast<size_t>(id) >= mailboxes_.size())
+    throw xbt::InvalidArgument(xbt::format("%s: mailbox id %d out of range (%zu mailboxes interned)", call,
+                                           id, mailboxes_.size()));
+}
+
 CommPtr Kernel::send_async(MailboxId mb, void* payload, double bytes, double rate) {
   Actor* a = self();
   assert(a != nullptr && "send must be called from an actor");
+  check_mailbox(mb, "send_async");
   check_send_args("send_async", bytes, rate);
   return send_async_impl(a, mb, payload, bytes, rate);
 }
@@ -514,6 +521,7 @@ CommPtr Kernel::send_async_impl(Actor* a, MailboxId mb, void* payload, double by
 CommPtr Kernel::recv_async(MailboxId mb) {
   Actor* a = self();
   assert(a != nullptr && "recv must be called from an actor");
+  check_mailbox(mb, "recv_async");
   Mailbox& box = mailbox_ref(mb);
   if (!box.queued_sends.empty()) {
     CommPtr comm = box.queued_sends.front();
@@ -582,6 +590,7 @@ void* Kernel::comm_wait(const CommPtr& comm, double timeout) {
 void Kernel::send(MailboxId mb, void* payload, double bytes, double timeout, double rate) {
   Actor* a = self();
   assert(a != nullptr && "send must be called from an actor");
+  check_mailbox(mb, "send");
   check_send_args("send", bytes, rate);
   check_timeout("send", timeout);
   comm_wait(send_async_impl(a, mb, payload, bytes, rate), timeout);
@@ -590,11 +599,13 @@ void Kernel::send(MailboxId mb, void* payload, double bytes, double timeout, dou
 void Kernel::send_detached(MailboxId mb, void* payload, double bytes, double rate) {
   Actor* a = self();
   assert(a != nullptr && "send_detached must be called from an actor");
+  check_mailbox(mb, "send_detached");
   check_send_args("send_detached", bytes, rate);
   send_async_impl(a, mb, payload, bytes, rate)->detached = true;
 }
 
 void* Kernel::recv(MailboxId mb, double timeout, ActorId* source) {
+  check_mailbox(mb, "recv");
   check_timeout("recv", timeout);
   CommPtr comm = recv_async(mb);
   void* payload = comm_wait(comm, timeout);
@@ -603,7 +614,10 @@ void* Kernel::recv(MailboxId mb, double timeout, ActorId* source) {
   return payload;
 }
 
-bool Kernel::comm_waiting(MailboxId mb) { return !mailbox_ref(mb).queued_sends.empty(); }
+bool Kernel::comm_waiting(MailboxId mb) {
+  check_mailbox(mb, "comm_waiting");
+  return !mailbox_ref(mb).queued_sends.empty();
+}
 
 bool Kernel::comm_waiting(const std::string& mb) {
   // Probe without interning: an unknown name trivially has nothing queued.
@@ -655,25 +669,7 @@ void Kernel::fire_due_timers() {
     if (a->state_ != Actor::State::kBlocked || t.gen != a->timer_gen_)
       continue;  // stale timer
     if (a->blocked_comm_ != nullptr) {
-      CommPtr comm = a->blocked_comm_;
-      if (comm->state == Comm::State::kQueuedSend || comm->state == Comm::State::kQueuedRecv) {
-        remove_from_mailbox(comm);
-        comm->state = Comm::State::kFinished;
-        comm->result = WakeStatus::kTimeout;
-        wake(a, WakeStatus::kTimeout);
-      } else if (comm->state == Comm::State::kStarted) {
-        comm->state = Comm::State::kFinished;
-        comm->result = WakeStatus::kCanceled;
-        const bool a_is_sender = comm->sender_id == a->id_;
-        Actor* peer = a_is_sender ? comm->receiver : comm->sender;
-        wake(a, WakeStatus::kTimeout);
-        if (peer != nullptr && (a_is_sender ? comm->receiver_waiting : comm->sender_waiting))
-          wake(peer, WakeStatus::kNetworkFailure);
-        if (comm->action)
-          comm->action->cancel();
-      } else {
-        wake(a, WakeStatus::kTimeout);
-      }
+      abandon_comm(a, WakeStatus::kTimeout);
     } else if (a->blocked_action_ != nullptr) {
       auto action = a->blocked_action_;
       wake(a, WakeStatus::kTimeout);
@@ -698,22 +694,31 @@ void Kernel::remove_from_mailbox(const CommPtr& comm) {
 void Kernel::detach_from_comm(Actor* a) {
   if (a->blocked_comm_ == nullptr)
     return;
-  CommPtr comm = a->blocked_comm_;
+  abandon_comm(a, WakeStatus::kCanceled);
+  a->blocked_comm_.reset();
+}
+
+void Kernel::abandon_comm(Actor* a, WakeStatus queued_result) {
+  const CommPtr comm = a->blocked_comm_;
+  const bool started = comm->state == Comm::State::kStarted;
   if (comm->state == Comm::State::kQueuedSend || comm->state == Comm::State::kQueuedRecv) {
     remove_from_mailbox(comm);
     comm->state = Comm::State::kFinished;
-    comm->result = WakeStatus::kCanceled;
-  } else if (comm->state == Comm::State::kStarted) {
+    comm->result = queued_result;
+  } else if (started) {
     comm->state = Comm::State::kFinished;
     comm->result = WakeStatus::kCanceled;
-    const bool a_is_sender = comm->sender_id == a->id_;
-    Actor* peer = a_is_sender ? comm->receiver : comm->sender;
-    if (peer != nullptr && (a_is_sender ? comm->receiver_waiting : comm->sender_waiting))
-      wake(peer, WakeStatus::kNetworkFailure);
-    if (comm->action)
-      comm->action->cancel();
   }
-  a->blocked_comm_.reset();
+  if (queued_result == WakeStatus::kTimeout)
+    wake(a, WakeStatus::kTimeout);  // the timed-out actor before its peer
+  if (!started)
+    return;
+  const bool a_is_sender = comm->sender_id == a->id_;
+  Actor* peer = a_is_sender ? comm->receiver : comm->sender;
+  if (peer != nullptr && (a_is_sender ? comm->receiver_waiting : comm->sender_waiting))
+    wake(peer, WakeStatus::kNetworkFailure);
+  if (comm->action)
+    comm->action->cancel();
 }
 
 // -- actor management -----------------------------------------------------------

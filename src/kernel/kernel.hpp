@@ -96,7 +96,10 @@ public:
   /// the hot path — no hashing, no string construction per communication.
   MailboxId mailbox_by_name(const std::string& name);
   /// The name a mailbox id was interned from (logging / debugging).
-  const std::string& mailbox_name(MailboxId id) const { return mailbox_names_[static_cast<size_t>(id)]; }
+  const std::string& mailbox_name(MailboxId id) const {
+    check_mailbox(id, "mailbox_name");
+    return mailbox_names_[static_cast<size_t>(id)];
+  }
 
   /// Blocking send: rendezvous on the mailbox, then transfer `bytes` from the
   /// caller's host to the receiver's host. timeout < 0 = wait forever.
@@ -223,12 +226,20 @@ private:
 
   CommPtr make_comm();
   Mailbox& mailbox_ref(MailboxId id) { return mailboxes_[static_cast<size_t>(id)]; }
+  /// Throws xbt::InvalidArgument naming `call` unless `id` was interned by
+  /// mailbox_by_name(): the id-keyed simcalls refuse it before queuing.
+  void check_mailbox(MailboxId id, const char* call) const;
   CommPtr send_async_impl(Actor* a, MailboxId mb, void* payload, double bytes, double rate);
   void start_comm(const CommPtr& comm);
   void finish_comm(const CommPtr& comm, WakeStatus result);
   void handle_action_event(const core::ActionEvent& ev);
   void fire_due_timers();
   void detach_from_comm(Actor* a);
+  /// `a` gives up its blocked comm. A queued one leaves its mailbox and
+  /// finishes with `queued_result`; a started one finishes canceled, its
+  /// waiting peer is woken with kNetworkFailure and its action canceled.
+  /// With kTimeout, `a` itself is woken with kTimeout first.
+  void abandon_comm(Actor* a, WakeStatus queued_result);
   void kill_internal(Actor* a, bool by_failure);
   void process_resource_changes();
   void remove_from_mailbox(const CommPtr& comm);

@@ -44,6 +44,13 @@ PacketNet::PacketNet(const platform::Platform& platform, TcpParams params)
   platform_ = &platform;
 }
 
+const FlowResult& PacketNet::result(int flow) const {
+  if (flow < 0 || static_cast<size_t>(flow) >= results_.size())
+    throw xbt::InvalidArgument("result: flow id " + std::to_string(flow) + " out of range (" +
+                               std::to_string(results_.size()) + " flows)");
+  return results_[static_cast<size_t>(flow)];
+}
+
 int PacketNet::add_flow(const FlowSpec& spec) {
   FlowState f;
   f.spec = spec;

@@ -77,7 +77,8 @@ public:
   double run(double until = std::numeric_limits<double>::infinity());
 
   double now() const { return now_; }
-  const FlowResult& result(int flow) const { return results_.at(static_cast<size_t>(flow)); }
+  /// Throws xbt::InvalidArgument on an unknown flow id.
+  const FlowResult& result(int flow) const;
   size_t flow_count() const { return flows_.size(); }
 
   long total_packets_forwarded() const { return packets_forwarded_; }

@@ -27,6 +27,13 @@ inline std::uint64_t seg_content_hash(const LinkId* links, size_t n) {
   }
   return h;
 }
+
+void check_link_spec(const LinkSpec& spec) {
+  if (spec.bandwidth_Bps <= 0)
+    throw xbt::InvalidArgument("link " + spec.name + ": bandwidth must be positive");
+  if (spec.latency_s < 0)
+    throw xbt::InvalidArgument("link " + spec.name + ": latency must be non-negative");
+}
 }  // namespace
 
 void declare_platform_config() {
@@ -132,49 +139,46 @@ RouteView Platform::make_view(const RouteRef& ref) const {
 // Construction
 // ---------------------------------------------------------------------------
 
-void Platform::drain_node_index() const {
-  if (node_index_synced_.v.load(std::memory_order_acquire) == node_names_.size())
-    return;
-  std::lock_guard<std::mutex> lock(index_mutex_.m);
-  for (size_t i = node_index_synced_.v.load(std::memory_order_relaxed); i < node_names_.size(); ++i)
-    node_index_.emplace(node_names_[i], static_cast<NodeId>(i));
-  node_index_synced_.v.store(node_names_.size(), std::memory_order_release);
-}
-
-void Platform::drain_link_index() const {
-  if (link_index_synced_.v.load(std::memory_order_acquire) == links_.size())
-    return;
-  std::lock_guard<std::mutex> lock(index_mutex_.m);
-  for (size_t i = link_index_synced_.v.load(std::memory_order_relaxed); i < links_.size(); ++i)
-    link_index_.emplace(links_[i].name, static_cast<LinkId>(i));
-  link_index_synced_.v.store(links_.size(), std::memory_order_release);
-}
-
-NodeId Platform::host_node_internal(const HostSpec& spec, bool defer_index) {
+NodeId Platform::push_host(const HostSpec& spec) {
   const NodeId id = static_cast<NodeId>(node_names_.size());
-  if (!defer_index) {
-    // Single-probe insert: the emplace result doubles as the duplicate check
-    // (join_host churn makes this a hot path on large platforms).
-    drain_node_index();
-    if (!node_index_.emplace(spec.name, id).second)
-      throw xbt::InvalidArgument("duplicate node name: " + spec.name);
-  }
   node_names_.push_back(spec.name);
-  if (!defer_index)
-    node_index_synced_.v.store(node_names_.size(), std::memory_order_release);
   nodes_.push_back({true, static_cast<int>(hosts_.size())});
   hosts_.push_back(spec);
   host_nodes_.push_back(id);
-  host_zone_.push_back(-1);
+  host_zone_.push_back({});
   host_present_.push_back(1);
   host_departed_at_.push_back(0.0);
   return id;
 }
 
+LinkId Platform::push_link(const LinkSpec& spec) {
+  links_.push_back(spec);
+  return static_cast<LinkId>(links_.size() - 1);
+}
+
+void Platform::claim_node_name(const std::string& name) {
+  if (!node_index_.insert(name, static_cast<NodeId>(node_names_.size()), node_name_of()))
+    throw xbt::InvalidArgument("duplicate node name: " + name);
+}
+
+void Platform::claim_link_name(const std::string& name) {
+  if (!link_index_.insert(name, static_cast<LinkId>(links_.size()), link_name_of()))
+    throw xbt::InvalidArgument("duplicate link name: " + name);
+}
+
+void Platform::claim_host_names(const std::string& host, const std::string& link) {
+  // The link name is looked up first, so a taken one leaves the host name free.
+  if (link_index_.find(link, link_name_of()) >= 0)
+    throw xbt::InvalidArgument("duplicate link name: " + link);
+  claim_node_name(host);
+  claim_link_name(link);
+}
+
 NodeId Platform::add_host(const HostSpec& spec) {
   if (sealed_)
     throw xbt::InvalidArgument("platform is sealed");
-  return host_node_internal(spec);
+  claim_node_name(spec.name);
+  return push_host(spec);
 }
 
 NodeId Platform::add_host(const std::string& name, double speed_flops) {
@@ -188,36 +192,18 @@ NodeId Platform::add_router(const std::string& name) {
   if (sealed_)
     throw xbt::InvalidArgument("platform is sealed");
   const NodeId id = static_cast<NodeId>(node_names_.size());
-  drain_node_index();
-  if (!node_index_.emplace(name, id).second)
-    throw xbt::InvalidArgument("duplicate node name: " + name);
+  claim_node_name(name);
   node_names_.push_back(name);
-  node_index_synced_.v.store(node_names_.size(), std::memory_order_release);
   nodes_.push_back({false, -1});
-  return id;
-}
-
-LinkId Platform::link_internal(const LinkSpec& spec, bool defer_index) {
-  if (spec.bandwidth_Bps <= 0)
-    throw xbt::InvalidArgument("link " + spec.name + ": bandwidth must be positive");
-  if (spec.latency_s < 0)
-    throw xbt::InvalidArgument("link " + spec.name + ": latency must be non-negative");
-  const LinkId id = static_cast<LinkId>(links_.size());
-  if (!defer_index) {
-    drain_link_index();
-    if (!link_index_.emplace(spec.name, id).second)
-      throw xbt::InvalidArgument("duplicate link name: " + spec.name);
-  }
-  links_.push_back(spec);
-  if (!defer_index)
-    link_index_synced_.v.store(links_.size(), std::memory_order_release);
   return id;
 }
 
 LinkId Platform::add_link(const LinkSpec& spec) {
   if (sealed_)
     throw xbt::InvalidArgument("platform is sealed");
-  return link_internal(spec);
+  check_link_spec(spec);
+  claim_link_name(spec.name);
+  return push_link(spec);
 }
 
 LinkId Platform::add_link(const std::string& name, double bandwidth_Bps, double latency_s, SharingPolicy policy) {
@@ -236,26 +222,28 @@ void Platform::add_edge(NodeId a, NodeId b, LinkId link) {
     throw xbt::InvalidArgument("add_edge: bad node id");
   if (link < 0 || static_cast<size_t>(link) >= links_.size())
     throw xbt::InvalidArgument("add_edge: bad link id");
-  // Cluster zones rely on the gateway being the zone's only connection to the
-  // rest of the platform: O(1) composition assumes every path in/out crosses
-  // it. Reject edges that would splice into a cluster's interior.
-  for (NodeId n : {a, b}) {
-    if (nodes_[static_cast<size_t>(n)].host) {
-      const ZoneId z = host_zone_[static_cast<size_t>(nodes_[static_cast<size_t>(n)].host_index)];
-      if (z >= 0 && zones_[static_cast<size_t>(z)].kind == ZoneKind::kCluster)
-        throw xbt::InvalidArgument("add_edge: " + node_names_[static_cast<size_t>(n)] +
-                                   " is a member of cluster zone " + zones_[static_cast<size_t>(z)].name +
-                                   "; attach through the zone gateway instead");
-    } else {
-      // A hub that doubles as the gateway (no backbone) IS the attach point.
-      for (const ZoneRec& z : zones_)
-        if (z.hub == n && z.gateway != n)
-          throw xbt::InvalidArgument("add_edge: " + node_names_[static_cast<size_t>(n)] +
-                                     " is the hub of cluster zone " + z.name +
-                                     "; attach through the zone gateway instead");
-    }
-  }
+  check_attachable(a, "add_edge");
+  check_attachable(b, "add_edge");
   edges_.push_back({a, b, link});
+}
+
+void Platform::check_attachable(NodeId node, const char* what) const {
+  // O(1) composition assumes every path into or out of a cluster crosses its
+  // gateway: reject edges that would splice into a cluster's interior.
+  auto refuse = [&](const char* role, const ZoneRec& z) {
+    throw xbt::InvalidArgument(std::string(what) + ": " + node_names_[static_cast<size_t>(node)] + " is " +
+                               role + " of cluster zone " + z.name + "; attach through the zone gateway instead");
+  };
+  const NodeRec& rec = nodes_[static_cast<size_t>(node)];
+  if (rec.host) {
+    if (const ZoneRec* z = cluster_of(rec.host_index))
+      refuse("a member", *z);
+    return;
+  }
+  // A hub that doubles as the gateway (no backbone) IS the attach point.
+  for (const ZoneRec& z : zones_)
+    if (z.hub == node && z.gateway != node)
+      refuse("the hub", z);
 }
 
 void Platform::add_route(NodeId src, NodeId dst, std::vector<LinkId> links, bool symmetric) {
@@ -317,48 +305,40 @@ ZoneId Platform::add_cluster_zone(const ClusterZoneSpec& spec) {
   }
 
   zone.first_host = static_cast<int>(hosts_.size());
-  zone.count = spec.count;
+  zones_.push_back(std::move(zone));
   // Hosts, private links, edges — names and declaration order match the
   // historical make_cluster() exactly, so flat-graph twins are comparable
   // link-id for link-id.
-  for (int m = 0; m < spec.count; ++m) {
-    const std::string name = xbt::format("%s%d", prefix.c_str(), m);
-    const NodeId h = add_host(name, spec.host_speed);
-    const LinkId l = add_link(name + "-link", spec.link_bandwidth, spec.link_latency);
-    if (m == 0)
-      zone.first_uplink = l;
-    else if (l != zone.first_uplink + m)
-      throw xbt::InvalidArgument("cluster zone " + spec.name + ": member links must be contiguous");
-    edges_.push_back({h, hub, l});
-    host_zone_[static_cast<size_t>(nodes_[static_cast<size_t>(h)].host_index)] = zid;
-  }
-
-  // Intern the per-member route pieces, contiguously: [up], [up, bb],
-  // [bb, up]. Without a backbone the hub is the gateway and all three
-  // pieces collapse to [up].
-  zone.seg_intra0 = static_cast<SegId>(segs_.size());
-  for (int m = 0; m < spec.count; ++m) {
-    const LinkId up = zone.first_uplink + m;
-    append_segment(&up, 1);
-  }
-  if (has_backbone) {
-    zone.seg_out0 = static_cast<SegId>(segs_.size());
-    for (int m = 0; m < spec.count; ++m) {
-      const LinkId out[2] = {zone.first_uplink + m, zone.backbone};
-      append_segment(out, 2);
-    }
-    zone.seg_in0 = static_cast<SegId>(segs_.size());
-    for (int m = 0; m < spec.count; ++m) {
-      const LinkId in[2] = {zone.backbone, zone.first_uplink + m};
-      append_segment(in, 2);
-    }
-  } else {
-    zone.seg_out0 = zone.seg_intra0;
-    zone.seg_in0 = zone.seg_intra0;
-  }
-
-  zones_.push_back(std::move(zone));
+  for (int m = 0; m < spec.count; ++m)
+    add_member(zid, xbt::format("%s%d", prefix.c_str(), m), spec.host_speed);
   return zid;
+}
+
+int Platform::add_member(ZoneId zone, const std::string& name, double speed_flops) {
+  ZoneRec& z = zones_[static_cast<size_t>(zone)];
+  HostSpec hs;
+  hs.name = name;
+  hs.speed_flops = speed_flops;
+  LinkSpec ls;
+  ls.name = name + "-link";
+  ls.bandwidth_Bps = z.spec.link_bandwidth;
+  ls.latency_s = z.spec.link_latency;
+  check_link_spec(ls);
+  claim_host_names(hs.name, ls.name);
+  const NodeId hnode = push_host(hs);
+  const LinkId up = push_link(ls);
+  edges_.push_back({hnode, z.hub, up});
+  const size_t h = static_cast<size_t>(nodes_[static_cast<size_t>(hnode)].host_index);
+  // Route pieces: [up], then [up, backbone] and [backbone, up] right after it.
+  host_zone_[h] = {zone, append_segment(&up, 1)};
+  if (z.backbone >= 0) {
+    const LinkId out[2] = {up, z.backbone};
+    append_segment(out, 2);
+    const LinkId in[2] = {z.backbone, up};
+    append_segment(in, 2);
+  }
+  ++z.count;
+  return static_cast<int>(h);
 }
 
 ZoneId Platform::add_graph_zone(const std::string& name, NodeId gateway) {
@@ -378,15 +358,13 @@ ZoneId Platform::add_graph_zone(const std::string& name, NodeId gateway) {
 }
 
 void Platform::zone_add_host(ZoneId zone, int host_index) {
-  if (zone < 0 || static_cast<size_t>(zone) >= zones_.size())
-    throw xbt::InvalidArgument("zone_add_host: bad zone id");
   check_host_index(host_index, "zone_add_host");
-  if (zones_[static_cast<size_t>(zone)].kind == ZoneKind::kCluster)
+  if (zone_rec(zone, "zone_add_host").kind == ZoneKind::kCluster)
     throw xbt::InvalidArgument("zone_add_host: cluster zones own their members");
-  if (host_zone_[static_cast<size_t>(host_index)] >= 0)
+  if (host_zone_[static_cast<size_t>(host_index)].zone >= 0)
     throw xbt::InvalidArgument("zone_add_host: " + hosts_[static_cast<size_t>(host_index)].name +
                                " already belongs to a zone");
-  host_zone_[static_cast<size_t>(host_index)] = zone;
+  host_zone_[static_cast<size_t>(host_index)].zone = zone;
   ++zones_[static_cast<size_t>(zone)].count;
 }
 
@@ -398,7 +376,7 @@ std::optional<ZoneId> Platform::zone_by_name(const std::string& name) const {
 }
 
 const ClusterZoneSpec& Platform::cluster_zone_spec(ZoneId zone) const {
-  const ZoneRec& z = zones_.at(static_cast<size_t>(zone));
+  const ZoneRec& z = zone_rec(zone, "cluster_zone_spec");
   if (z.kind != ZoneKind::kCluster)
     throw xbt::InvalidArgument("zone " + z.name + " is not a cluster zone");
   return z.spec;
@@ -419,15 +397,15 @@ int Platform::host_index(NodeId node) const {
 }
 
 NodeId Platform::host_node(int host_index) const {
-  return host_nodes_.at(static_cast<size_t>(host_index));
+  check_host_index(host_index, "host_node");
+  return host_nodes_[static_cast<size_t>(host_index)];
 }
 
 std::optional<NodeId> Platform::node_by_name(const std::string& name) const {
-  drain_node_index();
-  auto it = node_index_.find(name);
-  if (it == node_index_.end())
+  const NodeId id = node_index_.find(name, node_name_of());
+  if (id < 0)
     return std::nullopt;
-  return it->second;
+  return id;
 }
 
 std::optional<int> Platform::host_by_name(const std::string& name) const {
@@ -438,11 +416,10 @@ std::optional<int> Platform::host_by_name(const std::string& name) const {
 }
 
 std::optional<LinkId> Platform::link_by_name(const std::string& name) const {
-  drain_link_index();
-  auto it = link_index_.find(name);
-  if (it == link_index_.end())
+  const LinkId id = link_index_.find(name, link_name_of());
+  if (id < 0)
     return std::nullopt;
-  return it->second;
+  return id;
 }
 
 void Platform::seal() {
@@ -471,61 +448,15 @@ void Platform::seal() {
 int Platform::join_host(ZoneId zone, const std::string& name, double speed_flops) {
   if (!sealed_)
     throw xbt::InvalidArgument("join_host: platform must be sealed (use add_* before seal())");
-  if (zone < 0 || static_cast<size_t>(zone) >= zones_.size())
-    throw xbt::InvalidArgument("join_host: bad zone id " + std::to_string(zone));
-  ZoneRec& z = zones_[static_cast<size_t>(zone)];
+  const ZoneRec& z = zone_rec(zone, "join_host");
   if (z.kind != ZoneKind::kCluster)
     throw xbt::InvalidArgument("join_host: zone " + z.name +
                                " is not a cluster zone (graph hosts use the attach overload)");
-
+  // Number by members ever created: departure does not free a name.
   const std::string& prefix = z.spec.host_prefix.empty() ? z.spec.name : z.spec.host_prefix;
-  // Number by members-ever-created: base members and earlier extras keep
-  // their names forever (departure does not free a name), so this is unique
-  // — which lets the generated-name path skip the name maps entirely (they
-  // are drained lazily by the next by-name lookup, keeping a join
-  // O(affected) rather than O(hash table)).
-  const bool generated = name.empty();
-  const std::string host_name =
-      generated ? xbt::format("%s%d", prefix.c_str(), z.spec.count + static_cast<int>(z.extra.size()))
-                : name;
-  HostSpec hs;
-  hs.name = host_name;
-  hs.speed_flops = speed_flops > 0 ? speed_flops : z.spec.host_speed;
-  const NodeId hnode = host_node_internal(hs, /*defer_index=*/generated);
-  const int h = nodes_[static_cast<size_t>(hnode)].host_index;
-
-  LinkSpec ls;
-  ls.name = host_name + "-link";
-  ls.bandwidth_Bps = z.spec.link_bandwidth;
-  ls.latency_s = z.spec.link_latency;
-  const LinkId l = link_internal(ls, /*defer_index=*/generated);
-
-  // Splice into every seal-time structure in place — O(affected), no re-seal.
-  edges_.push_back({hnode, z.hub, l});
-  adj_.resize(nodes_.size());
-  adj_[static_cast<size_t>(hnode)].push_back({z.hub, l});
-  adj_[static_cast<size_t>(z.hub)].push_back({hnode, l});
-  link_degree_.push_back(1);
-  host_zone_[static_cast<size_t>(h)] = zone;
-  ++z.count;
-
-  ZoneRec::ExtraMember em;
-  em.host = h;
-  em.uplink = l;
-  em.seg_intra = append_segment(&l, 1);
-  if (z.backbone >= 0) {
-    const LinkId out[2] = {l, z.backbone};
-    em.seg_out = append_segment(out, 2);
-    const LinkId in[2] = {z.backbone, l};
-    em.seg_in = append_segment(in, 2);
-  } else {
-    em.seg_out = em.seg_intra;
-    em.seg_in = em.seg_intra;
-  }
-  z.extra_index.emplace(h, z.extra.size());
-  z.extra.push_back(em);
-
-  extend_sssp_trees(z.hub, l);
+  const int h = add_member(zone, name.empty() ? xbt::format("%s%d", prefix.c_str(), z.count) : name,
+                           speed_flops > 0 ? speed_flops : z.spec.host_speed);
+  splice_leaf_edge();
   return h;
 }
 
@@ -534,34 +465,24 @@ int Platform::join_host(const HostSpec& spec, NodeId attach, const LinkSpec& upl
     throw xbt::InvalidArgument("join_host: platform must be sealed (use add_* before seal())");
   if (attach < 0 || static_cast<size_t>(attach) >= nodes_.size())
     throw xbt::InvalidArgument("join_host: bad attach node id");
-  // Same invariant as add_edge: a cluster's interior is only reachable
-  // through its gateway, so new hosts may not splice into it.
-  if (nodes_[static_cast<size_t>(attach)].host) {
-    const ZoneId az = host_zone_[static_cast<size_t>(nodes_[static_cast<size_t>(attach)].host_index)];
-    if (az >= 0 && zones_[static_cast<size_t>(az)].kind == ZoneKind::kCluster)
-      throw xbt::InvalidArgument("join_host: " + node_names_[static_cast<size_t>(attach)] +
-                                 " is a member of cluster zone " + zones_[static_cast<size_t>(az)].name +
-                                 "; attach through the zone gateway instead");
-  } else {
-    for (const ZoneRec& z : zones_)
-      if (z.hub == attach && z.gateway != attach)
-        throw xbt::InvalidArgument("join_host: " + node_names_[static_cast<size_t>(attach)] +
-                                   " is the hub of cluster zone " + z.name +
-                                   "; attach through the zone gateway instead");
-  }
+  check_attachable(attach, "join_host");
+  check_link_spec(uplink);
+  claim_host_names(spec.name, uplink.name);
+  const NodeId hnode = push_host(spec);
+  edges_.push_back({hnode, attach, push_link(uplink)});
+  splice_leaf_edge();
+  return nodes_[static_cast<size_t>(hnode)].host_index;
+}
 
-  const NodeId hnode = host_node_internal(spec);
-  const int h = nodes_[static_cast<size_t>(hnode)].host_index;
-  const LinkId l = link_internal(uplink);
-
-  edges_.push_back({hnode, attach, l});
+void Platform::splice_leaf_edge() {
+  // O(affected), no re-seal: the leaf's one edge joins the adjacency, and
+  // every cached tree learns the new node.
+  const Edge e = edges_.back();
   adj_.resize(nodes_.size());
-  adj_[static_cast<size_t>(hnode)].push_back({attach, l});
-  adj_[static_cast<size_t>(attach)].push_back({hnode, l});
+  adj_[static_cast<size_t>(e.a)].push_back({e.b, e.link});
+  adj_[static_cast<size_t>(e.b)].push_back({e.a, e.link});
   link_degree_.push_back(1);
-
-  extend_sssp_trees(attach, l);
-  return h;
+  extend_sssp_trees(e.b, e.link);
 }
 
 void Platform::leave_host(int host_index, double at) {
@@ -612,21 +533,6 @@ std::vector<LinkId> Platform::host_private_links(int host_index) const {
   return out;
 }
 
-void Platform::member_segs(const ZoneRec& zone, int host_index, SegId* intra, SegId* out,
-                           SegId* in) const {
-  const int m = host_index - zone.first_host;
-  if (m >= 0 && m < zone.spec.count) {
-    *intra = zone.seg_intra0 + m;
-    *out = zone.seg_out0 + m;
-    *in = zone.seg_in0 + m;
-    return;
-  }
-  const ZoneRec::ExtraMember& em = zone.extra[zone.extra_index.at(host_index)];
-  *intra = em.seg_intra;
-  *out = em.seg_out;
-  *in = em.seg_in;
-}
-
 void Platform::extend_sssp_trees(NodeId attach, LinkId uplink) const {
   // The joined host is a leaf: the only way in is through `attach`. A tree
   // that settled `attach` already ran its relaxation, so it relaxes the new
@@ -662,6 +568,13 @@ void Platform::check_host_index(int host_index, const char* what) const {
   if (host_index < 0 || static_cast<size_t>(host_index) >= hosts_.size())
     throw xbt::InvalidArgument(std::string(what) + ": host index " + std::to_string(host_index) +
                                " out of range (platform has " + std::to_string(hosts_.size()) + " hosts)");
+}
+
+const Platform::ZoneRec& Platform::zone_rec(ZoneId zone, const char* what) const {
+  if (zone < 0 || static_cast<size_t>(zone) >= zones_.size())
+    throw xbt::InvalidArgument(std::string(what) + ": zone id " + std::to_string(zone) +
+                               " out of range (platform has " + std::to_string(zones_.size()) + " zones)");
+  return zones_[static_cast<size_t>(zone)];
 }
 
 void Platform::check_host_present(int host_index, const char* what) const {
@@ -746,6 +659,18 @@ const Platform::SsspTree& Platform::sssp_from(NodeId src, NodeId target) const {
   return tree;
 }
 
+bool Platform::tree_path(NodeId from, NodeId to, SegId* seg) const {
+  const SsspTree& tree = sssp_from(from, to);
+  if (!tree.settled[static_cast<size_t>(to)])
+    return false;
+  std::vector<LinkId> path;
+  for (NodeId v = to; v != from; v = tree.prev_node[static_cast<size_t>(v)])
+    path.push_back(tree.prev_link[static_cast<size_t>(v)]);
+  std::reverse(path.begin(), path.end());
+  *seg = intern_segment(path.data(), path.size());
+  return true;
+}
+
 bool Platform::node_path_segment(NodeId from, NodeId to, SegId* seg) const {
   if (from == to) {
     *seg = kNoSeg;
@@ -757,38 +682,24 @@ bool Platform::node_path_segment(NodeId from, NodeId to, SegId* seg) const {
     *seg = hit->second;
     return true;
   }
-  const SsspTree& tree = sssp_from(from, to);
-  if (!tree.settled[static_cast<size_t>(to)])
+  if (!tree_path(from, to, seg))
     return false;
-  std::vector<LinkId> path;
-  for (NodeId v = to; v != from; v = tree.prev_node[static_cast<size_t>(v)])
-    path.push_back(tree.prev_link[static_cast<size_t>(v)]);
-  std::reverse(path.begin(), path.end());
-  *seg = intern_segment(path.data(), path.size());
   node_pair_segs_.emplace(key, *seg);
   return true;
 }
 
 bool Platform::compose_zone_route(int src_host, int dst_host, RouteRef* out) const {
-  const ZoneId zs = host_zone_[static_cast<size_t>(src_host)];
-  const ZoneId zd = host_zone_[static_cast<size_t>(dst_host)];
-  const ZoneRec* src_zone =
-      zs >= 0 && zones_[static_cast<size_t>(zs)].kind == ZoneKind::kCluster ? &zones_[static_cast<size_t>(zs)] : nullptr;
-  const ZoneRec* dst_zone =
-      zd >= 0 && zones_[static_cast<size_t>(zd)].kind == ZoneKind::kCluster ? &zones_[static_cast<size_t>(zd)] : nullptr;
+  const ZoneRec* src_zone = cluster_of(src_host);
+  const ZoneRec* dst_zone = cluster_of(dst_host);
   if (src_zone == nullptr && dst_zone == nullptr)
     return false;  // no cluster rule applies: plain graph resolution
 
+  const SegId src_up = host_zone_[static_cast<size_t>(src_host)].up;
+  const SegId dst_up = host_zone_[static_cast<size_t>(dst_host)].up;
   if (src_zone != nullptr && src_zone == dst_zone) {
     // Intra-cluster: up(i) through the hub to up(j). O(1), no Dijkstra, no
     // per-pair state — this is the 99% path of a cluster workload.
-    SegId i_intra, i_out, i_in, j_intra, j_out, j_in;
-    member_segs(*src_zone, src_host, &i_intra, &i_out, &i_in);
-    member_segs(*src_zone, dst_host, &j_intra, &j_out, &j_in);
-    out->up = i_intra;
-    out->mid = kNoSeg;
-    out->down = j_intra;
-    out->latency = 2 * src_zone->up_latency;
+    *out = RouteRef{src_up, kNoSeg, dst_up, 2 * src_zone->up_latency};
     return true;
   }
 
@@ -797,27 +708,15 @@ bool Platform::compose_zone_route(int src_host, int dst_host, RouteRef* out) con
   // of a cluster share their gateway's entries, so this never scales with
   // member pairs), gateway -> member.
   RouteRef ref;
-  NodeId mid_from;
-  NodeId mid_to;
   if (src_zone != nullptr) {
-    SegId s_intra, s_out, s_in;
-    member_segs(*src_zone, src_host, &s_intra, &s_out, &s_in);
-    ref.up = s_out;
+    ref.up = src_zone->backbone >= 0 ? src_up + 1 : src_up;
     ref.latency += src_zone->up_latency + src_zone->backbone_latency;
-    mid_from = src_zone->gateway;
-  } else {
-    mid_from = host_nodes_[static_cast<size_t>(src_host)];
   }
   if (dst_zone != nullptr) {
-    SegId d_intra, d_out, d_in;
-    member_segs(*dst_zone, dst_host, &d_intra, &d_out, &d_in);
-    ref.down = d_in;
+    ref.down = dst_zone->backbone >= 0 ? dst_up + 2 : dst_up;
     ref.latency += dst_zone->up_latency + dst_zone->backbone_latency;
-    mid_to = dst_zone->gateway;
-  } else {
-    mid_to = host_nodes_[static_cast<size_t>(dst_host)];
   }
-  if (!node_path_segment(mid_from, mid_to, &ref.mid))
+  if (!node_path_segment(graph_endpoint(src_host), graph_endpoint(dst_host), &ref.mid))
     throw_no_route(src_host, dst_host);
   if (ref.mid != kNoSeg)
     ref.latency += segs_[static_cast<size_t>(ref.mid)].latency;
@@ -845,17 +744,9 @@ RouteView Platform::route(int src_host, int dst_host) const {
   if (compose_zone_route(src_host, dst_host, &composed))
     return make_view(composed);  // zone rule: O(1), never cached per pair
 
-  const NodeId src = host_nodes_[static_cast<size_t>(src_host)];
-  const NodeId dst = host_nodes_[static_cast<size_t>(dst_host)];
-  const SsspTree& tree = sssp_from(src, dst);
-  if (!tree.settled[static_cast<size_t>(dst)])
+  SegId seg;
+  if (!tree_path(host_nodes_[static_cast<size_t>(src_host)], host_nodes_[static_cast<size_t>(dst_host)], &seg))
     throw_no_route(src_host, dst_host);
-
-  std::vector<LinkId> path;
-  for (NodeId v = dst; v != src; v = tree.prev_node[static_cast<size_t>(v)])
-    path.push_back(tree.prev_link[static_cast<size_t>(v)]);
-  std::reverse(path.begin(), path.end());
-  const SegId seg = intern_segment(path.data(), path.size());
   RouteRef& slot = route_slot(pair_key(src_host, dst_host));
   slot = RouteRef{kNoSeg, seg, kNoSeg, segs_[static_cast<size_t>(seg)].latency};
   return make_view(slot);
@@ -874,20 +765,12 @@ bool Platform::reachable(int src_host, int dst_host) const {
     return true;
   if (src_host == dst_host)
     return true;
-
-  const ZoneId zs = host_zone_[static_cast<size_t>(src_host)];
-  const ZoneId zd = host_zone_[static_cast<size_t>(dst_host)];
-  const bool src_cluster = zs >= 0 && zones_[static_cast<size_t>(zs)].kind == ZoneKind::kCluster;
-  const bool dst_cluster = zd >= 0 && zones_[static_cast<size_t>(zd)].kind == ZoneKind::kCluster;
-  if (src_cluster && zs == zd)
+  const ZoneRec* src_zone = cluster_of(src_host);
+  if (src_zone != nullptr && src_zone == cluster_of(dst_host))
     return true;
-  const NodeId from = src_cluster ? zones_[static_cast<size_t>(zs)].gateway
-                                  : host_nodes_[static_cast<size_t>(src_host)];
-  const NodeId to = dst_cluster ? zones_[static_cast<size_t>(zd)].gateway
-                                : host_nodes_[static_cast<size_t>(dst_host)];
-  if (from == to)
-    return true;
-  return sssp_from(from, to).settled[static_cast<size_t>(to)];
+  const NodeId from = graph_endpoint(src_host);
+  const NodeId to = graph_endpoint(dst_host);
+  return from == to || sssp_from(from, to).settled[static_cast<size_t>(to)];
 }
 
 RoutingMemoryStats Platform::routing_memory() const {
@@ -912,7 +795,7 @@ RoutingMemoryStats Platform::routing_memory() const {
                     tree.frontier.capacity() * sizeof(tree.frontier[0]) + sizeof(SsspTree) +
                     sizeof(void*) * 3;
   }
-  s.zone_bytes = zones_.capacity() * sizeof(ZoneRec) + host_zone_.capacity() * sizeof(std::int32_t);
+  s.zone_bytes = zones_.capacity() * sizeof(ZoneRec) + host_zone_.capacity() * sizeof(HostZone);
   return s;
 }
 

@@ -45,7 +45,8 @@
 ///
 /// The caches are an implementation detail: route() stays `const`. They make
 /// routing non-thread-safe; resolve routes from a single thread (the
-/// simulation kernel is single-threaded anyway).
+/// simulation kernel is single-threaded anyway). Name lookups only read:
+/// every host, router and link name enters its name map when it is created.
 ///
 /// The tree cache is LRU-bounded; its capacity is configurable via the
 /// `routing/sssp-cache` config key (default 64) and adaptively raised to
@@ -54,15 +55,14 @@
 /// the next source. Cluster-zone traffic never touches the cache.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "trace/trace.hpp"
+#include "xbt/name_index.hpp"
 #include "xbt/settings.hpp"
 
 namespace sg::platform {
@@ -270,13 +270,15 @@ public:
   /// members ever created; pass `name` to override, `speed_flops` > 0 to
   /// override the spec's host speed). Every seal-time structure is updated in
   /// place in O(affected): the member's route segments are appended to the
-  /// arena, and each cached SSSP
-  /// tree is extended with the one new leaf — no re-seal, no flush. Returns
-  /// the new host index.
+  /// arena, and each cached SSSP tree is extended with the one new leaf — no
+  /// re-seal, no flush. Both names (`<host>` and `<host>-link`) are checked
+  /// before anything changes: a taken one throws xbt::InvalidArgument naming
+  /// it, generated names included. Returns the new host index.
   int join_host(ZoneId zone, const std::string& name = "", double speed_flops = -1.0);
   /// Join a new host to the flat graph of a sealed platform, attached to
   /// `attach` (any non-cluster-interior node) through a fresh private
-  /// `uplink`. Same O(affected) incremental update. Returns the host index.
+  /// `uplink`. Same O(affected) incremental update and the same all-or-nothing
+  /// name check. Returns the host index.
   int join_host(const HostSpec& spec, NodeId attach, const LinkSpec& uplink);
   /// Depart a host at (simulated) time `at`: the host stays in every index —
   /// ids remain valid, names stay taken — but route()/reachable() refuse it
@@ -315,7 +317,7 @@ public:
   bool is_host(NodeId node) const;
   /// Host index (0..host_count) for a host node id.
   int host_index(NodeId node) const;
-  /// Node id of the i-th host.
+  /// Node id of the i-th host (throws xbt::InvalidArgument on a bad index).
   NodeId host_node(int host_index) const;
 
   const HostSpec& host(int host_index) const { return hosts_[static_cast<size_t>(host_index)]; }
@@ -330,17 +332,21 @@ public:
   std::optional<LinkId> link_by_name(const std::string& name) const;
 
   // -- zones ----------------------------------------------------------------
+  // Accessors throw xbt::InvalidArgument naming the call on a bad id.
   /// Zone of a host (by host index), or -1 when the host is in no zone.
   ZoneId zone_of_host(int host_index) const {
-    return host_zone_[static_cast<size_t>(host_index)];
+    check_host_index(host_index, "zone_of_host");
+    return host_zone_[static_cast<size_t>(host_index)].zone;
   }
-  ZoneKind zone_kind(ZoneId zone) const { return zones_[static_cast<size_t>(zone)].kind; }
-  const std::string& zone_name(ZoneId zone) const { return zones_[static_cast<size_t>(zone)].name; }
+  ZoneKind zone_kind(ZoneId zone) const { return zone_rec(zone, "zone_kind").kind; }
+  const std::string& zone_name(ZoneId zone) const { return zone_rec(zone, "zone_name").name; }
   /// Node where inter-zone traffic enters/leaves the zone.
-  NodeId zone_gateway(ZoneId zone) const { return zones_[static_cast<size_t>(zone)].gateway; }
-  /// First member host index of a cluster zone (members are contiguous).
-  int zone_first_host(ZoneId zone) const { return zones_[static_cast<size_t>(zone)].first_host; }
-  int zone_host_count(ZoneId zone) const { return zones_[static_cast<size_t>(zone)].count; }
+  NodeId zone_gateway(ZoneId zone) const { return zone_rec(zone, "zone_gateway").gateway; }
+  /// First member host index of a cluster zone: the members add_cluster_zone
+  /// created are contiguous from here (joined members are not).
+  int zone_first_host(ZoneId zone) const { return zone_rec(zone, "zone_first_host").first_host; }
+  /// Cluster: members ever created, joined ones included; graph: hosts assigned.
+  int zone_host_count(ZoneId zone) const { return zone_rec(zone, "zone_host_count").count; }
   std::optional<ZoneId> zone_by_name(const std::string& name) const;
   /// The ClusterZoneSpec a cluster zone was created from (parser round-trip).
   const ClusterZoneSpec& cluster_zone_spec(ZoneId zone) const;
@@ -394,32 +400,11 @@ private:
     NodeId gateway = -1;
     NodeId hub = -1;          ///< cluster switch node (-1 for graph zones)
     int first_host = 0;       ///< cluster: first member host index
-    int count = 0;            ///< cluster: member count
-    LinkId first_uplink = -1; ///< cluster: member m's private link is first_uplink + m
+    int count = 0;            ///< cluster: members ever created (graph: hosts assigned)
     LinkId backbone = -1;
-    /// Per-member interned segments, allocated contiguously at creation:
-    /// member m's intra piece is seg_intra0 + m ([up(m)]), its leave piece
-    /// seg_out0 + m ([up(m), backbone]) and its enter piece seg_in0 + m
-    /// ([backbone, up(m)]). Without a backbone all three alias [up(m)].
-    SegId seg_intra0 = kNoSeg;
-    SegId seg_out0 = kNoSeg;
-    SegId seg_in0 = kNoSeg;
     double up_latency = 0.0;
     double backbone_latency = 0.0;
     ClusterZoneSpec spec;     ///< as created (dump/round-trip)
-
-    /// Members joined after seal(). Their host indices are not contiguous
-    /// with the base range [first_host, first_host + spec.count), so each
-    /// carries its own uplink + segment triple; `count` includes them.
-    struct ExtraMember {
-      int host = -1;
-      LinkId uplink = -1;
-      SegId seg_intra = kNoSeg;
-      SegId seg_out = kNoSeg;
-      SegId seg_in = kNoSeg;
-    };
-    std::vector<ExtraMember> extra;
-    std::unordered_map<int, size_t> extra_index;  ///< host index -> extra slot
   };
 
   /// Single-source shortest-path tree, indexed by NodeId: a paused
@@ -443,16 +428,47 @@ private:
   }
 
   void check_host_index(int host_index, const char* what) const;
+  const ZoneRec& zone_rec(ZoneId zone, const char* what) const;
   void throw_no_route(int src_host, int dst_host) const;
-  /// Sealed-state-bypassing guts of add_host/add_link, shared with the
-  /// post-seal join paths (which update the seal-time structures themselves).
-  /// `defer_index` skips the name-map insert (dynamic joins with generated
-  /// names, unique by construction); the next by-name lookup drains it.
-  NodeId host_node_internal(const HostSpec& spec, bool defer_index = false);
-  LinkId link_internal(const LinkSpec& spec, bool defer_index = false);
-  /// The member's segment triple (intra / leave / enter), whether it is a
-  /// base member (contiguous id math) or a post-seal extra (own records).
-  void member_segs(const ZoneRec& zone, int host_index, SegId* intra, SegId* out, SegId* in) const;
+  /// Throws unless `node` may take a new graph edge: cluster members and
+  /// hubs (other than a hub that is its zone's gateway) may not, since a
+  /// cluster's only connection to the rest of the platform is its gateway.
+  void check_attachable(NodeId node, const char* what) const;
+  /// Claim a name for the node / link about to be created; throws naming it
+  /// when taken.
+  void claim_node_name(const std::string& name);
+  void claim_link_name(const std::string& name);
+  /// Claim a new host's name and its uplink's: both or neither.
+  void claim_host_names(const std::string& host, const std::string& link);
+  auto node_name_of() const {
+    return [this](int id) -> const std::string& { return node_names_[static_cast<size_t>(id)]; };
+  }
+  auto link_name_of() const {
+    return [this](int id) -> const std::string& { return links_[static_cast<size_t>(id)].name; };
+  }
+  /// Append a host / link whose names are already claimed (no checks).
+  NodeId push_host(const HostSpec& spec);
+  LinkId push_link(const LinkSpec& spec);
+  /// Create member `name` of cluster zone `zone` — host, private link, hub
+  /// edge and route pieces — and return its host index. Serves
+  /// add_cluster_zone and join_host(zone) alike.
+  int add_member(ZoneId zone, const std::string& name, double speed_flops);
+  /// Splice the last edge, a just-joined leaf host's, into the seal-time
+  /// structures in place: adjacency, link degree, cached SSSP trees.
+  void splice_leaf_edge();
+  /// The cluster zone a host is a member of, or nullptr.
+  const ZoneRec* cluster_of(int host_index) const {
+    const ZoneId z = host_zone_[static_cast<size_t>(host_index)].zone;
+    return z >= 0 && zones_[static_cast<size_t>(z)].kind == ZoneKind::kCluster
+               ? &zones_[static_cast<size_t>(z)]
+               : nullptr;
+  }
+  /// Where a host's traffic meets the flat graph: its cluster's gateway, or
+  /// its own node.
+  NodeId graph_endpoint(int host_index) const {
+    const ZoneRec* z = cluster_of(host_index);
+    return z != nullptr ? z->gateway : host_nodes_[static_cast<size_t>(host_index)];
+  }
   /// May shortest paths run *through* this node? False only for departed
   /// hosts; a departed host can still be a path endpoint (presence is the
   /// caller's check).
@@ -487,11 +503,13 @@ private:
   /// each contains a unique private link, so they can never recur — skipping
   /// the index keeps the arena at a few dozen bytes per host).
   SegId append_segment(const LinkId* links, size_t n) const;
-  /// Graph path between two nodes as an interned segment, memoized per node
-  /// pair: O(zones^2) entries for zone-to-zone traffic, plus one per
-  /// (gateway, outside endpoint) actually contacted — never O(member
-  /// pairs), since all members of a cluster share their gateway's entries.
-  /// Returns false when the nodes are disconnected.
+  /// Shortest path `from` -> `to` (from != to), walked back along the tree's
+  /// parent links, as an interned segment. False when disconnected.
+  bool tree_path(NodeId from, NodeId to, SegId* seg) const;
+  /// tree_path memoized per node pair: O(zones^2) entries for zone-to-zone
+  /// traffic, plus one per (gateway, outside endpoint) actually contacted —
+  /// never O(member pairs), since all members of a cluster share their
+  /// gateway's entries. Returns false when the nodes are disconnected.
   bool node_path_segment(NodeId from, NodeId to, SegId* seg) const;
   RouteView make_view(const RouteRef& ref) const;
   /// Zone-rule composition for a pair not in the route cache. Returns false
@@ -504,39 +522,21 @@ private:
   std::vector<NodeId> host_nodes_;
   std::vector<LinkSpec> links_;
   std::vector<Edge> edges_;
-  // Name -> id maps, interned lazily for dynamic joins: a generated-name
-  // join_host pushes the spec without touching these (the O(affected)
-  // promise covers the hot churn path), and the next by-name lookup drains
-  // [*_index_synced_, size) in. Membership mutations run in the engine's
-  // serial section; lookups may be concurrent with each other, hence the
-  // double-checked atomic + mutex in drain_node_index()/drain_link_index().
-  mutable std::unordered_map<std::string, NodeId> node_index_;  ///< name -> node id
-  mutable std::unordered_map<std::string, LinkId> link_index_;  ///< name -> link id
-  /// Copyable atomic counter / mutex so Platform keeps its value semantics
-  /// (tests copy platforms; Engine takes one by move).
-  struct SyncedCount {
-    std::atomic<size_t> v{0};
-    SyncedCount() = default;
-    SyncedCount(const SyncedCount& o) : v(o.v.load(std::memory_order_acquire)) {}
-    SyncedCount& operator=(const SyncedCount& o) {
-      v.store(o.v.load(std::memory_order_acquire), std::memory_order_release);
-      return *this;
-    }
-  };
-  struct IndexMutex {
-    std::mutex m;
-    IndexMutex() = default;
-    IndexMutex(const IndexMutex&) {}
-    IndexMutex& operator=(const IndexMutex&) { return *this; }
-  };
-  mutable SyncedCount node_index_synced_;  ///< node_names_ entries interned
-  mutable SyncedCount link_index_synced_;  ///< links_ entries interned
-  mutable IndexMutex index_mutex_;
-  void drain_node_index() const;
-  void drain_link_index() const;
+  /// Name -> id maps over node_names_ / links_; every name enters when its
+  /// node or link is created.
+  xbt::NameIndex node_index_;
+  xbt::NameIndex link_index_;
 
   std::vector<ZoneRec> zones_;
-  std::vector<std::int32_t> host_zone_;  ///< host index -> zone id (-1: none)
+  /// A host's zone (-1: none) and, for a cluster member, its [up] route
+  /// piece (kNoSeg otherwise). With a backbone, the member's [up, backbone]
+  /// and [backbone, up] pieces follow at +1 and +2; without one, [up] serves
+  /// both ways. One record, so composing a route reads one per endpoint.
+  struct HostZone {
+    std::int32_t zone = -1;
+    SegId up = kNoSeg;
+  };
+  std::vector<HostZone> host_zone_;  ///< by host index
 
   // -- dynamic membership ----------------------------------------------------
   std::vector<char> host_present_;        ///< host index -> currently a member?

@@ -247,6 +247,40 @@ TEST_F(EngineTest, SetLinkScaleRejectsOutOfRangeLink) {
   expect_bad_id(e, [&](int l) { e.set_link_scale(l, 0.5); }, "set_link_scale");
 }
 
+TEST_F(EngineTest, ScaleSettersRejectBadScalesWithoutStoringThem) {
+  Engine e(two_by_two());
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInfinity = std::numeric_limits<double>::infinity();
+  for (double bad : {kNan, kInfinity, -1.0}) {
+    try {
+      e.set_host_scale(0, bad);
+      ADD_FAILURE() << "set_host_scale accepted " << bad;
+    } catch (const sg::xbt::InvalidArgument& ex) {
+      const std::string what = ex.what();
+      EXPECT_NE(what.find("set_host_scale"), std::string::npos) << what;
+      EXPECT_NE(what.find("host a"), std::string::npos) << what;
+    }
+    try {
+      e.set_link_scale(1, bad);
+      ADD_FAILURE() << "set_link_scale accepted " << bad;
+    } catch (const sg::xbt::InvalidArgument& ex) {
+      const std::string what = ex.what();
+      EXPECT_NE(what.find("set_link_scale"), std::string::npos) << what;
+      EXPECT_NE(what.find("link l1"), std::string::npos) << what;
+    }
+    EXPECT_DOUBLE_EQ(e.host_speed(0), 1e9);
+    EXPECT_DOUBLE_EQ(e.link_bandwidth(1), e.link_bandwidth(0));
+  }
+  // A down host used to accept a negative scale and fail later, inside the
+  // solver, when it came back up.
+  e.set_host_state(0, false);
+  EXPECT_THROW(e.set_host_scale(0, -1.0), sg::xbt::InvalidArgument);
+  e.set_host_state(0, true);
+  EXPECT_DOUBLE_EQ(e.host_speed(0), 1e9);
+  e.set_host_scale(0, 0.0);  // zero is a legal scale (full outage)
+  EXPECT_DOUBLE_EQ(e.host_speed(0), 0.0);
+}
+
 TEST_F(EngineTest, HostSpeedRejectsOutOfRangeHost) {
   Engine e(two_by_two());
   expect_bad_id(e, [&](int h) { (void)e.host_speed(h); }, "host_speed");

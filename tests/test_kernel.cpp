@@ -527,6 +527,48 @@ TEST_F(KernelTest, NanTimeoutIsRefusedNotWaitedOn) {
   EXPECT_EQ(errors[2].rfind("comm_wait: timeout", 0), 0u) << errors[2];
 }
 
+// Mailbox ids that mailbox_by_name() never handed out are refused by every
+// id-keyed call, naming it, before anything is queued; they used to index
+// past the mailbox table.
+TEST_F(KernelTest, IdKeyedMailboxCallsRejectUnknownIds) {
+  Kernel k(two_hosts());
+  const MailboxId known = k.mailbox_by_name("mb");
+  std::vector<std::string> errors;
+  std::intptr_t got = 0;
+  k.spawn("a", 0, [&] {
+    auto refused = [&errors](auto&& call) {
+      try {
+        call();
+        errors.push_back("accepted");
+      } catch (const sg::xbt::InvalidArgument& e) {
+        errors.push_back(e.what());
+      }
+    };
+    for (MailboxId bad : {MailboxId{-1}, known + 1, MailboxId{1 << 20}}) {
+      refused([&] { k.send(bad, nullptr, 1e3); });
+      refused([&] { k.send_detached(bad, nullptr, 1e3); });
+      refused([&] { k.send_async(bad, nullptr, 1e3); });
+      refused([&] { k.recv(bad); });
+      refused([&] { k.recv_async(bad); });
+      refused([&] { (void)k.comm_waiting(bad); });
+      refused([&] { (void)k.mailbox_name(bad); });
+    }
+    EXPECT_FALSE(k.comm_waiting(known));  // nothing was queued anywhere
+    k.send(known, reinterpret_cast<void*>(std::intptr_t{7}), 1e3);
+  });
+  k.spawn("b", 1, [&] { got = reinterpret_cast<std::intptr_t>(k.recv(known)); });
+  EXPECT_NO_THROW(k.run());
+  EXPECT_FALSE(k.deadlocked());
+  EXPECT_EQ(got, 7);
+  const char* calls[] = {"send", "send_detached", "send_async", "recv", "recv_async", "comm_waiting",
+                         "mailbox_name"};
+  ASSERT_EQ(errors.size(), 21u);
+  for (size_t i = 0; i < errors.size(); ++i) {
+    EXPECT_EQ(errors[i].rfind(std::string(calls[i % 7]) + ": mailbox id", 0), 0u) << errors[i];
+    EXPECT_NE(errors[i].find("out of range"), std::string::npos) << errors[i];
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cross-zone mailbox traffic. Every simcall takes effect on the spot, so
 // neither the zone of an actor nor who interned a mailbox (an actor or the

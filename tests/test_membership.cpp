@@ -92,6 +92,92 @@ TEST_F(MembershipTest, JoinExtendsSealedStructuresInPlace) {
   EXPECT_EQ(p.link(r0h.back()).name, "n4-link");
 }
 
+// A join claims both of its names (the host and `<host>-link`) before it
+// changes anything. A generated name used to skip the name maps, so it could
+// shadow a graph host of the same name; an explicit one whose link name was
+// taken left a half-joined host behind.
+TEST_F(MembershipTest, JoinNameCollisionThrowsAndLeavesPlatformUnchanged) {
+  Platform p = make_star_zone(4);
+  const auto zone = *p.zone_by_name("star");
+  sg::platform::HostSpec squatter;
+  squatter.name = "n4";  // the next generated member name
+  sg::platform::LinkSpec up;
+  up.name = "taken-link";
+  const int graph_host = p.join_host(squatter, p.zone_gateway(zone), up);
+  const size_t hosts0 = p.host_count();
+  const size_t links0 = p.link_count();
+  const size_t edges0 = p.edges().size();
+
+  auto expect_refused = [&](auto&& join, const std::string& dup) {
+    try {
+      join();
+      ADD_FAILURE() << "join accepted duplicate " << dup;
+    } catch (const sg::xbt::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("duplicate"), std::string::npos) << e.what();
+      EXPECT_NE(std::string(e.what()).find(dup), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(p.host_count(), hosts0);
+    EXPECT_EQ(p.link_count(), links0);
+    EXPECT_EQ(p.edges().size(), edges0);
+    EXPECT_EQ(p.zone_host_count(zone), 4);
+  };
+  expect_refused([&] { p.join_host(zone); }, "n4");                // generated host name
+  expect_refused([&] { p.join_host(zone, "taken"); }, "taken-link");  // explicit, link name taken
+  sg::platform::HostSpec other;
+  other.name = "other";
+  expect_refused([&] { p.join_host(other, p.zone_gateway(zone), up); }, "taken-link");
+
+  EXPECT_EQ(p.host_by_name("n4"), graph_host);
+  EXPECT_EQ(p.link_by_name("n4-link"), std::nullopt);
+  EXPECT_EQ(p.host_by_name("taken"), std::nullopt);
+  EXPECT_EQ(p.host_by_name("other"), std::nullopt);
+  // The refused names stay free for a later join; routing is intact.
+  const int h = p.join_host(zone, "n5");
+  EXPECT_EQ(p.host_by_name("n5"), h);
+  EXPECT_EQ(p.route(0, h).size(), 2u);
+  EXPECT_EQ(p.route(graph_host, h).size(), 2u);
+}
+
+// Generated joins are in the name maps as soon as they exist, and joined
+// members of backboned zones route like base members across zones.
+TEST_F(MembershipTest, GeneratedJoinsAreFoundByNameAndRouteLikeBaseMembers) {
+  Platform p;
+  for (const char* name : {"a", "b"}) {
+    ClusterZoneSpec spec;
+    spec.name = name;
+    spec.count = 3;
+    p.add_cluster_zone(spec);
+  }
+  const ZoneId za = *p.zone_by_name("a");
+  const ZoneId zb = *p.zone_by_name("b");
+  p.add_edge(p.zone_gateway(za), p.zone_gateway(zb), p.add_link("wan", 1e8, 1e-2));
+  p.seal();
+  auto names = [&p](int s, int d) {
+    std::vector<std::string> out;
+    for (LinkId l : p.route(s, d))
+      out.push_back(p.link(l).name);
+    return out;
+  };
+  for (int i = 0; i < 40; ++i) {
+    const ZoneId z = i % 2 == 0 ? za : zb;
+    const int h = p.join_host(z);
+    const std::string name = p.host(h).name;
+    EXPECT_EQ(name, sg::xbt::format("%s%d", p.zone_name(z).c_str(), 3 + i / 2));
+    EXPECT_EQ(p.host_by_name(name), h);
+    EXPECT_EQ(p.link_by_name(name + "-link"), p.host_private_links(h).at(0));
+    const int peer = z == za ? *p.host_by_name("b1") : *p.host_by_name("a1");
+    const std::string other = p.host(peer).name;
+    const std::string zn = p.zone_name(z);
+    const std::string pz = z == za ? "b" : "a";
+    EXPECT_EQ(names(h, peer), (std::vector<std::string>{name + "-link", zn + "-backbone", "wan",
+                                                          pz + "-backbone", other + "-link"}));
+    EXPECT_EQ(names(peer, h), (std::vector<std::string>{other + "-link", pz + "-backbone", "wan",
+                                                          zn + "-backbone", name + "-link"}));
+    EXPECT_EQ(names(h, *p.host_by_name(zn + "0")),
+              (std::vector<std::string>{name + "-link", zn + "0-link"}));
+  }
+}
+
 TEST_F(MembershipTest, LeaveAndRejoinFlipPresenceAndRouting) {
   Platform p = make_star_zone(4);
   EXPECT_TRUE(p.host_present(2));

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 #include <typeinfo>
+#include <vector>
 
+#include "core/maxmin.hpp"
+#include "pkt/pkt.hpp"
 #include "platform/builders.hpp"
 #include "platform/parser.hpp"
 #include "platform/platform.hpp"
@@ -31,6 +36,58 @@ TEST(Platform, DuplicateNamesRejected) {
   EXPECT_THROW(p.add_host("a", 1e9), sg::xbt::InvalidArgument);
   p.add_link("l", 1e8, 1e-4);
   EXPECT_THROW(p.add_link("l", 1e8, 1e-4), sg::xbt::InvalidArgument);
+}
+
+// Id-keyed accessors refuse an out-of-range id with a typed error naming the
+// call and the id; they used to leak std::out_of_range or read past the end.
+TEST(Platform, OutOfRangeIdsThrowTypedErrorsNamingTheCall) {
+  Platform p;
+  ClusterZoneSpec spec;
+  spec.name = "c";
+  spec.count = 2;
+  p.add_cluster_zone(spec);  // zone 0, hosts 0 and 1
+  p.seal();
+  sg::core::MaxMinSystem sys;
+  sys.new_variable(1.0);  // variable 0
+  sg::pkt::PacketNet net(p, sg::pkt::TcpParams::ns2());
+  net.add_flow({0, 1, 1e4, 0.0});  // flow 0
+
+  struct Call {
+    const char* name;
+    std::function<void(int)> call;
+  };
+  const std::vector<Call> calls = {
+      {"set_weight", [&](int v) { sys.set_weight(v, 1.0); }},
+      {"weight", [&](int v) { (void)sys.weight(v); }},
+      {"bound", [&](int v) { (void)sys.bound(v); }},
+      {"value", [&](int v) { (void)sys.value(v); }},
+      {"host_node", [&](int h) { (void)p.host_node(h); }},
+      {"zone_of_host", [&](int h) { (void)p.zone_of_host(h); }},
+      {"cluster_zone_spec", [&](int z) { (void)p.cluster_zone_spec(z); }},
+      {"zone_kind", [&](int z) { (void)p.zone_kind(z); }},
+      {"zone_name", [&](int z) { (void)p.zone_name(z); }},
+      {"zone_gateway", [&](int z) { (void)p.zone_gateway(z); }},
+      {"zone_first_host", [&](int z) { (void)p.zone_first_host(z); }},
+      {"zone_host_count", [&](int z) { (void)p.zone_host_count(z); }},
+      {"result", [&](int f) { (void)net.result(f); }},
+  };
+  for (const Call& c : calls) {
+    for (int bad : {-1, 2, 1 << 20}) {
+      try {
+        c.call(bad);
+        ADD_FAILURE() << c.name << " accepted id " << bad;
+      } catch (const sg::xbt::InvalidArgument& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind(std::string(c.name) + ": ", 0), 0u) << what;
+        EXPECT_NE(what.find(" " + std::to_string(bad) + " out of range"), std::string::npos) << what;
+      }
+    }
+  }
+  // Valid ids still answer.
+  EXPECT_EQ(p.zone_host_count(0), 2);
+  EXPECT_EQ(p.zone_of_host(1), 0);
+  EXPECT_DOUBLE_EQ(sys.weight(0), 1.0);
+  EXPECT_EQ(net.result(0).packets_sent, 0);
 }
 
 TEST(Platform, BadLinkSpecsRejected) {
