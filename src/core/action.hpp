@@ -6,9 +6,9 @@
 ///
 /// The steady-state Action object is deliberately small (~2 cache lines,
 /// control block included): the per-event hot path (rate refresh, heap pop,
-/// completion) reads the leading fields; state/kind/flags are packed into
-/// single bytes; the display name lives in a lazily-populated side table
-/// co-owned by the action's own control block (most actions keep their
+/// completion) reads the leading fields; state/kind are single bytes and
+/// the flags single bits; the display name lives in a lazily-populated side
+/// table co-owned by the action's own control block (most actions keep their
 /// kind's default name and pay nothing); and the set of constraints the
 /// action consumes is not stored here at all — it is read from the solver's
 /// element arena, which the engine also uses as its cnst -> actions
@@ -104,10 +104,10 @@ private:
   double rate_ = 0;
   double last_update_ = 0;     ///< date remaining_/latency_remaining_ were last synced
   std::uint64_t heap_stamp_ = 0;  ///< completion-heap entries older than this are stale
-  size_t run_idx_ = 0;         ///< slot in the engine's running_ table (O(1) removal)
   double latency_remaining_ = 0;
   double finish_time_ = std::numeric_limits<double>::quiet_NaN();
   MaxMinSystem::VarId var_ = -1;
+  std::uint32_t run_idx_ = 0;  ///< slot in the engine's running_ table (O(1) removal)
   /// Index in the source host's per-host action index (the sleep list, or —
   /// with engine/kill-transit-comms — the endpoint-comm list).
   std::uint32_t host_list_idx_ = 0;
@@ -117,10 +117,12 @@ private:
   int peer_host_ = -1;  ///< comm destination host
   ActionState state_ = ActionState::kRunning;
   ActionKind kind_;
-  bool in_latency_phase_ = false;
-  bool in_heap_ = false;  ///< has a live (non-stale) completion-heap entry
-  bool has_name_ = false;  ///< a custom name sits in pool_->names
-  bool in_endpoint_lists_ = false;  ///< registered in the hosts' comm indexes
+  bool in_latency_phase_ : 1 = false;
+  bool in_heap_ : 1 = false;  ///< has a live (non-stale) completion-heap entry
+  bool has_name_ : 1 = false;  ///< a custom name sits in pool_->names
+  bool in_endpoint_lists_ : 1 = false;  ///< registered in the hosts' comm indexes
+  /// Engine-wide start counter (wraps): same-date events apply in this order.
+  std::uint32_t start_seq_;
   double priority_;
   double total_;
   double start_time_ = 0;
@@ -129,6 +131,8 @@ private:
   /// with a custom name (has_name_).
   ActionBlockPool* pool_ = nullptr;
 };
+
+static_assert(sizeof(Action) == 128, "the per-event hot path assumes two cache lines per action");
 
 using ActionPtr = std::shared_ptr<Action>;
 

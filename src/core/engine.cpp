@@ -148,6 +148,7 @@ Action::Action(Engine* engine, ActionKind kind, double total, double priority)
     : engine_(engine),
       remaining_(total),
       kind_(kind),
+      start_seq_(engine->next_start_seq_++),
       priority_(priority),
       total_(total),
       start_time_(engine->now()) {}
@@ -527,10 +528,10 @@ void Engine::add_running(const ActionPtr& action) {
   if (!free_slots_.empty()) {
     const size_t idx = free_slots_.back();
     free_slots_.pop_back();
-    action->run_idx_ = idx;
+    action->run_idx_ = static_cast<std::uint32_t>(idx);
     running_[idx] = action;
   } else {
-    action->run_idx_ = running_.size();
+    action->run_idx_ = static_cast<std::uint32_t>(running_.size());
     running_.push_back(action);
   }
   ++running_count_;
@@ -774,19 +775,28 @@ void Engine::advance(double target, double eps) {
     apply_trace_event(ev);
   }
 
-  // Pop every due event-heap entry (latency expiries from the small near-
-  // term heap, completions from the big one; the latency heap wins date
-  // ties). Stale entries (stamp mismatch) are skipped; latency expiries
-  // switch the action to its data phase; the rest are real completions.
+  // Collect every due event-heap entry (latency expiries from the small
+  // near-term heap, completions from the big one; stale entries, stamp
+  // mismatch, are skipped), then apply them in start order: the order the
+  // heaps hand out same-date entries follows their push history, which
+  // depends on which rates the last solves moved.
   while (true) {
     const double lat = latency_.reap_top();
     const double comp = completion_.reap_top();
     EventHeap* src = lat <= comp && lat != kInf ? &latency_ : comp != kInf ? &completion_ : nullptr;
     if (src == nullptr || std::min(lat, comp) > target + eps)
       break;
-    ActionPtr a = std::move(src->top().action);
+    due_.push_back(std::move(src->top().action));
     src->pop_front();
-    a->in_heap_ = false;
+    due_.back()->in_heap_ = false;
+  }
+  if (due_.size() > 1)
+    std::sort(due_.begin(), due_.end(), [](const ActionPtr& a, const ActionPtr& b) {
+      return static_cast<std::int32_t>(a->start_seq_ - b->start_seq_) < 0;  // wrap-safe
+    });
+  // Latency expiries switch the action to its data phase; the rest are real
+  // completions.
+  for (ActionPtr& a : due_) {
     if (a->state_ != ActionState::kRunning)
       continue;
     if (a->in_latency_phase_) {
@@ -804,6 +814,7 @@ void Engine::advance(double target, double eps) {
       finish_action(std::move(a), ActionState::kDone, &fired_, &notices_);
     }
   }
+  due_.clear();  // drop the references left by skipped entries
 }
 
 void Engine::apply_trace_event(const TraceEvent& ev) {

@@ -213,8 +213,8 @@ private:
   /// (availability/state flips) apply BEFORE heap events (latency expiries,
   /// completions) due at the same date — a resource dying exactly when an
   /// action would complete FAILS the action. Among trace events, (time,
-  /// kind, index) is a total order; the latency heap wins date ties against
-  /// the completion heap.
+  /// kind, index) is a total order; heap events due in one step apply in
+  /// the order their actions started.
   static constexpr bool kTraceEventsBeforeCompletions = true;
 
   struct HostRes {
@@ -304,8 +304,8 @@ private:
   /// Earliest pending trace date, clamped to >= now().
   double next_trace_time() const;
 
-  /// Apply the due trace events (FIRST — the tie-break), then pop and apply
-  /// every heap entry due by target + eps.
+  /// Apply the due trace events (FIRST — the tie-break), then pop every heap
+  /// entry due by target + eps and apply them in start order.
   void advance(double target, double eps);
   void apply_trace_event(const TraceEvent& ev);
 
@@ -401,6 +401,9 @@ private:
   std::vector<ActionEvent> fired_;
   /// Observer calls of the current round, fired once its events are logged.
   std::vector<Notice> notices_;
+  /// The current round's due heap entries, applied in start order.
+  std::vector<ActionPtr> due_;
+  std::uint32_t next_start_seq_ = 0;  ///< Action::start_seq_ of the next start
   bool profile_ = false;  ///< engine/profile snapshot
   PhaseStats pstats_;
   ActionObserver observer_;

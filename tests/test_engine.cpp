@@ -1333,6 +1333,31 @@ TEST_F(ParallelStepTest, TraceEventBeatsCompletionAtTheSameDate) {
   EXPECT_FALSE(e.host_is_on(0));
 }
 
+TEST_F(EngineTest, SameDateCompletionsComeOutInStartOrder) {
+  // Eight execs on eight hosts, started in host order. At t=1 the host
+  // scales halve in reverse host order, so the solver refreshes the rates,
+  // and the engine pushes the new completion dates, last-started first. Every
+  // exec then completes at exactly t=3; one round must deliver all eight,
+  // in start order.
+  constexpr int kHosts = 8;
+  Platform p;
+  for (int h = 0; h < kHosts; ++h)
+    p.add_host("h" + std::to_string(h), 1.0);
+  Engine e(std::move(p));
+  std::vector<ActionPtr> execs;
+  for (int h = 0; h < kHosts; ++h)
+    execs.push_back(e.exec_start(h, 2.0));
+  EXPECT_TRUE(e.run_until(1.0).empty());
+  for (int h = kHosts; h-- > 0;)
+    e.set_host_scale(h, 0.5);
+  const StepLog log = e.run_until();
+  ASSERT_EQ(log.size(), static_cast<size_t>(kHosts));
+  for (int h = 0; h < kHosts; ++h) {
+    EXPECT_EQ(log[static_cast<size_t>(h)].action, execs[static_cast<size_t>(h)]) << "position " << h;
+    EXPECT_EQ(execs[static_cast<size_t>(h)]->finish_time(), 3.0);
+  }
+}
+
 TEST_F(ParallelStepTest, SameDateMultiShardBatch) {
   // Three zones, one exec each, all completing at EXACTLY t=1.0 — plus a
   // state trace killing the middle zone's host at exactly t=1.0, so that
