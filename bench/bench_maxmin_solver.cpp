@@ -186,7 +186,9 @@ std::vector<std::vector<int>> random_graph_routes(int n_nodes, int n_routes, sg:
   return routes;
 }
 
-void BM_CoupledComponentChurn(benchmark::State& state) {
+/// One coupled-component churn run. `bounded`: every flow also gets a rate
+/// bound, as engine flows carry their gamma / 2 RTT window bound.
+void coupled_component_churn(benchmark::State& state, bool bounded) {
   const int n_flows = static_cast<int>(state.range(0));
   sg::xbt::Rng rng(11);
   int n_links = 0;
@@ -196,7 +198,7 @@ void BM_CoupledComponentChurn(benchmark::State& state) {
   for (int l = 0; l < n_links; ++l)
     links.push_back(sys.new_constraint(rng.uniform(10, 1000)));
   auto start_flow = [&] {
-    const auto var = sys.new_variable(1.0);
+    const auto var = sys.new_variable(1.0, bounded ? rng.uniform(10, 1000) : MaxMinSystem::kNoBound);
     for (int hop : routes[rng.uniform_int(0, routes.size() - 1)])
       sys.expand(links[static_cast<size_t>(hop)], var);
     return var;
@@ -220,8 +222,14 @@ void BM_CoupledComponentChurn(benchmark::State& state) {
       static_cast<double>(after.vars_visited - before.vars_visited) / solves;
   state.counters["scanned_per_solve"] =
       static_cast<double>(after.elements_scanned - before.elements_scanned) / solves;
+  state.counters["rounds_per_solve"] = static_cast<double>(after.rounds - before.rounds) / solves;
 }
+
+void BM_CoupledComponentChurn(benchmark::State& state) { coupled_component_churn(state, false); }
 BENCHMARK(BM_CoupledComponentChurn)->Arg(50)->Arg(200)->Arg(800);
+
+void BM_CoupledComponentChurnBounded(benchmark::State& state) { coupled_component_churn(state, true); }
+BENCHMARK(BM_CoupledComponentChurnBounded)->Arg(200);
 
 // --- fat-pipe churn: N flows, each on its own access link and on one shared
 // fat pipe (a cluster backbone or WAN link); one flow is released, re-added
@@ -259,6 +267,7 @@ void BM_FatpipeChurn(benchmark::State& state) {
   const double solves = static_cast<double>(std::max<size_t>(1, after.solves - before.solves));
   state.counters["scanned_per_solve"] =
       static_cast<double>(after.elements_scanned - before.elements_scanned) / solves;
+  state.counters["rounds_per_solve"] = static_cast<double>(after.rounds - before.rounds) / solves;
 }
 BENCHMARK(BM_FatpipeChurn)->Arg(100)->Arg(1000)->Arg(10000);
 

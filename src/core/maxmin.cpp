@@ -173,7 +173,6 @@ MaxMinSystem::CnstId MaxMinSystem::new_constraint(double capacity, bool shared) 
     id = static_cast<CnstId>(cnst_core_.size());
     cnst_core_.push_back({capacity, kNoNode, 0});
     cnst_flags_.push_back(static_cast<unsigned char>(kFlagAlive | (shared ? kFlagShared : 0)));
-    remaining_.push_back(0);
   }
   ++live_cnsts_;
   return id;
@@ -223,7 +222,7 @@ MaxMinSystem::VarId MaxMinSystem::new_variable(double weight, double bound) {
     var_value_.push_back(0);
     var_flags_.push_back(kFlagAlive);
     var_link_.push_back({kNoNode, 0});
-    effective_bound_.push_back(kInf);
+    var_slot_.push_back(0);
   }
   ++live_vars_;
   mark_var_dirty(id);
@@ -367,7 +366,7 @@ MaxMinSystem::MemoryStats MaxMinSystem::memory_stats() const {
   m.soa_bytes = cap_bytes(cnst_core_) + cap_bytes(cnst_flags_) + cap_bytes(free_cnsts_) +
                 cap_bytes(var_weight_) + cap_bytes(var_bound_) + cap_bytes(var_value_) +
                 cap_bytes(var_flags_) + cap_bytes(var_link_) + cap_bytes(free_vars_) +
-                cap_bytes(effective_bound_) + cap_bytes(remaining_);
+                cap_bytes(var_slot_);
   return m;
 }
 
@@ -378,8 +377,14 @@ MaxMinSystem::MemoryStats MaxMinSystem::memory_stats() const {
 void MaxMinSystem::closure_add_var(VarId v) {
   unsigned char& flags = var_flags_[static_cast<size_t>(v)];
   if (!(flags & kFlagInSet) && (flags & kFlagAlive)) {
-    flags |= kFlagInSet;
+    // kFlagDirty is clear here, except in solve_full(), where it marks the
+    // variables that no component filled yet.
+    flags = static_cast<unsigned char>((flags | kFlagInSet) & ~kFlagDirty);
+    var_slot_[static_cast<size_t>(v)] = static_cast<std::int32_t>(affected_vars_.size());
     affected_vars_.push_back(v);
+    const double w = var_weight_[static_cast<size_t>(v)];
+    const double b = var_bound_[static_cast<size_t>(v)];
+    local_vars_.push_back({w, b >= 0 ? b : kInf, var_value_[static_cast<size_t>(v)], 0, kNoSlot, w > 0});
   }
 }
 
@@ -399,10 +404,45 @@ void MaxMinSystem::closure_add_cnst(CnstId c, bool traverse) {
   }
 }
 
+void MaxMinSystem::capture_row(CnstId c) {
+  const auto begin = static_cast<std::uint32_t>(row_entries_.size());
+  double sum = 0;
+  double coeffs = 0;
+  bool lone = true;  // every growing entry is the same variable's
+  for_each_variable_on(c, [&](VarId v, double coeff) {
+    closure_add_var(v);
+    const std::int32_t i = var_slot_[static_cast<size_t>(v)];
+    if (!local_vars_[static_cast<size_t>(i)].growing)
+      return;
+    row_entries_.push_back({i, coeff});
+    ++local_vars_[static_cast<size_t>(i)].edges;  // counted here, laid out by fill()
+    sum += coeff * local_vars_[static_cast<size_t>(i)].weight;
+    coeffs += coeff;
+    lone = lone && i == row_entries_[begin].idx;
+  });
+  const auto end = static_cast<std::uint32_t>(row_entries_.size());
+  stats_.elements_scanned += end - begin;
+  if (end == begin)
+    return;
+  const double capacity = cnst_core_[static_cast<size_t>(c)].capacity;
+  if (lone) {  // a cap, as a fat pipe is
+    LocalVar& lv = local_vars_[static_cast<size_t>(row_entries_[begin].idx)];
+    lv.cap = std::min(lv.cap, capacity / coeffs);
+    lv.edges -= end - begin;
+    row_entries_.resize(begin);
+    return;
+  }
+  local_rows_.push_back({capacity, sum, sum, kEps * std::max(1.0, capacity), begin, end,
+                         static_cast<std::int32_t>(end - begin), kNoSlot});
+}
+
 void MaxMinSystem::closure_collect() {
   affected_vars_.clear();
   affected_cnsts_.clear();
   traverse_list_.clear();
+  local_vars_.clear();
+  local_rows_.clear();
+  row_entries_.clear();
 
   // Transitive closure of the dirty seeds over the variable-constraint graph:
   // the union of the connected components whose allocation can have changed.
@@ -425,18 +465,27 @@ void MaxMinSystem::closure_collect() {
   }
   dirty_vars_.clear();
 
-  // Worklist to exhaustion.
+  // Worklist to exhaustion. Each variable's own list gives its fatpipe caps
+  // (a fat pipe's other users are never walked); each shared constraint's
+  // list, walked once, gives its row.
   size_t vi = 0;
   size_t ti = 0;
   while (vi < affected_vars_.size() || ti < traverse_list_.size()) {
     if (vi < affected_vars_.size()) {
-      const VarId v = affected_vars_[vi++];
-      for_each_constraint_of(v, [&](CnstId c, double) {
-        closure_add_cnst(c, (cnst_flags_[static_cast<size_t>(c)] & kFlagShared) != 0);
+      const VarId v = affected_vars_[vi];
+      double& cap = local_vars_[vi++].cap;
+      for_each_constraint_of(v, [&](CnstId c, double coeff) {
+        const bool shared = (cnst_flags_[static_cast<size_t>(c)] & kFlagShared) != 0;
+        closure_add_cnst(c, shared);
+        if (!shared)
+          cap = std::min(cap, cnst_core_[static_cast<size_t>(c)].capacity / coeff);
       });
     } else {
       const CnstId c = traverse_list_[ti++];
-      for_each_variable_on(c, [&](VarId v, double) { closure_add_var(v); });
+      if (cnst_flags_[static_cast<size_t>(c)] & kFlagShared)
+        capture_row(c);
+      else
+        for_each_variable_on(c, [&](VarId v, double) { closure_add_var(v); });
     }
   }
 
@@ -451,270 +500,189 @@ void MaxMinSystem::solve() {
     solve_full();
     return;
   }
-  if (dirty_vars_.empty() && dirty_cnsts_.empty()) {
-    changed_vars_.clear();
+  changed_vars_.clear();
+  if (!needs_solve())
     return;
-  }
-
+  ++stats_.solves;
   closure_collect();
-
-  if (affected_vars_.size() * 2 > live_vars_ && full_solve_profitable()) {
-    solve_full();
-    return;
-  }
-  solve_subset(affected_vars_, affected_cnsts_);
-}
-
-bool MaxMinSystem::full_solve_profitable() const {
-  // solve_full() rebuilds the affected sets by sweeping the whole id arena,
-  // alive or recycled. When most slots are recycled — a churned or drained
-  // system holding a handful of live variables in a once-large arena — that
-  // sweep is O(capacity), and escalating would turn an O(affected) event
-  // into an O(platform) one. Escalate only when the sweep is comparable to
-  // the closure already collected.
-  return var_flags_.size() + cnst_flags_.size() <=
-         8 * (affected_vars_.size() + affected_cnsts_.size());
+  fill();
 }
 
 void MaxMinSystem::solve_full() {
-  affected_vars_.clear();
-  affected_cnsts_.clear();
-  for (size_t i = 0; i < var_flags_.size(); ++i)
-    if (var_flags_[i] & kFlagAlive)
-      affected_vars_.push_back(static_cast<VarId>(i));
-  for (size_t c = 0; c < cnst_flags_.size(); ++c)
-    if (cnst_flags_[c] & kFlagAlive)
-      affected_cnsts_.push_back(static_cast<CnstId>(c));
-
-  for (VarId v : dirty_vars_)
-    var_flags_[static_cast<size_t>(v)] &= static_cast<unsigned char>(~kFlagDirty);
+  // Every live variable is a seed, marked dirty until a component reaches
+  // it. Filling one component at a time sizes the snapshot by the largest
+  // component, not by the system.
+  for (unsigned char& flags : var_flags_)
+    flags = static_cast<unsigned char>((flags & kFlagAlive) ? flags | kFlagDirty : flags & ~kFlagDirty);
   dirty_vars_.clear();
   for (CnstId c : dirty_cnsts_)
     cnst_flags_[static_cast<size_t>(c)] &= static_cast<unsigned char>(~(kFlagDirty | kFlagTraverse));
   dirty_cnsts_.clear();
   full_solve_pending_ = false;
-
-  ++stats_.full_solves;
-  solve_subset(affected_vars_, affected_cnsts_);
-}
-
-template <typename Fn>
-void MaxMinSystem::fill_walk(size_t c, Fn&& fn) {
-  stats_.elements_scanned += static_cast<size_t>(cnst_core_[c].degree);
-  for (std::int32_t n = cnst_core_[c].head; n != kNoNode; n = node(n).next) {
-    const ElemNode& nd = node(n);
-    for (std::int32_t k = 0; k < nd.count; ++k)
-      fn(static_cast<size_t>(nd.id[k]), nd.coeff[k]);
-  }
-}
-
-double MaxMinSystem::fill_resum(FillCnst& fc) {
-  if (fc.slice == kNoSlice)
-    return kNoUsers;  // a lone user, and it just froze
-  FillSlice& sl = fill_slices_[fc.slice];
-  stats_.elements_scanned += sl.end - sl.begin;
-  double sum = 0;
-  std::uint32_t kept = sl.begin;
-  for (std::uint32_t e = sl.begin; e < sl.end; ++e) {
-    const FillElem el = fill_elems_[e];
-    if (var_flags_[static_cast<size_t>(el.var)] & kFlagActive) {
-      sum += el.rate;
-      fill_elems_[kept++] = el;
-    }
-  }
-  sl.end = kept;
-  return kept == sl.begin ? kNoUsers : sum;
-}
-
-void MaxMinSystem::fill_start(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts) {
   ++stats_.solves;
-  stats_.vars_visited += svars.size();
-
-  // The active bit — still growing — is clear between solves.
-  // `effective_bound_[i]` folds the variable's own bound together with its
-  // fatpipe caps. All hot fields are SoA arrays, so these loops touch exactly
-  // the cache lines of the subset's ids.
-  old_values_.resize(svars.size());
-  fill_vars_.clear();
-  for (size_t k = 0; k < svars.size(); ++k) {
-    const size_t i = static_cast<size_t>(svars[k]);
-    old_values_[k] = var_value_[i];
-    var_value_[i] = 0;
-    effective_bound_[i] = kInf;
-    if (var_weight_[i] <= 0)
+  ++stats_.full_solves;
+  changed_vars_.clear();
+  for (size_t i = 0; i < var_flags_.size(); ++i) {
+    if (!(var_flags_[i] & kFlagDirty))
       continue;
-    var_flags_[i] |= kFlagActive;
-    fill_vars_.push_back(svars[k]);
-    if (var_bound_[i] >= 0)
-      effective_bound_[i] = var_bound_[i];
+    dirty_vars_.push_back(static_cast<VarId>(i));
+    closure_collect();
+    fill();
   }
+}
 
-  // Shared constraints enter the working list with their active sum.
-  fill_cnsts_.clear();
-  fill_slices_.clear();
-  fill_elems_.clear();
-  bool fatpipes = false;
-  for (CnstId cid : scnsts) {
-    const size_t c = static_cast<size_t>(cid);
-    remaining_[c] = cnst_core_[c].capacity;
-    if (!(cnst_flags_[c] & kFlagShared)) {
-      fatpipes = true;
+void MaxMinSystem::level_remove(std::int32_t slot) {
+  const size_t k = static_cast<size_t>(slot);
+  level_[k] = level_.back();
+  trigger_[k] = trigger_.back();
+  owner_[k] = owner_.back();
+  const std::int32_t o = owner_[k];
+  (o >= 0 ? local_rows_[static_cast<size_t>(o)].slot : local_vars_[static_cast<size_t>(~o)].slot) = slot;
+  level_.pop_back();
+  trigger_.pop_back();
+  owner_.pop_back();
+}
+
+void MaxMinSystem::freeze(std::uint32_t i, double x) {
+  LocalVar& lv = local_vars_[i];
+  lv.growing = false;
+  var_value_[static_cast<size_t>(affected_vars_[i])] = x;
+  if (lv.slot != kNoSlot)
+    level_remove(lv.slot);
+  const size_t first = lv.edges;
+  const size_t last = i + 1 < local_vars_.size() ? local_vars_[i + 1].edges : var_edges_.size();
+  for (size_t e = first; e < last; ++e) {
+    LocalRow& row = local_rows_[static_cast<size_t>(var_edges_[e].idx)];
+    if (row.count == 0)
       continue;
-    }
-    double sum = 0;
-    const auto begin = static_cast<std::uint32_t>(fill_elems_.size());
-    fill_walk(c, [&](size_t i, double coeff) {
-      if (var_flags_[i] & kFlagActive) {
-        fill_elems_.push_back({static_cast<VarId>(i), coeff * var_weight_[i]});
-        sum += fill_elems_.back().rate;
+    row.remaining -= var_edges_[e].coeff * x;
+    row.sum -= var_edges_[e].coeff * lv.weight;
+    if (--row.count == 0)
+      level_remove(row.slot);
+  }
+  // Re-level once every entry is subtracted: a variable expanded twice on a
+  // row crosses it twice.
+  for (size_t e = first; e < last; ++e) {
+    LocalRow& row = local_rows_[static_cast<size_t>(var_edges_[e].idx)];
+    if (row.count == 0)
+      continue;
+    if (row.sum < 1e-6 * row.full_sum) {  // cancellation: sum the survivors afresh
+      row.sum = 0;
+      for (std::uint32_t k = row.begin; k < row.end; ++k) {
+        const LocalVar& u = local_vars_[static_cast<size_t>(row_entries_[k].idx)];
+        if (u.growing)
+          row.sum += row_entries_[k].coeff * u.weight;
       }
-    });
-    const auto end = static_cast<std::uint32_t>(fill_elems_.size());
-    if (end == begin)
-      continue;
-    // A lone user needs no slice: once it freezes, the constraint is done.
-    std::uint32_t slice = kNoSlice;
-    if (end - begin == 1) {
-      fill_elems_.pop_back();
-    } else {
-      slice = static_cast<std::uint32_t>(fill_slices_.size());
-      fill_slices_.push_back({begin, end});
+      row.full_sum = row.sum;
+      stats_.elements_scanned += row.end - row.begin;
     }
-    fill_cnsts_.push_back({cid, slice, sum});
-  }
-
-  // Fatpipe constraints translate to per-variable caps, capacity / coeff,
-  // read from each growing variable's own list: a fat pipe's users outside
-  // the subset are never walked. Every constraint of a subset variable is in
-  // the subset, so these are exactly the subset's fatpipe caps, and min is
-  // exact in any order.
-  if (!fatpipes)
-    return;
-  for (VarId vid : fill_vars_) {
-    const size_t i = static_cast<size_t>(vid);
-    stats_.elements_scanned += static_cast<size_t>(var_link_[i].degree);
-    for_each_constraint_of(vid, [&](CnstId cid, double coeff) {
-      const size_t c = static_cast<size_t>(cid);
-      if (!(cnst_flags_[c] & kFlagShared))
-        effective_bound_[i] = std::min(effective_bound_[i], cnst_core_[c].capacity / coeff);
-    });
+    level_[static_cast<size_t>(row.slot)] = row.remaining / row.sum;
+    trigger_[static_cast<size_t>(row.slot)] = (row.remaining - row.slack) / row.sum;
   }
 }
 
-double MaxMinSystem::fill_delta(double delta) const {
-  // Growth room before the tightest shared constraint saturates...
-  for (const FillCnst& fc : fill_cnsts_)
-    if (fc.sum > 0)
-      delta = std::min(delta, std::max(0.0, remaining_[static_cast<size_t>(fc.id)]) / fc.sum);
-  // ...or a variable bound is reached.
-  for (VarId vid : fill_vars_) {
-    const size_t i = static_cast<size_t>(vid);
-    if (effective_bound_[i] < kInf)
-      delta = std::min(delta, std::max(0.0, effective_bound_[i] - var_value_[i]) / var_weight_[i]);
-  }
-  return delta;
-}
-
-void MaxMinSystem::fill_grow(double delta) {
-  for (VarId vid : fill_vars_)
-    var_value_[static_cast<size_t>(vid)] += delta * var_weight_[static_cast<size_t>(vid)];
-  // No variable froze since the sums were taken, so each is this round's
-  // consumption rate as well.
-  for (const FillCnst& fc : fill_cnsts_)
-    remaining_[static_cast<size_t>(fc.id)] -= delta * fc.sum;
-}
-
-void MaxMinSystem::fill_unlimited() {
-  for (VarId vid : fill_vars_) {
-    const size_t i = static_cast<size_t>(vid);
-    var_value_[i] = kUnlimited;
-    var_flags_[i] &= static_cast<unsigned char>(~kFlagActive);
-  }
-  fill_vars_.clear();
-}
-
-template <typename Freeze>
-void MaxMinSystem::fill_freeze(Freeze&& freeze) {
-  for (FillCnst& fc : fill_cnsts_) {
-    const size_t c = static_cast<size_t>(fc.id);
-    if (remaining_[c] > kEps * std::max(1.0, cnst_core_[c].capacity))
-      continue;
-    fill_walk(c, [&](size_t i, double) {
-      if (var_flags_[i] & kFlagActive)
-        freeze(i);
-    });
-    fc.sum = kNoUsers;  // saturated: every user is frozen now
-  }
-  for (VarId vid : fill_vars_) {
-    const size_t i = static_cast<size_t>(vid);
-    if ((var_flags_[i] & kFlagActive) && effective_bound_[i] < kInf &&
-        var_value_[i] >= effective_bound_[i] - kEps * std::max(1.0, effective_bound_[i])) {
-      var_value_[i] = effective_bound_[i];
-      freeze(i);
+void MaxMinSystem::fill() {
+  stats_.vars_visited += local_vars_.size();
+  // One row and no capped variable (the churn of one flow on one link): the
+  // row's users all saturate at its level, in one step.
+  if (local_rows_.size() == 1 && std::none_of(local_vars_.begin(), local_vars_.end(), [](const LocalVar& lv) {
+        return lv.growing && lv.cap < kInf;
+      })) {
+    ++stats_.rounds;
+    const double lambda = local_rows_[0].remaining / local_rows_[0].sum;
+    for (size_t i = 0; i < local_vars_.size(); ++i) {
+      const LocalVar& lv = local_vars_[i];  // edges: its count of row entries
+      var_value_[static_cast<size_t>(affected_vars_[i])] =
+          !lv.growing ? 0 : lv.edges > 0 && lambda < kInf ? lambda * lv.weight : kUnlimited;
     }
+  } else {
+    fill_levels();
   }
+  for (size_t i = 0; i < local_vars_.size(); ++i)
+    if (var_value_[static_cast<size_t>(affected_vars_[i])] != local_vars_[i].old_value)
+      changed_vars_.push_back(affected_vars_[i]);
 }
 
-void MaxMinSystem::fill_compact() {
-  // Every shared constraint of a variable that was growing at the start of
-  // the round is on fill_cnsts_, so the touched marks set here are all
-  // cleared by the second loop.
-  size_t kept = 0;
-  for (VarId vid : fill_vars_) {
-    const size_t i = static_cast<size_t>(vid);
-    if (var_flags_[i] & kFlagActive) {
-      fill_vars_[kept++] = vid;
-      continue;
-    }
-    stats_.elements_scanned += static_cast<size_t>(var_link_[i].degree);
-    for_each_constraint_of(vid, [&](CnstId c, double) {
-      if (cnst_flags_[static_cast<size_t>(c)] & kFlagShared)
-        cnst_flags_[static_cast<size_t>(c)] |= kFlagTouched;
-    });
+void MaxMinSystem::fill_levels() {
+  level_.clear();
+  trigger_.clear();
+  owner_.clear();
+  auto push_level = [&](double level, double trigger, std::int32_t owner) {
+    level_.push_back(level);
+    trigger_.push_back(trigger);
+    owner_.push_back(owner);
+    return static_cast<std::int32_t>(level_.size() - 1);
+  };
+  // Each variable's (row, coeff) edges, by counting: capture_row() counted
+  // them, edges becomes the end of its range, then the fill below walks it
+  // down to the start.
+  var_edges_.resize(row_entries_.size());
+  std::uint32_t total = 0;
+  for (LocalVar& lv : local_vars_)
+    lv.edges = total += lv.edges;
+  for (size_t r = local_rows_.size(); r-- > 0;) {
+    LocalRow& row = local_rows_[r];
+    for (std::uint32_t k = row.end; k-- > row.begin;)
+      var_edges_[--local_vars_[static_cast<size_t>(row_entries_[k].idx)].edges] = {
+          static_cast<std::int32_t>(r), row_entries_[k].coeff};
+    row.slot = push_level(row.remaining / row.sum, (row.remaining - row.slack) / row.sum,
+                          static_cast<std::int32_t>(r));
   }
-  fill_vars_.resize(kept);
 
-  kept = 0;
-  for (FillCnst fc : fill_cnsts_) {
-    unsigned char& flags = cnst_flags_[static_cast<size_t>(fc.id)];
-    if (flags & kFlagTouched) {
-      flags &= static_cast<unsigned char>(~kFlagTouched);
-      if (fc.sum != kNoUsers)
-        fc.sum = fill_resum(fc);
-    }
-    if (fc.sum != kNoUsers)
-      fill_cnsts_[kept++] = fc;
+  // Variables off every row take their cap (or no value at all) directly.
+  for (std::uint32_t i = 0; i < local_vars_.size(); ++i) {
+    LocalVar& lv = local_vars_[i];
+    const size_t last = i + 1 < local_vars_.size() ? local_vars_[i + 1].edges : var_edges_.size();
+    if (!lv.growing)
+      var_value_[static_cast<size_t>(affected_vars_[i])] = 0;
+    else if (lv.edges == last)
+      freeze(i, lv.cap < kInf ? lv.cap : kUnlimited);
+    else if (lv.cap < kInf)
+      lv.slot = push_level(lv.cap / lv.weight, (lv.cap - kEps * std::max(1.0, lv.cap)) / lv.weight,
+                           ~static_cast<std::int32_t>(i));
   }
-  fill_cnsts_.resize(kept);
-}
 
-void MaxMinSystem::solve_subset(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts) {
-  fill_start(svars, scnsts);
-  while (!fill_vars_.empty()) {
-    const double delta = fill_delta(kInf);
-    if (delta == kInf) {
-      fill_unlimited();
+  double lambda = 0;
+  while (!level_.empty()) {
+    ++stats_.rounds;
+    // Next saturation: a 4-accumulator min-scan over the dense levels.
+    double m[4] = {kInf, kInf, kInf, kInf};
+    const size_t n = level_.size();
+    size_t k = 0;
+    for (; k + 4 <= n; k += 4)
+      for (size_t j = 0; j < 4; ++j)
+        m[j] = std::min(m[j], level_[k + j]);
+    for (; k < n; ++k)
+      m[0] = std::min(m[0], level_[k]);
+    lambda = std::max(lambda, std::min(std::min(m[0], m[1]), std::min(m[2], m[3])));
+    if (lambda == kInf) {  // levels overflowed: nothing restricts the rest
+      for (std::uint32_t i = 0; i < local_vars_.size(); ++i)
+        if (local_vars_[i].growing)
+          var_value_[static_cast<size_t>(affected_vars_[i])] = kUnlimited;
       break;
     }
-    fill_grow(delta);
-    size_t frozen = 0;
-    auto freeze = [&](size_t i) {
-      var_flags_[i] &= static_cast<unsigned char>(~kFlagActive);
-      ++frozen;
-    };
-    fill_freeze(freeze);
-    // delta chosen as an exact saturation point must freeze someone; if
-    // numerical dust prevented it, force-freeze the first growing variable
-    // to guarantee termination.
-    if (frozen == 0)
-      freeze(static_cast<size_t>(fill_vars_.front()));
-    fill_compact();
+    // The entry at the minimum has trigger <= level <= lambda, so every
+    // round freezes someone.
+    saturated_.clear();
+    for (k = 0; k < n; ++k)
+      if (trigger_[k] <= lambda)
+        saturated_.push_back(owner_[k]);
+    for (std::int32_t o : saturated_) {  // saturated rows freeze their users...
+      if (o < 0 || local_rows_[static_cast<size_t>(o)].count == 0)
+        continue;
+      LocalRow& row = local_rows_[static_cast<size_t>(o)];
+      row.count = 0;
+      level_remove(row.slot);
+      for (std::uint32_t e = row.begin; e < row.end; ++e) {
+        const auto i = static_cast<std::uint32_t>(row_entries_[e].idx);
+        if (local_vars_[i].growing)
+          freeze(i, lambda * local_vars_[i].weight);
+      }
+    }
+    for (std::int32_t o : saturated_)  // ...then capped variables snap to their cap
+      if (o < 0 && local_vars_[static_cast<size_t>(~o)].growing)
+        freeze(static_cast<std::uint32_t>(~o), local_vars_[static_cast<size_t>(~o)].cap);
   }
-
-  changed_vars_.clear();
-  for (size_t k = 0; k < svars.size(); ++k)
-    if (var_value_[static_cast<size_t>(svars[k])] != old_values_[k])
-      changed_vars_.push_back(svars[k]);
 }
 
 }  // namespace sg::core

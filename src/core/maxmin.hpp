@@ -37,9 +37,9 @@
 ///  * progressive filling then runs restricted to that closure. Allocations
 ///    of untouched components are left frozen, so the per-event cost is
 ///    O(affected subgraph), not O(whole system);
-///  * when the closure covers more than half of the live variables, solve()
-///    falls back to solve_full() — the from-scratch path, also available
-///    directly for equivalence testing;
+///  * solve_full() — the from-scratch path, used by the first solve and
+///    by tests checking incremental ≡ full — seeds the same walk with every
+///    live variable, one component at a time;
 ///  * changed_variables() reports which allocations moved in the last
 ///    solve(), letting callers (the SURF engine) refresh only those rates.
 ///
@@ -86,17 +86,29 @@
 ///    solve costs O(closure elements), where a fat pipe in the closure
 ///    costs nothing beyond its own entry in each closure variable's list:
 ///    caps (capacity / coeff) are read from the variable side.
-///  * **SoA hot fields.** The fields progressive filling actually reads per
-///    round (`value`, `weight`, `bound`, `active`, per-constraint
-///    `remaining`) are parallel arrays indexed by id; cold metadata does not
-///    share their cache lines.
-///  * **Saturation-driven filling.** Each shared constraint's weighted sum
-///    over its still-growing users is computed once per solve and kept next
-///    to the constraint in a working list. A round then costs O(active
-///    variables + unsaturated constraints), plus a re-sum over the remaining
-///    growing users of each constraint that lost one in that round. The
-///    re-sum folds in element-list order, so every sum — and with it every
-///    allocation — is bitwise the one a from-scratch walk would give.
+///  * **SoA hot fields.** The fields the closure walk reads per variable
+///    (`weight`, `bound`, `value`, flags) are parallel arrays indexed by id;
+///    cold metadata does not share their cache lines.
+///  * **One fill level over a dense snapshot.** While the closure is
+///    collected, each shared constraint's growing users are captured as a
+///    row of (local variable, coeff) in element-list order, and each
+///    variable folds its bound and its fatpipe caps into one cap; a shared
+///    constraint with a single growing user is a cap too. Filling then runs
+///    on these dense local arrays and never walks the arena again. A
+///    growing variable's value is λ·weight for one global level λ. Each row
+///    keeps its remaining capacity (capacity minus the frozen users'
+///    consumption), its growing weight sum and user count, so its
+///    saturation level is remaining / sum; each capped variable's level is
+///    cap / weight. A round min-scans the dense level array, moves λ there,
+///    and freezes every row and variable within the saturation slack:
+///    a saturated row freezes its growing users at λ·weight, a capped
+///    variable snaps to its cap. A freeze updates each row the variable
+///    crosses in O(1); a row re-sums from its captured users only when its
+///    sum falls below 1e-6 of its last full sum (cancellation guard). A
+///    solve thus costs O(closure elements) plus one dense scan per
+///    saturation level. A closure without rows — a lone variable, say —
+///    is solved directly: each value is its cap. A closure with one row and
+///    no capped variable saturates in one step, at the row's level.
 ///  * **Id recycling.** Variable *and* constraint ids are recycled through
 ///    free lists (release_variable / release_constraint), keeping the id
 ///    space — and with it every parallel array — dense under churn.
@@ -218,15 +230,9 @@ public:
   /// allocations stay frozen. Idempotent between modifications.
   void solve();
 
-  /// Recompute every allocation from scratch (the incremental path falls
-  /// back to this when most of the system is dirty; tests use it to check
-  /// incremental ≡ full).
+  /// Recompute every allocation from scratch (the first solve() does; tests
+  /// use it to check incremental ≡ full).
   void solve_full();
-
-  /// Whether escalating the collected closure to solve_full() is a win:
-  /// false when the arena sweep it implies dwarfs the closure (sparse arena
-  /// after churn or mass completions).
-  bool full_solve_profitable() const;
 
   /// True when a mutation since the last solve may have changed allocations.
   bool needs_solve() const {
@@ -242,7 +248,8 @@ public:
     size_t solves = 0;        ///< solve() calls that had dirty work to do
     size_t full_solves = 0;   ///< of which ran the from-scratch path
     size_t vars_visited = 0;  ///< cumulative size of the re-solved subsets
-    size_t elements_scanned = 0;  ///< element-list entries walked by filling
+    size_t elements_scanned = 0;  ///< captured row entries plus re-sum reads
+    size_t rounds = 0;  ///< saturation levels filling stepped through
   };
   const SolveStats& solve_stats() const { return stats_; }
   /// Joint solves over coupled solver shards: always 0, as there is one
@@ -307,65 +314,53 @@ public:
 
   // -- affected-closure collection -------------------------------------------
   /// Collect the transitive closure of the dirty seeds into affected_vars_ /
-  /// affected_cnsts_ and consume the seeds. kFlagInSet marks membership while
-  /// collecting; kFlagTraverse doubles as the "users already queued" marker
-  /// (it is free then: the dirty seeds that use it are consumed first). Both
+  /// affected_cnsts_, consume the seeds, and capture the closure's dense
+  /// snapshot (local_vars_, local_rows_). kFlagInSet marks membership while
+  /// collecting; kFlagTraverse doubles as the "users queued" marker (it is
+  /// free then: the dirty seeds that use it are consumed first). Both
   /// markers are cleared before returning.
   void closure_collect();
   void closure_add_var(VarId v);
   void closure_add_cnst(CnstId c, bool traverse);
+  /// Add a shared constraint's users to the closure and capture its growing
+  /// ones as a row, or as a cap when a single variable grows on it.
+  void capture_row(CnstId c);
 
-  /// Progressive filling restricted to the given variables/constraints.
-  /// Every live variable of a listed constraint must be listed too.
-  void solve_subset(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts);
+  /// Progressive filling of the captured snapshot on one fill level; writes
+  /// the values and appends the moved variables to changed_vars_.
+  void fill();
+  /// The general case of fill(): levels, rounds and freezes.
+  void fill_levels();
+  /// Give local variable i its final value x and update the rows it crosses.
+  void freeze(std::uint32_t i, double x);
+  /// Swap-remove an entry of the level array, repointing the moved owner.
+  void level_remove(std::int32_t slot);
 
-  /// The working lists: the growing variables in subset order (so a
-  /// force-freeze picks the same one as a full scan would), and the shared
-  /// constraints that still have growing users, with `sum`, the total of
-  /// their coeff * weight folded in element-list order. A constraint with
-  /// several growing users copies them, in list order, into its own slice of
-  /// fill_elems_; a re-sum walks and compacts only that slice. Skipping
-  /// frozen entries keeps each sum bitwise the one a walk of the whole
-  /// element list would give.
-  struct FillElem {
-    VarId var;
-    double rate;  ///< coeff * weight
+  /// The closure's dense snapshot. Local variable i is affected_vars_[i].
+  static constexpr std::int32_t kNoSlot = -1;
+  struct LocalVar {
+    double weight;
+    double cap;          ///< bound and fatpipe / lone-user caps; kInf: none
+    double old_value;
+    std::uint32_t edges;  ///< first of its (row, coeff) entries in var_edges_
+                          ///< (while collecting: their count)
+    std::int32_t slot;    ///< its entry in the level array, or kNoSlot
+    bool growing;
   };
-  struct FillSlice {
-    std::uint32_t begin;
-    std::uint32_t end;
+  /// A shared constraint with several growing users.
+  struct LocalRow {
+    double remaining;  ///< capacity minus the frozen users' consumption
+    double sum;        ///< coeff * weight over the growing users
+    double full_sum;   ///< sum when last summed in full
+    double slack;      ///< saturated once remaining - λ·sum falls to this
+    std::uint32_t begin, end;  ///< its users in row_entries_, in list order
+    std::int32_t count;        ///< growing entries left; 0: done
+    std::int32_t slot;         ///< its entry in the level array
   };
-  static constexpr std::uint32_t kNoSlice = 0xFFFFFFFFu;
-  struct FillCnst {
-    CnstId id;
-    std::uint32_t slice;  ///< index into fill_slices_, or kNoSlice
-    double sum;
+  struct LocalEntry {
+    std::int32_t idx;  ///< local variable (row_entries_) or row (var_edges_)
+    double coeff;
   };
-  static constexpr double kNoUsers = -1.0;
-
-  /// Reset the subset, fold bounds and fatpipe caps, and build the working
-  /// lists.
-  void fill_start(const std::vector<VarId>& svars, const std::vector<CnstId>& scnsts);
-  // One filling round is delta, grow, freeze, compact:
-  /// `delta` capped by the tightest growth step (kInf: nothing restricts).
-  double fill_delta(double delta) const;
-  void fill_grow(double delta);
-  /// Give every growing variable the unconstrained rate and stop.
-  void fill_unlimited();
-  /// Call freeze(var index) for every growing user of a saturated constraint,
-  /// then snap and freeze every variable that reached its bound.
-  template <typename Freeze>
-  void fill_freeze(Freeze&& freeze);
-  /// Drop frozen variables and exhausted constraints from the working lists;
-  /// re-sum the constraints that lost a user.
-  void fill_compact();
-  /// Drop the constraint's users that stopped growing (it lost at least one)
-  /// and return the weighted sum of the rest, in list order; kNoUsers when
-  /// none is left.
-  double fill_resum(FillCnst& fc);
-  /// Walk a constraint's element list: fn(var index, coeff) per entry.
-  template <typename Fn>
-  void fill_walk(size_t c, Fn&& fn);
 
   // -- arena storage ---------------------------------------------------------
   std::vector<std::unique_ptr<ElemNode[]>> chunks_;
@@ -379,10 +374,8 @@ public:
   static constexpr unsigned char kFlagAlive = 1;
   static constexpr unsigned char kFlagDirty = 2;
   static constexpr unsigned char kFlagInSet = 4;
-  static constexpr unsigned char kFlagActive = 8;    ///< vars: still growing in solve
   static constexpr unsigned char kFlagTraverse = 8;  ///< cnsts: closure must reach users
   static constexpr unsigned char kFlagShared = 16;   ///< cnsts: capacity is divided
-  static constexpr unsigned char kFlagTouched = 32;  ///< cnsts: lost a user this filling round
 
   // -- constraint storage (indexed by CnstId) --------------------------------
   /// Capacity + arena list head + degree, fused: the solver always reads
@@ -422,13 +415,16 @@ public:
   std::vector<VarId> affected_vars_;
   std::vector<CnstId> affected_cnsts_;
   std::vector<CnstId> traverse_list_;  ///< closure: cnsts whose users must be added
-  std::vector<double> effective_bound_;
-  std::vector<double> remaining_;
-  std::vector<double> old_values_;        ///< parallel to the subset list
-  std::vector<VarId> fill_vars_;
-  std::vector<FillCnst> fill_cnsts_;
-  std::vector<FillSlice> fill_slices_;
-  std::vector<FillElem> fill_elems_;
+  std::vector<std::int32_t> var_slot_;  ///< per VarId: local index while collecting
+  std::vector<LocalVar> local_vars_;
+  std::vector<LocalRow> local_rows_;
+  std::vector<LocalEntry> row_entries_;  ///< (local variable, coeff) per row
+  std::vector<LocalEntry> var_edges_;    ///< (row, coeff) per local variable
+  // The level array: one entry per live row and per growing capped variable.
+  std::vector<double> level_;         ///< saturation level
+  std::vector<double> trigger_;       ///< level from which it counts as saturated
+  std::vector<std::int32_t> owner_;   ///< row index, or ~local variable
+  std::vector<std::int32_t> saturated_;  ///< owners saturating this round
 };
 
 }  // namespace sg::core
