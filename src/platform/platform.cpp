@@ -168,10 +168,16 @@ void Platform::claim_link_name(const std::string& name) {
 
 void Platform::claim_host_names(const std::string& host, const std::string& link) {
   // The link name is looked up first, so a taken one leaves the host name free.
-  if (link_index_.find(link, link_name_of()) >= 0)
-    throw xbt::InvalidArgument("duplicate link name: " + link);
+  check_names_free("", link);
   claim_node_name(host);
   claim_link_name(link);
+}
+
+void Platform::check_names_free(const std::string& node, const std::string& link) const {
+  if (!link.empty() && link_index_.find(link, link_name_of()) >= 0)
+    throw xbt::InvalidArgument("duplicate link name: " + link);
+  if (!node.empty() && node_index_.find(node, node_name_of()) >= 0)
+    throw xbt::InvalidArgument("duplicate node name: " + node);
 }
 
 NodeId Platform::add_host(const HostSpec& spec) {
@@ -279,24 +285,42 @@ ZoneId Platform::add_cluster_zone(const ClusterZoneSpec& spec) {
     if (z.name == spec.name)
       throw xbt::InvalidArgument("duplicate zone name: " + spec.name);
 
+  // All or nothing: every name and link spec is checked before anything
+  // exists, so a refused zone leaves no hub or member behind.
+  const bool has_backbone = spec.backbone_bandwidth > 0;
+  LinkSpec bb;
+  bb.name = spec.name + "-backbone";
+  bb.bandwidth_Bps = spec.backbone_bandwidth;
+  bb.latency_s = spec.backbone_latency;
+  bb.policy = spec.backbone_fatpipe ? SharingPolicy::kFatpipe : SharingPolicy::kShared;
+  const std::string& prefix = spec.host_prefix.empty() ? spec.name : spec.host_prefix;
+  LinkSpec member_link;
+  member_link.name = prefix + "0-link";
+  member_link.bandwidth_Bps = spec.link_bandwidth;
+  member_link.latency_s = spec.link_latency;
+  check_link_spec(member_link);
+  check_names_free(spec.name + "-switch", "");
+  if (has_backbone) {
+    check_link_spec(bb);
+    check_names_free(spec.name + "-out", bb.name);
+  }
+  std::vector<std::string> members(static_cast<size_t>(spec.count));
+  for (int m = 0; m < spec.count; ++m) {
+    members[static_cast<size_t>(m)] = xbt::format("%s%d", prefix.c_str(), m);
+    check_names_free(members[static_cast<size_t>(m)], members[static_cast<size_t>(m)] + "-link");
+  }
+
   ZoneRec zone;
   zone.name = spec.name;
   zone.kind = ZoneKind::kCluster;
   zone.spec = spec;
   zone.up_latency = spec.link_latency;
-  const std::string& prefix = spec.host_prefix.empty() ? spec.name : spec.host_prefix;
   const ZoneId zid = static_cast<ZoneId>(zones_.size());
 
   const NodeId hub = add_router(spec.name + "-switch");
   zone.hub = hub;
-  const bool has_backbone = spec.backbone_bandwidth > 0;
   if (has_backbone) {
     zone.gateway = add_router(spec.name + "-out");
-    LinkSpec bb;
-    bb.name = spec.name + "-backbone";
-    bb.bandwidth_Bps = spec.backbone_bandwidth;
-    bb.latency_s = spec.backbone_latency;
-    bb.policy = spec.backbone_fatpipe ? SharingPolicy::kFatpipe : SharingPolicy::kShared;
     zone.backbone = add_link(bb);
     zone.backbone_latency = spec.backbone_latency;
     edges_.push_back({hub, zone.gateway, zone.backbone});
@@ -309,8 +333,8 @@ ZoneId Platform::add_cluster_zone(const ClusterZoneSpec& spec) {
   // Hosts, private links, edges — names and declaration order match the
   // historical make_cluster() exactly, so flat-graph twins are comparable
   // link-id for link-id.
-  for (int m = 0; m < spec.count; ++m)
-    add_member(zid, xbt::format("%s%d", prefix.c_str(), m), spec.host_speed);
+  for (const std::string& name : members)
+    add_member(zid, name, spec.host_speed);
   return zid;
 }
 
@@ -448,14 +472,25 @@ void Platform::seal() {
 int Platform::join_host(ZoneId zone, const std::string& name, double speed_flops) {
   if (!sealed_)
     throw xbt::InvalidArgument("join_host: platform must be sealed (use add_* before seal())");
-  const ZoneRec& z = zone_rec(zone, "join_host");
+  zone_rec(zone, "join_host");
+  ZoneRec& z = zones_[static_cast<size_t>(zone)];
   if (z.kind != ZoneKind::kCluster)
     throw xbt::InvalidArgument("join_host: zone " + z.name +
                                " is not a cluster zone (graph hosts use the attach overload)");
-  // Number by members ever created: departure does not free a name.
-  const std::string& prefix = z.spec.host_prefix.empty() ? z.spec.name : z.spec.host_prefix;
-  const int h = add_member(zone, name.empty() ? xbt::format("%s%d", prefix.c_str(), z.count) : name,
-                           speed_flops > 0 ? speed_flops : z.spec.host_speed);
+  // Number by members ever created, plus the generated names refused as
+  // taken: departure does not free a name, and a refusal moves past it.
+  std::string member = name;
+  if (name.empty()) {
+    const std::string& prefix = z.spec.host_prefix.empty() ? z.spec.name : z.spec.host_prefix;
+    member = xbt::format("%s%d", prefix.c_str(), z.count + z.names_skipped);
+    try {
+      check_names_free(member, member + "-link");
+    } catch (const xbt::InvalidArgument&) {
+      ++z.names_skipped;
+      throw;
+    }
+  }
+  const int h = add_member(zone, member, speed_flops > 0 ? speed_flops : z.spec.host_speed);
   splice_leaf_edge();
   return h;
 }

@@ -401,6 +401,7 @@ private:
     NodeId hub = -1;          ///< cluster switch node (-1 for graph zones)
     int first_host = 0;       ///< cluster: first member host index
     int count = 0;            ///< cluster: members ever created (graph: hosts assigned)
+    int names_skipped = 0;    ///< cluster: generated names refused as taken
     LinkId backbone = -1;
     double up_latency = 0.0;
     double backbone_latency = 0.0;
@@ -440,6 +441,8 @@ private:
   void claim_link_name(const std::string& name);
   /// Claim a new host's name and its uplink's: both or neither.
   void claim_host_names(const std::string& host, const std::string& link);
+  /// Throw the claim_* error for a taken name without claiming anything.
+  void check_names_free(const std::string& node, const std::string& link) const;
   auto node_name_of() const {
     return [this](int id) -> const std::string& { return node_names_[static_cast<size_t>(id)]; };
   }

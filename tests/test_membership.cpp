@@ -138,6 +138,28 @@ TEST_F(MembershipTest, JoinNameCollisionThrowsAndLeavesPlatformUnchanged) {
   EXPECT_EQ(p.route(graph_host, h).size(), 2u);
 }
 
+// A refused generated name is skipped: the join after it takes the next
+// name and succeeds, instead of colliding on the same name forever.
+TEST_F(MembershipTest, GeneratedJoinSkipsANameItWasRefused) {
+  Platform p = make_star_zone(4);
+  const auto zone = *p.zone_by_name("star");
+  sg::platform::HostSpec squatter;
+  squatter.name = "n4";  // the next generated member name
+  sg::platform::LinkSpec up;
+  up.name = "squatter-link";
+  const int graph_host = p.join_host(squatter, p.zone_gateway(zone), up);
+  const size_t hosts0 = p.host_count();
+  EXPECT_THROW(p.join_host(zone), sg::xbt::InvalidArgument);
+  EXPECT_EQ(p.host_count(), hosts0);
+  EXPECT_EQ(p.zone_host_count(zone), 4);
+  const int h = p.join_host(zone);
+  EXPECT_EQ(p.host_by_name("n5"), h);
+  EXPECT_EQ(p.host_by_name("n4"), graph_host);
+  EXPECT_EQ(p.zone_host_count(zone), 5);
+  EXPECT_EQ(p.route(0, h).size(), 2u);
+  EXPECT_EQ(p.host_by_name("n6"), p.join_host(zone));
+}
+
 // Generated joins are in the name maps as soon as they exist, and joined
 // members of backboned zones route like base members across zones.
 TEST_F(MembershipTest, GeneratedJoinsAreFoundByNameAndRouteLikeBaseMembers) {

@@ -38,6 +38,37 @@ TEST(Platform, DuplicateNamesRejected) {
   EXPECT_THROW(p.add_link("l", 1e8, 1e-4), sg::xbt::InvalidArgument);
 }
 
+// A cluster zone is created whole or not at all: a taken member name is
+// found before the hub or any member exists, and the zone is not registered.
+TEST(Platform, ClusterZoneWithATakenMemberNameLeavesNothingBehind) {
+  Platform p;
+  p.add_host("c1", 1e9);
+  const size_t nodes0 = p.node_count();
+  ClusterZoneSpec spec;
+  spec.name = "c";
+  spec.count = 3;
+  spec.backbone_bandwidth = 1e9;
+  try {
+    p.add_cluster_zone(spec);
+    ADD_FAILURE() << "zone with a taken member name was accepted";
+  } catch (const sg::xbt::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate node name: c1"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(p.host_count(), 1u);
+  EXPECT_EQ(p.link_count(), 0u);
+  EXPECT_EQ(p.zone_count(), 0u);
+  EXPECT_EQ(p.node_count(), nodes0);
+  EXPECT_TRUE(p.edges().empty());
+  EXPECT_FALSE(p.zone_by_name("c").has_value());
+  EXPECT_FALSE(p.host_by_name("c0").has_value());
+  EXPECT_FALSE(p.link_by_name("c-backbone").has_value());
+  // Every name stays free: the zone can be created under another prefix.
+  spec.host_prefix = "m";
+  const ZoneId z = p.add_cluster_zone(spec);
+  EXPECT_EQ(p.zone_host_count(z), 3);
+  EXPECT_EQ(p.host_count(), 4u);
+}
+
 // Id-keyed accessors refuse an out-of-range id with a typed error naming the
 // call and the id; they used to leak std::out_of_range or read past the end.
 TEST(Platform, OutOfRangeIdsThrowTypedErrorsNamingTheCall) {
