@@ -30,9 +30,13 @@ higher-is-better: they regress when current < baseline * (1 - threshold). Benchm
 are reported but never fail the job, and a missing baseline file skips the
 comparison entirely (first run on a branch, expired artifact, ...).
 
-Sub-millisecond timings are compared with a 1 ms absolute floor so scheduler
-noise on shared CI runners cannot fail the job on a microbenchmark. Memory
-metrics are deterministic, so no floor applies to them.
+A timing regresses only when its total measured time is above a 1 ms
+absolute floor, so scheduler noise on shared CI runners cannot fail the job
+on a run too short to time. For google-benchmark rows the total is
+real_time x iterations: the floor applies to the whole measurement, not to
+one iteration, so a sub-millisecond microbenchmark still gates. For engine-
+bench rows the wall time already is the total. Memory metrics are
+deterministic, so no floor applies to them.
 
 Usage: compare_bench.py BASELINE CURRENT [--threshold 0.25]
 """
@@ -53,9 +57,10 @@ HIGHER_IS_BETTER = {"events_per_sec", "spawn_per_sec", "wakeups_per_sec"}
 
 
 def load_metrics(path):
-    """name -> (value, kind): kind 'time' (seconds), 'bytes' or 'rate'
+    """name -> (value, kind, total): kind 'time' (seconds), 'bytes' or 'rate'
     (events/s, higher is better) gates; 'info' rows are printed but
-    never fail."""
+    never fail. total is the whole measured time of a 'time' row (what the
+    noise floor applies to) and the value itself otherwise."""
     with open(path) as fh:
         data = json.load(fh)
     metrics = {}
@@ -65,26 +70,30 @@ def load_metrics(path):
         if name is None:
             continue
         if "bytes" in entry:
-            metrics[name] = (float(entry["bytes"]), "bytes")
+            value = float(entry["bytes"])
+            metrics[name] = (value, "bytes", value)
         elif "wall_time_s" not in entry and "events_per_sec" in entry:
-            metrics[name] = (float(entry["events_per_sec"]), "rate")
+            value = float(entry["events_per_sec"])
+            metrics[name] = (value, "rate", value)
         elif "wall_time_s" in entry:
-            metrics[name] = (float(entry["wall_time_s"]), "time")
+            value = float(entry["wall_time_s"])
+            metrics[name] = (value, "time", value)
         elif "real_time" in entry:
             scale = unit_scale.get(entry.get("time_unit", "ns"), 1e-9)
-            metrics[name] = (float(entry["real_time"]) * scale, "time")
+            value = float(entry["real_time"]) * scale
+            metrics[name] = (value, "time", value * float(entry.get("iterations", 1)))
         # Secondary metrics only exist in the engine-bench shape; google-
         # benchmark entries carry bookkeeping numbers (family_index,
         # iterations, cpu_time, ...) that would drown the table.
         if "wall_time_s" not in entry and "bytes" not in entry \
-                and metrics.get(name, (0, ""))[1] != "rate":
+                and metrics.get(name, (0, "", 0))[1] != "rate":
             continue
         for key, value in entry.items():
             if key in PRIMARY_KEYS or not isinstance(value, (int, float)):
                 continue
-            if metrics.get(name, (0, ""))[1] == "rate" and key == "events_per_sec":
+            if metrics.get(name, (0, "", 0))[1] == "rate" and key == "events_per_sec":
                 continue  # already the primary metric of this entry
-            metrics[f"{name}#{key}"] = (float(value), "info")
+            metrics[f"{name}#{key}"] = (float(value), "info", float(value))
     return metrics
 
 
@@ -110,11 +119,11 @@ def main():
     regressions = []
     print(f"{'benchmark':50s} {'baseline':>14s} {'current':>14s} {'ratio':>8s}")
     for name in sorted(current):
-        cur, kind = current[name]
+        cur, kind, cur_total = current[name]
         if name not in baseline:
-            print(f"{name:50s} {'(new)':>14s} {cur:14.6f} {'':>8s}")
+            print(f"{name:50s} {'(new)':>14s} {cur:14.6g} {'':>8s}")
             continue
-        base, _ = baseline[name]
+        base = baseline[name][0]
         ratio = cur / base if base > 0 else float("inf")
         if kind == "rate" or (kind == "info"
                               and name.rsplit("#", 1)[-1] in HIGHER_IS_BETTER and cur > 0):
@@ -122,21 +131,22 @@ def main():
             ratio = base / cur if cur > 0 else float("inf")
         noise_floor = ABS_FLOOR_S if kind == "time" else 0.0
         flag = ""
-        if kind in ("time", "bytes") and cur > base * (1.0 + args.threshold) and cur > noise_floor:
+        if kind in ("time", "bytes") and cur > base * (1.0 + args.threshold) \
+                and cur_total > noise_floor:
             flag = "  REGRESSED"
             regressions.append((name, base, cur, ratio))
         elif kind == "rate" and cur < base * (1.0 - args.threshold):
             flag = "  REGRESSED"
             regressions.append((name, base, cur, ratio))
-        print(f"{name:50s} {base:14.6f} {cur:14.6f} {ratio:8.2f}{flag}")
+        print(f"{name:50s} {base:14.6g} {cur:14.6g} {ratio:8.2f}{flag}")
     for name in sorted(set(baseline) - set(current)):
-        print(f"{name:50s} {baseline[name][0]:14.6f} {'(gone)':>14s}")
+        print(f"{name:50s} {baseline[name][0]:14.6g} {'(gone)':>14s}")
 
     if regressions:
         print(f"\n{len(regressions)} benchmark(s) regressed more than "
               f"{args.threshold:.0%} vs the main baseline:")
         for name, base, cur, ratio in regressions:
-            print(f"  {name}: {base:.6f} -> {cur:.6f} ({ratio:.2f}x)")
+            print(f"  {name}: {base:.6g} -> {cur:.6g} ({ratio:.2f}x)")
         return 1
     print("\nno benchmark regressed beyond the threshold")
     return 0

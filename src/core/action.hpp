@@ -4,12 +4,11 @@
 /// The engine assigns each running action a rate from the MaxMin solution
 /// and advances its remaining work as simulated time passes.
 ///
-/// The steady-state Action object is deliberately small (~2 cache lines,
-/// control block included): the per-event hot path (rate refresh, heap pop,
-/// completion) reads the leading fields; state/kind are single bytes and
-/// the flags single bits; the display name lives in a lazily-populated side
-/// table co-owned by the action's own control block (most actions keep their
-/// kind's default name and pay nothing); and the set of constraints the
+/// The steady-state Action object is deliberately small (two cache lines):
+/// the per-event hot path (rate refresh, heap pop, completion) reads the
+/// leading fields; state/kind are single bytes and the flags single bits;
+/// a custom display name is one owned pointer that stays null for actions
+/// keeping their kind's default name; and the set of constraints the
 /// action consumes is not stored here at all — it is read from the solver's
 /// element arena, which the engine also uses as its cnst -> actions
 /// failure-propagation index.
@@ -25,7 +24,6 @@
 namespace sg::core {
 
 class Engine;
-struct ActionBlockPool;
 
 enum class ActionState : std::uint8_t {
   kRunning,   ///< progressing (or waiting out its latency phase)
@@ -44,14 +42,13 @@ class Action {
 public:
   Action(const Action&) = delete;
   Action& operator=(const Action&) = delete;
-  ~Action();
 
   ActionState state() const { return state_; }
   ActionKind kind() const { return kind_; }
   /// Display name: the name passed at creation, or the kind's default
-  /// ("exec", "comm", "ptask", "sleep"). Looked up in a side table the
-  /// action's control block co-owns, so the action itself stays slim and
-  /// the name outlives the engine together with the ActionPtr.
+  /// ("exec", "comm", "ptask", "sleep") when none (or an empty one) was
+  /// given. Owned by the action, so it outlives the engine together with
+  /// the ActionPtr.
   const std::string& name() const;
 
   double total() const { return total_; }
@@ -84,7 +81,8 @@ public:
   /// Destination host of a communication (-1 otherwise).
   int peer_host() const { return peer_host_; }
 
-  /// Arbitrary user payload (the kernel attaches the waiting activity).
+  /// Arbitrary user payload: the kernel attaches the blocked actor to an
+  /// exec, ptask or sleep, and the rendezvous Comm to a transfer.
   void* user_data = nullptr;
 
 protected:
@@ -119,17 +117,14 @@ private:
   ActionKind kind_;
   bool in_latency_phase_ : 1 = false;
   bool in_heap_ : 1 = false;  ///< has a live (non-stale) completion-heap entry
-  bool has_name_ : 1 = false;  ///< a custom name sits in pool_->names
   bool in_endpoint_lists_ : 1 = false;  ///< registered in the hosts' comm indexes
   /// Engine-wide start counter (wraps): same-date events apply in this order.
   std::uint32_t start_seq_;
   double priority_;
   double total_;
   double start_time_ = 0;
-  /// Shared pool + name table; co-owned by this action's control block, so
-  /// it outlives the action (and possibly the engine). Set only for actions
-  /// with a custom name (has_name_).
-  ActionBlockPool* pool_ = nullptr;
+  /// Custom display name; null keeps the kind's default.
+  std::unique_ptr<std::string> name_;
 };
 
 static_assert(sizeof(Action) == 128, "the per-event hot path assumes two cache lines per action");

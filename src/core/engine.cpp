@@ -30,7 +30,7 @@ inline std::uint64_t phase_clock_ns() {
 }
 
 /// Default display names, indexed by ActionKind. Actions created with these
-/// names (the overwhelming majority) occupy no slot in the name side table.
+/// names (the overwhelming majority) store no name of their own.
 const std::string kDefaultNames[] = {"exec", "comm", "ptask", "sleep"};
 
 /// "host X departed at t=…" for activity starts on a host that left the
@@ -97,10 +97,9 @@ void declare_engine_config() {
                   "SG_PROFILE");
 }
 
-/// State co-owned by the engine and (via the allocator copy in every control
-/// block) by each of its actions: the LIFO block recycler and the
-/// lazily-populated name side table. Living here rather than in the Engine
-/// keeps both safe for ActionPtrs that outlive their engine.
+/// LIFO block recycler co-owned by the engine and (via the allocator copy in
+/// every control block) by each of its actions. Living here rather than in
+/// the Engine keeps it safe for ActionPtrs that outlive their engine.
 ///
 /// The recycler serves the single block size allocate_shared<ConcreteAction>
 /// requests (action + control block fused). Steady-state churn re-uses the
@@ -113,9 +112,6 @@ struct ActionBlockPool {
   static constexpr size_t kMaxFreeBlocks = 64 * 1024;
   std::vector<void*> free_blocks;
   size_t block_bytes = 0;  ///< learned from the first allocation
-  /// Custom display names (see Engine::set_action_name); actions created
-  /// with their kind's default name have no entry.
-  std::unordered_map<const Action*, std::string> names;
 
   ~ActionBlockPool() {
     for (void* p : free_blocks)
@@ -153,22 +149,8 @@ Action::Action(Engine* engine, ActionKind kind, double total, double priority)
       total_(total),
       start_time_(engine->now()) {}
 
-Action::~Action() {
-  // The name side table lives in the block pool, which this action's
-  // control block co-owns (the allocator stored there holds a shared_ptr
-  // and is destroyed only after this destructor runs) — so the erase is
-  // safe even for an ActionPtr that outlives its engine.
-  if (has_name_)
-    pool_->names.erase(this);
-}
-
 const std::string& Action::name() const {
-  if (has_name_) {
-    auto it = pool_->names.find(this);
-    if (it != pool_->names.end())
-      return it->second;
-  }
-  return kDefaultNames[static_cast<size_t>(kind_)];
+  return name_ ? *name_ : kDefaultNames[static_cast<size_t>(kind_)];
 }
 
 void Action::suspend() {
@@ -255,20 +237,14 @@ struct PoolAllocator {
     return pool == other.pool;
   }
 };
-
-ActionPtr make_action(const std::shared_ptr<ActionBlockPool>& pool, Engine* engine, ActionKind kind,
-                      double total, double priority) {
-  return std::allocate_shared<ConcreteAction>(PoolAllocator<ConcreteAction>(pool), engine, kind, total,
-                                              priority);
-}
 }  // namespace
 
-void Engine::set_action_name(Action* action, const std::string& name) {
-  if (name == kDefaultNames[static_cast<size_t>(action->kind_)])
-    return;
-  pool_->names[action] = name;
-  action->pool_ = pool_.get();
-  action->has_name_ = true;
+ActionPtr Engine::make_action(ActionKind kind, double total, double priority, std::string_view name) {
+  auto action = std::allocate_shared<ConcreteAction>(PoolAllocator<ConcreteAction>(pool_), this, kind,
+                                                     total, priority);
+  if (!name.empty() && name != kDefaultNames[static_cast<size_t>(kind)])
+    action->name_ = std::make_unique<std::string>(name);
+  return action;
 }
 
 Engine::Engine(platform::Platform platform)
@@ -299,15 +275,7 @@ double Engine::next_trace_time() const {
   return traces_.empty() ? kInf : std::max(traces_.top().time, now_);
 }
 
-ActionPtr Engine::exec_start(int host, double flops, double priority) {
-  return exec_start_impl(host, flops, priority, nullptr);
-}
-
-ActionPtr Engine::exec_start(int host, double flops, double priority, const std::string& name) {
-  return exec_start_impl(host, flops, priority, &name);
-}
-
-ActionPtr Engine::exec_start_impl(int host, double flops, double priority, const std::string* name) {
+ActionPtr Engine::exec_start(int host, double flops, double priority, std::string_view name) {
   HostRes& res = checked(hosts_, host, "exec_start", "host");
   check_amount("exec_start", "flops", flops, platform_, host);
   check_amount("exec_start", "priority", priority, platform_, host);
@@ -316,10 +284,8 @@ ActionPtr Engine::exec_start_impl(int host, double flops, double priority, const
       throw_host_departed("exec_start", platform_, host);
     throw xbt::HostFailureException("exec_start: host " + platform_.host(host).name + " is down");
   }
-  auto action = make_action(pool_, this, ActionKind::kExec, flops, priority);
+  auto action = make_action(ActionKind::kExec, flops, priority, name);
   action->host_ = host;
-  if (name != nullptr)
-    set_action_name(action.get(), *name);  // before notify: observers read name()
   bind_var(action.get(), sys_.new_variable(priority));
   sys_.expand(res.cnst, action->var_, 1.0);
   add_running(action);
@@ -338,16 +304,7 @@ MaxMinSystem::CnstId Engine::loopback_constraint(int host) {
 }
 
 ActionPtr Engine::comm_start(int src_host, int dst_host, double bytes, double rate_limit,
-                             const std::string& name) {
-  return comm_start_impl(src_host, dst_host, bytes, rate_limit, &name);
-}
-
-ActionPtr Engine::comm_start(int src_host, int dst_host, double bytes, double rate_limit) {
-  return comm_start_impl(src_host, dst_host, bytes, rate_limit, nullptr);
-}
-
-ActionPtr Engine::comm_start_impl(int src_host, int dst_host, double bytes, double rate_limit,
-                                  const std::string* name) {
+                             std::string_view name) {
   checked(hosts_, src_host, "comm_start", "host");
   checked(hosts_, dst_host, "comm_start", "host");
   check_amount("comm_start", "bytes", bytes, platform_, src_host);
@@ -375,11 +332,9 @@ ActionPtr Engine::comm_start_impl(int src_host, int dst_host, double bytes, doub
       }
   }
 
-  auto action = make_action(pool_, this, ActionKind::kComm, bytes, 1.0);
+  auto action = make_action(ActionKind::kComm, bytes, 1.0, name);
   action->host_ = src_host;
   action->peer_host_ = dst_host;
-  if (name != nullptr)
-    set_action_name(action.get(), *name);  // before notify: observers read name()
 
   if (dead_route) {
     // The communication fails immediately; report it through the next step
@@ -424,14 +379,7 @@ ActionPtr Engine::comm_start_impl(int src_host, int dst_host, double bytes, doub
 }
 
 ActionPtr Engine::ptask_start(const std::vector<int>& hosts, const std::vector<double>& flops,
-                              const std::vector<std::vector<double>>& bytes, const std::string& name) {
-  auto action = ptask_start(hosts, flops, bytes);
-  set_action_name(action.get(), name);
-  return action;
-}
-
-ActionPtr Engine::ptask_start(const std::vector<int>& hosts, const std::vector<double>& flops,
-                              const std::vector<std::vector<double>>& bytes) {
+                              const std::vector<std::vector<double>>& bytes, std::string_view name) {
   if (hosts.empty() || flops.size() != hosts.size())
     throw xbt::InvalidArgument("ptask_start: hosts/flops size mismatch");
   if (!bytes.empty() && bytes.size() != hosts.size())
@@ -459,7 +407,7 @@ ActionPtr Engine::ptask_start(const std::vector<int>& hosts, const std::vector<d
   // coefficient k on a resource means "rate v consumes k*v of the resource",
   // so at completion (integral of v = 1) exactly flops[i] / bytes[i][j] have
   // been consumed. This is SimGrid's L07 parallel-task model.
-  auto action = make_action(pool_, this, ActionKind::kPtask, 1.0, 1.0);
+  auto action = make_action(ActionKind::kPtask, 1.0, 1.0, name);
   bind_var(action.get(), sys_.new_variable(0.0));
 
   double latency = 0.0;
@@ -490,13 +438,7 @@ ActionPtr Engine::ptask_start(const std::vector<int>& hosts, const std::vector<d
   return action;
 }
 
-ActionPtr Engine::sleep_start(int host, double duration, const std::string& name) {
-  auto action = sleep_start(host, duration);
-  set_action_name(action.get(), name);
-  return action;
-}
-
-ActionPtr Engine::sleep_start(int host, double duration) {
+ActionPtr Engine::sleep_start(int host, double duration, std::string_view name) {
   HostRes& res = checked(hosts_, host, "sleep_start", "host");
   check_amount("sleep_start", "duration", duration, platform_, host);
   if (!res.on) {
@@ -504,7 +446,7 @@ ActionPtr Engine::sleep_start(int host, double duration) {
       throw_host_departed("sleep_start", platform_, host);
     throw xbt::HostFailureException("sleep_start: host is down");
   }
-  auto action = make_action(pool_, this, ActionKind::kSleep, duration, 1.0);
+  auto action = make_action(ActionKind::kSleep, duration, 1.0, name);
   action->host_ = host;
   action->rate_ = 1.0;  // time passes at rate 1
   // Sleeps have no solver variable, so the arena cannot index them; the

@@ -30,6 +30,7 @@
 #include <queue>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/action.hpp"
@@ -75,38 +76,32 @@ public:
   const platform::Platform& platform() const { return platform_; }
 
   // -- starting activities ---------------------------------------------------
-  // Each creator comes in two overloads: the name-less one keeps the default
-  // display name ("exec", "comm", ...) without even constructing a
-  // std::string — creation is the hot path of churn workloads — while the
-  // named one stores the custom name in the shared side table (see
-  // ActionBlockPool).
+  // Each creator takes an optional trailing display name. An empty one keeps
+  // the kind's default ("exec", "comm", ...) and allocates nothing —
+  // creation is the hot path of churn workloads; any other is copied into
+  // the action.
 
   /// Computation of `flops` on a host. Throws HostFailureException if the
   /// host is currently down. Work amounts (flops, bytes) and priorities must
   /// be finite and >= 0, and a rate limit finite: every start throws
   /// xbt::InvalidArgument, naming the call and the host, otherwise.
-  ActionPtr exec_start(int host, double flops, double priority = 1.0);
-  ActionPtr exec_start(int host, double flops, double priority, const std::string& name);
+  ActionPtr exec_start(int host, double flops, double priority = 1.0, std::string_view name = {});
 
   /// Point-to-point transfer of `bytes` from src to dst along the platform
   /// route. rate_limit (> 0) additionally caps the transfer rate (sender
   /// throttling; <= 0 means no cap). The TCP window cap gamma/(2*latency) applies automatically.
-  ActionPtr comm_start(int src_host, int dst_host, double bytes, double rate_limit = -1.0);
-  ActionPtr comm_start(int src_host, int dst_host, double bytes, double rate_limit,
-                       const std::string& name);
+  ActionPtr comm_start(int src_host, int dst_host, double bytes, double rate_limit = -1.0,
+                       std::string_view name = {});
 
   /// Parallel task (paper: "Parallel tasks" under resource sharing): a single
   /// activity consuming several CPUs and the links between them. The action
   /// completes when the common progress fraction reaches 1.
   /// flops[i] is the work of hosts[i]; bytes[i][j] the data sent i -> j.
   ActionPtr ptask_start(const std::vector<int>& hosts, const std::vector<double>& flops,
-                        const std::vector<std::vector<double>>& bytes);
-  ActionPtr ptask_start(const std::vector<int>& hosts, const std::vector<double>& flops,
-                        const std::vector<std::vector<double>>& bytes, const std::string& name);
+                        const std::vector<std::vector<double>>& bytes, std::string_view name = {});
 
   /// Pure delay on a host (fails if the host dies while sleeping).
-  ActionPtr sleep_start(int host, double duration);
-  ActionPtr sleep_start(int host, double duration, const std::string& name);
+  ActionPtr sleep_start(int host, double duration, std::string_view name = {});
 
   // -- time advance -----------------------------------------------------------
   /// Advance simulated time to the next event date, but no further than
@@ -344,14 +339,9 @@ private:
   void bind_var(Action* action, MaxMinSystem::VarId var);
   /// Register a freshly created action in the slot table.
   void add_running(const ActionPtr& action);
-  /// Store a custom display name in the pool's side table (no-op when
-  /// `name` is the kind's default — the common case pays nothing).
-  void set_action_name(Action* action, const std::string& name);
-  /// Shared bodies of the creator overloads; a non-null name is applied
-  /// before the creation notify() so observers already see it.
-  ActionPtr exec_start_impl(int host, double flops, double priority, const std::string* name);
-  ActionPtr comm_start_impl(int src_host, int dst_host, double bytes, double rate_limit,
-                            const std::string* name);
+  /// Allocate an action in the block pool, with its display name (none
+  /// when `name` is empty or the kind's default).
+  ActionPtr make_action(ActionKind kind, double total, double priority, std::string_view name);
   /// Re-solve sharing (incrementally — only components touched by a mutation
   /// are recomputed), refresh the rates of the actions whose allocation
   /// changed, and reschedule exactly those. Cheap no-op when nothing is
@@ -387,7 +377,7 @@ private:
   std::vector<ActionPtr> running_;
   std::vector<size_t> free_slots_;
   size_t running_count_ = 0;
-  /// Block recycler + name side table for the actions.
+  /// Block recycler for the actions.
   std::shared_ptr<ActionBlockPool> pool_;
   /// Availability/state trace events of every resource.
   std::priority_queue<TraceEvent, std::vector<TraceEvent>, std::greater<>> traces_;

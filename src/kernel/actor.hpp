@@ -69,9 +69,6 @@ public:
   /// Register a callback run (on the maestro) when the actor terminates.
   void on_exit(std::function<void(bool /*failed*/)> cb) { exit_callbacks_.push_back(std::move(cb)); }
 
-  /// Arbitrary user slot (MSG attaches its process data here).
-  void* user_data = nullptr;
-
 private:
   friend class Kernel;
 

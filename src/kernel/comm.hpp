@@ -19,17 +19,26 @@
 /// die, and all wake paths check the state first. Anything needed after the
 /// comm is over — who sent, between which hosts — is stored by value
 /// (`sender_id`, `src_host`, ...), never read through the pointers.
+///
+/// ## Transfer back-pointer
+///
+/// A started comm is found from its engine transfer through the action's
+/// `user_data`, a raw pointer that ~Comm clears; the kernel keeps no table of
+/// running transfers and the transfer holds no reference to the comm. When
+/// both parties drop a started comm, the transfer still runs to completion,
+/// keeping its share of the route, and its event wakes no one.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 
 #include "core/action.hpp"
 #include "kernel/actor.hpp"
 
 namespace sg::kernel {
 
-struct Comm {
+struct Comm : std::enable_shared_from_this<Comm> {
   enum class State : std::uint8_t {
     kQueuedSend,  ///< sender waiting for a receiver
     kQueuedRecv,  ///< receiver waiting for a sender
@@ -54,7 +63,13 @@ struct Comm {
   void* payload = nullptr;
   double bytes = 0;
   double rate = -1;      ///< optional cap on the transfer rate
-  core::ActionPtr action;  ///< engine transfer once started
+  /// Engine transfer once started; its user_data points back here.
+  core::ActionPtr action;
+
+  ~Comm() {
+    if (action)
+      action->user_data = nullptr;
+  }
 };
 
 struct Mailbox {

@@ -547,7 +547,7 @@ void Kernel::start_comm(const CommPtr& comm) {
   // By-value host ids: a detached sender may be long dead by the time its
   // queued comm finds a receiver.
   comm->action = engine_.comm_start(comm->src_host, comm->dst_host, comm->bytes, comm->rate);
-  inflight_.emplace(comm->action.get(), comm);
+  comm->action->user_data = comm.get();  // cleared by ~Comm
 }
 
 void Kernel::finish_comm(const CommPtr& comm, WakeStatus result) {
@@ -645,13 +645,13 @@ void Kernel::handle_action_event(const core::ActionEvent& ev) {
       break;
     }
     case core::ActionKind::kComm: {
-      auto it = inflight_.find(act);
-      if (it == inflight_.end())
-        return;
-      CommPtr comm = it->second;
-      inflight_.erase(it);
-      if (comm->state == Comm::State::kFinished)
-        return;  // already resolved by a timeout or a kill
+      // Null once every holder dropped the Comm: the transfer ran on and
+      // there is no one to wake.
+      Comm* c = static_cast<Comm*>(act->user_data);
+      if (c == nullptr || c->state == Comm::State::kFinished)
+        return;  // dropped, or already resolved by a timeout or a kill
+      // Waking a party drops its blocked_comm_, possibly the last holder.
+      const CommPtr comm = c->shared_from_this();
       finish_comm(comm, ev.failed ? WakeStatus::kNetworkFailure : WakeStatus::kOk);
       break;
     }

@@ -272,7 +272,6 @@ private:
   /// thread) is mutex-guarded inside the pool. Shared with every block's
   /// allocator, so comms that outlive the kernel can still be freed.
   std::shared_ptr<CommBlockPool> comm_pool_;
-  std::unordered_map<const core::Action*, CommPtr> inflight_;  ///< running transfers
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::vector<std::pair<int, bool>> host_changes_;  ///< deferred (host, now_on)
   std::vector<RestartSpec> pending_restarts_;  ///< respawn when host returns

@@ -14,27 +14,6 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
-void declare_membership_config() {
-  config::declare(kCfgRetryMax, 4, 1, 1000,
-                  "bounded-retry comm helpers: total attempts before giving up");
-  config::declare(kCfgRetryTimeout, 1.0, 0.0, 1e9,
-                  "bounded-retry comm helpers: first attempt's timeout, seconds");
-  config::declare(kCfgRetryBackoff, 2.0, 1.0, 1e3,
-                  "bounded-retry comm helpers: timeout multiplier between attempts");
-  config::declare(kCfgRetryMaxTimeout, 30.0, 0.0, 1e9,
-                  "bounded-retry comm helpers: cap on the per-attempt timeout, seconds");
-}
-
-RetryPolicy RetryPolicy::from_config() {
-  declare_membership_config();
-  RetryPolicy p;
-  p.max_attempts = static_cast<int>(config::get(kCfgRetryMax));
-  p.timeout = config::get(kCfgRetryTimeout);
-  p.backoff = config::get(kCfgRetryBackoff);
-  p.max_timeout = config::get(kCfgRetryMaxTimeout);
-  return p;
-}
-
 namespace {
 
 /// Shared retry loop: run `attempt` with a growing timeout, sleeping the

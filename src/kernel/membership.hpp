@@ -16,8 +16,7 @@
 ///     out a vanished peer (timeout, network failure, departed host) instead
 ///     of dying with it.
 ///
-/// Retry parameters come from the config registry (membership/retry-*) and
-/// can be overridden per call through RetryPolicy.
+/// Retry parameters are RetryPolicy's defaults unless a call passes its own.
 #pragma once
 
 #include <functional>
@@ -26,17 +25,8 @@
 
 #include "kernel/kernel.hpp"
 #include "trace/trace.hpp"
-#include "xbt/settings.hpp"
 
 namespace sg::kernel {
-
-inline constexpr config::IntKey kCfgRetryMax{"membership/retry-max"};
-inline constexpr config::NumberKey kCfgRetryTimeout{"membership/retry-timeout"};
-inline constexpr config::NumberKey kCfgRetryBackoff{"membership/retry-backoff"};
-inline constexpr config::NumberKey kCfgRetryMaxTimeout{"membership/retry-max-timeout"};
-
-/// Declare the membership/* config keys (idempotent).
-void declare_membership_config();
 
 /// Bounded-retry parameters for retry_send / retry_recv. Each attempt runs
 /// with `timeout`; on failure the next attempt's timeout is multiplied by
@@ -48,22 +38,19 @@ struct RetryPolicy {
   double timeout = 1.0;       ///< first attempt's comm timeout, s
   double backoff = 2.0;       ///< timeout multiplier between attempts
   double max_timeout = 30.0;  ///< cap on the per-attempt timeout, s
-
-  /// Policy seeded from the membership/retry-* config keys.
-  static RetryPolicy from_config();
 };
 
 /// Blocking send with bounded retry. Returns true when an attempt completed,
 /// false when every attempt failed (timeout, network failure, or a departed /
 /// down peer). Never throws the transient comm exceptions it absorbs.
 bool retry_send(Kernel& k, MailboxId mailbox, void* payload, double bytes,
-                const RetryPolicy& policy = RetryPolicy::from_config());
+                const RetryPolicy& policy = RetryPolicy{});
 
 /// Blocking receive with bounded retry. Returns the payload, or nullptr when
 /// every attempt failed. `source` (if non-null) receives the sender's id on
 /// success.
 void* retry_recv(Kernel& k, MailboxId mailbox,
-                 const RetryPolicy& policy = RetryPolicy::from_config(),
+                 const RetryPolicy& policy = RetryPolicy{},
                  ActorId* source = nullptr);
 
 /// One churned host: its membership trace (1 = member, 0 = departed).

@@ -36,12 +36,6 @@ void check_link_spec(const LinkSpec& spec) {
 }
 }  // namespace
 
-void declare_platform_config() {
-  config::declare(kCfgSsspCache, 64, 1, 1 << 20,
-                  "max memoized single-source shortest-path trees (LRU); "
-                  "seal() raises it to hosts/16 when that is larger");
-}
-
 // ---------------------------------------------------------------------------
 // Resolved-route index (open addressing, RouteRefs stored inline)
 // ---------------------------------------------------------------------------
@@ -456,12 +450,10 @@ void Platform::seal() {
     adj_[static_cast<size_t>(e.b)].push_back({e.a, e.link});
     ++link_degree_[static_cast<size_t>(e.link)];
   }
-  // SSSP-tree LRU capacity: configured floor, raised adaptively with the
-  // platform size so that > 64 concurrently active sources (each tree is
-  // O(nodes)) do not evict each other in a thrash loop.
-  declare_platform_config();
-  const long configured = config::get(kCfgSsspCache);
-  sssp_cache_cap_ = std::max(static_cast<size_t>(configured), hosts_.size() / 16);
+  // SSSP-tree LRU capacity: a fixed floor, raised with the platform size so
+  // that many concurrently active sources (each tree is O(nodes)) do not
+  // evict each other in a thrash loop.
+  sssp_cache_cap_ = std::max(kSsspCacheFloor, hosts_.size() / 16);
   sealed_ = true;
 }
 

@@ -48,11 +48,10 @@
 /// simulation kernel is single-threaded anyway). Name lookups only read:
 /// every host, router and link name enters its name map when it is created.
 ///
-/// The tree cache is LRU-bounded; its capacity is configurable via the
-/// `routing/sssp-cache` config key (default 64) and adaptively raised to
-/// hosts/16 at seal() time, so platforms with many concurrently active
-/// sources do not thrash the cache. An evicted tree's buffers are reused for
-/// the next source. Cluster-zone traffic never touches the cache.
+/// The tree cache is LRU-bounded; seal() fixes its capacity at
+/// max(64, hosts/16), so platforms with many concurrently active sources do
+/// not thrash the cache. An evicted tree's buffers are reused for the next
+/// source. Cluster-zone traffic never touches the cache.
 #pragma once
 
 #include <cstdint>
@@ -63,16 +62,8 @@
 
 #include "trace/trace.hpp"
 #include "xbt/name_index.hpp"
-#include "xbt/settings.hpp"
 
 namespace sg::platform {
-
-/// Max memoized single-source shortest-path trees (LRU); Platform::seal()
-/// raises the effective capacity to hosts/16 when that is larger.
-inline constexpr config::IntKey kCfgSsspCache{"routing/sssp-cache"};
-
-/// Register the `routing/*` config keys (idempotent).
-void declare_platform_config();
 
 using NodeId = int;  ///< index of a netpoint (host or router)
 using LinkId = int;  ///< index of a link
@@ -375,8 +366,10 @@ public:
   /// Nodes settled by all shortest-path searches so far (cumulative: evicted
   /// and flushed trees keep counting). Grows only as far as queries reach.
   size_t sssp_settled_count() const { return sssp_settled_; }
-  /// Capacity of the SSSP-tree LRU: max(routing/sssp-cache, hosts/16),
-  /// fixed at seal() time.
+  /// Least number of SSSP trees the LRU holds, whatever the platform size.
+  static constexpr size_t kSsspCacheFloor = 64;
+  /// Capacity of the SSSP-tree LRU: max(kSsspCacheFloor, hosts/16), fixed
+  /// at seal() time.
   size_t sssp_cache_capacity() const { return sssp_cache_cap_; }
   /// Bytes currently devoted to answering route() queries.
   RoutingMemoryStats routing_memory() const;
@@ -586,7 +579,7 @@ private:
   RouteRef& route_slot(std::uint64_t key) const;
   void route_index_grow() const;
 
-  size_t sssp_cache_cap_ = 64;  ///< adjusted by seal() (config + host count)
+  size_t sssp_cache_cap_ = kSsspCacheFloor;  ///< raised by seal() with the host count
   /// LRU by last_used tick: a cache hit is an O(1) counter bump; eviction
   /// scans for the minimum, then re-keys the evicted tree's map node.
   mutable std::unordered_map<NodeId, SsspTree> sssp_cache_;

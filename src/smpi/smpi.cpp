@@ -37,6 +37,8 @@ struct World {
   kernel::Kernel* kernel = nullptr;
   int size = 0;
   std::vector<RankState*> ranks;
+  /// Messages up to this size (bytes) are sent eagerly (buffered); larger
+  /// ones rendezvous.
   double eager_threshold = 65536;
 };
 
@@ -137,24 +139,16 @@ void progress_recv(RankState& st, RequestRec& req) {
 
 // -- world --------------------------------------------------------------------
 
-void declare_smpi_config() {
-  config::declare(kCfgEagerThreshold, 65536.0, 0.0, 1e30,
-                  "messages up to this size (bytes) are sent eagerly (buffered); larger ones "
-                  "rendezvous");
-}
-
 double smpi_run(platform::Platform platform, int nranks, std::function<void(int)> rank_main,
                 const std::vector<std::string>& host_names) {
   if (nranks <= 0)
     throw xbt::InvalidArgument("smpi_run: need at least one rank");
-  declare_smpi_config();
 
   kernel::Kernel kernel(std::move(platform));
   World world;
   world.kernel = &kernel;
   world.size = nranks;
   world.ranks.resize(static_cast<size_t>(nranks));
-  world.eager_threshold = config::get(kCfgEagerThreshold);
 
   const auto& p = kernel.engine().platform();
   std::vector<int> hosts;

@@ -52,12 +52,6 @@ using Request = std::shared_ptr<RequestRec>;
 
 // -- world --------------------------------------------------------------------
 
-/// Typed config key owned by SMPI; declare_smpi_config() registers it.
-inline constexpr config::NumberKey kCfgEagerThreshold{"smpi/eager-threshold"};
-
-/// Register the `smpi/*` config keys (idempotent).
-void declare_smpi_config();
-
 /// Run an "MPI application": spawn `nranks` processes executing `rank_main`,
 /// mapped round-robin onto the platform hosts (or onto `host_names` when
 /// given), and simulate to completion. Returns the simulated makespan.

@@ -968,10 +968,10 @@ TEST_F(EngineTest, SuspendedActionStillFailsWithItsResource) {
 }
 
 TEST_F(EngineTest, NamedActionOutlivesEngine) {
-  // The name side table (and the block the action lives in) are co-owned by
-  // the action's control block, so an ActionPtr — named or not — may
-  // legally outlive its engine; destroying it afterwards must not touch
-  // freed engine memory (regression caught by ASan).
+  // The action owns its name, and the block pool it lives in is co-owned by
+  // its control block, so an ActionPtr — named or not — may legally outlive
+  // its engine; destroying it afterwards must not touch freed engine memory
+  // (regression caught by ASan).
   ActionPtr survivor_named;
   ActionPtr survivor_plain;
   {
@@ -983,7 +983,7 @@ TEST_F(EngineTest, NamedActionOutlivesEngine) {
     run_until_done(e, survivor_named);
     run_until_done(e, survivor_plain);
   }
-  // name() only needs the co-owned side table, not the engine.
+  // name() reads only the action, not the engine.
   EXPECT_EQ(survivor_named->name(), "long-lived");
   EXPECT_EQ(survivor_plain->name(), "exec");
   survivor_named.reset();
@@ -1002,14 +1002,19 @@ TEST_F(EngineTest, NamedAndDefaultActionNames) {
   });
   auto plain = e.exec_start(0, 1e9);
   auto named = e.exec_start(0, 1e9, 1.0, "my-job");
-  ASSERT_EQ(observed.size(), 2u);
+  auto empty = e.exec_start(0, 1e9, 1.0, "");
+  ASSERT_EQ(observed.size(), 3u);
   EXPECT_EQ(observed[0], "exec");
   EXPECT_EQ(observed[1], "my-job");
+  EXPECT_EQ(observed[2], "exec") << "an empty name means the kind's default";
   e.set_action_observer(nullptr);
   auto explicit_default = e.sleep_start(0, 1.0, "sleep");
+  auto empty_sleep = e.sleep_start(0, 1.0, "");
   EXPECT_EQ(plain->name(), "exec");
   EXPECT_EQ(named->name(), "my-job");
+  EXPECT_EQ(empty->name(), "exec");
   EXPECT_EQ(explicit_default->name(), "sleep");
+  EXPECT_EQ(empty_sleep->name(), "sleep");
   run_until_done(e, named);
   EXPECT_EQ(named->name(), "my-job") << "name must survive completion";
 }

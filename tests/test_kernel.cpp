@@ -527,6 +527,48 @@ TEST_F(KernelTest, NanTimeoutIsRefusedNotWaitedOn) {
   EXPECT_EQ(errors[2].rfind("comm_wait: timeout", 0), 0u) << errors[2];
 }
 
+// Both parties drop a started comm. The kernel keeps no reference to it, so
+// the Comm dies at once, but its engine transfer runs to completion, keeps
+// sharing the link until then, and its completion event wakes no one: the
+// actors are asleep on something else when it fires.
+TEST_F(KernelTest, DroppedInFlightCommCompletesAndWakesNoOne) {
+  Kernel k(two_hosts());
+  sg::core::ActionPtr transfer;  // the engine action only, not the Comm
+  double probe_done = -1, sender_woke = -1, receiver_woke = -1;
+  k.spawn("sender", 0, [&] {
+    (void)k.send_async("dropped", nullptr, 2e8);
+    k.send("probe", nullptr, 1e8);
+    k.sleep_for(10.0);
+    sender_woke = k.now();
+  });
+  k.spawn("receiver", 1, [&] {
+    {
+      CommPtr c = k.recv_async("dropped");
+      ASSERT_NE(c->action, nullptr);
+      transfer = c->action;
+    }
+    EXPECT_EQ(transfer->user_data, nullptr) << "~Comm must clear the back-pointer";
+    k.recv("probe");
+    probe_done = k.now();
+    k.sleep_for(10.0);
+    receiver_woke = k.now();
+  });
+  const std::uint64_t wakeups_before = k.stats().wakeups;
+  EXPECT_DOUBLE_EQ(k.run(), 12.0);
+  // Shared link: the probe gets half of 1e8 B/s, so 1e8 bytes take 2 s; the
+  // dropped transfer has 1e8 bytes left then and ends alone at t = 3.
+  EXPECT_DOUBLE_EQ(probe_done, 2.0);
+  ASSERT_NE(transfer, nullptr);
+  EXPECT_EQ(transfer->state(), sg::core::ActionState::kDone);
+  EXPECT_DOUBLE_EQ(transfer->finish_time(), 3.0);
+  // Sleepers woken by their own timers only: the probe's two parties, then
+  // the two sleeps.
+  EXPECT_DOUBLE_EQ(sender_woke, 12.0);
+  EXPECT_DOUBLE_EQ(receiver_woke, 12.0);
+  EXPECT_EQ(k.stats().wakeups - wakeups_before, 4u);
+  EXPECT_FALSE(k.deadlocked());
+}
+
 // Mailbox ids that mailbox_by_name() never handed out are refused by every
 // id-keyed call, naming it, before anything is queued; they used to index
 // past the mailbox table.

@@ -41,7 +41,6 @@ protected:
   void SetUp() override {
     sg::core::declare_engine_config();
     declare_context_config();
-    declare_membership_config();
   }
 };
 

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "platform/platform.hpp"
@@ -262,7 +264,7 @@ TEST(LazyRouting, SsspCacheEvictionDoesNotChangeResults) {
 // ---------------------------------------------------------------------------
 // Resumable trees: a tree settles nodes only up to the queried destination
 // and later queries resume it; every answer must equal one full Dijkstra on
-// the current graph, whatever the query order, the cache size and the
+// the current graph, whatever the query order, the evictions and the
 // membership changes in between.
 // ---------------------------------------------------------------------------
 
@@ -271,9 +273,8 @@ enum class Shape { kRandom, kChain, kStar };
 /// Unsealed graph of the given shape. Integer-millisecond latencies (zero
 /// included) make equal-distance ties common, so the (dist, id) order and
 /// the edge order both decide paths.
-Platform shaped_graph(Shape shape, sg::xbt::Rng& rng) {
+Platform shaped_graph(Shape shape, int n_hosts, sg::xbt::Rng& rng) {
   Platform p;
-  const int n_hosts = 24;
   std::vector<NodeId> nodes;
   for (int i = 0; i < n_hosts; ++i)
     nodes.push_back(p.add_host("h" + std::to_string(i), 1e9));
@@ -294,9 +295,9 @@ Platform shaped_graph(Shape shape, sg::xbt::Rng& rng) {
       break;
     }
     case Shape::kRandom:
-      for (int i = 0; i < 6; ++i)
+      for (int i = 0; i < n_hosts / 4; ++i)
         nodes.push_back(p.add_router("r" + std::to_string(i)));
-      for (int i = 0; i < 45; ++i) {
+      for (int i = 0; i < n_hosts * 15 / 8; ++i) {
         const NodeId a = nodes[rng.uniform_int(0, nodes.size() - 1)];
         const NodeId b = nodes[rng.uniform_int(0, nodes.size() - 1)];
         if (a != b)
@@ -308,8 +309,9 @@ Platform shaped_graph(Shape shape, sg::xbt::Rng& rng) {
 }
 
 /// Random queries interleaved with joins, leaves and rejoins; every answer
-/// is checked against a full Dijkstra on the graph as it stands.
-void check_against_full_dijkstra(Platform& p, sg::xbt::Rng& rng, int ops) {
+/// is checked against a full Dijkstra on the graph as it stands. Adds each
+/// present host that was queried as a source to `sources`.
+void check_against_full_dijkstra(Platform& p, sg::xbt::Rng& rng, int ops, std::set<int>& sources) {
   int joined = 0;
   for (int op = 0; op < ops; ++op) {
     const int n = static_cast<int>(p.host_count());
@@ -337,6 +339,8 @@ void check_against_full_dijkstra(Platform& p, sg::xbt::Rng& rng, int ops) {
     const NodeId src = p.host_node(h);
     const NodeId dst = p.host_node(d);
     const bool present = p.host_present(h) && p.host_present(d);
+    if (present)
+      sources.insert(h);
     const FullTree ref(p, src);
     const bool expected = present && ref.reaches(dst);
     if (pick < 0.4) {
@@ -355,23 +359,27 @@ void check_against_full_dijkstra(Platform& p, sg::xbt::Rng& rng, int ops) {
   }
 }
 
+// At 24 hosts every tree stays cached; at 240, far more than
+// Platform::kSsspCacheFloor sources are queried, so trees are evicted and
+// grown again from scratch under the same checks.
 TEST(LazyRouting, ResumableTreesMatchFullDijkstra) {
-  declare_platform_config();
-  const long saved = sg::config::get(kCfgSsspCache);
-  for (long cache : {2L, 64L})
+  for (int n_hosts : {24, 240})
     for (Shape shape : {Shape::kRandom, Shape::kChain, Shape::kStar})
       for (std::uint64_t seed : {1u, 5u, 23u, 77u}) {
-        SCOPED_TRACE("cache " + std::to_string(cache) + ", shape " +
+        SCOPED_TRACE(std::to_string(n_hosts) + " hosts, shape " +
                      std::to_string(static_cast<int>(shape)) + ", seed " + std::to_string(seed));
         sg::xbt::Rng rng(seed);
-        Platform p = shaped_graph(shape, rng);
-        sg::config::set(kCfgSsspCache, cache);
+        Platform p = shaped_graph(shape, n_hosts, rng);
         p.seal();
-        sg::config::set(kCfgSsspCache, saved);
-        ASSERT_EQ(p.sssp_cache_capacity(), static_cast<size_t>(cache));
-        check_against_full_dijkstra(p, rng, 400);
+        ASSERT_EQ(p.sssp_cache_capacity(), Platform::kSsspCacheFloor);
+        std::set<int> sources;
+        check_against_full_dijkstra(p, rng, 400, sources);
         if (HasFatalFailure())
           return;
+        EXPECT_LE(p.cached_sssp_tree_count(), Platform::kSsspCacheFloor);
+        if (n_hosts > 24) {
+          EXPECT_GT(sources.size(), Platform::kSsspCacheFloor) << "the sweep must evict";
+        }
       }
 }
 
@@ -445,8 +453,8 @@ TEST(LazyRouting, OutOfRangeHostIndexIsDiagnosed) {
 }
 
 // ---------------------------------------------------------------------------
-// SSSP-tree cache sizing: `routing/sssp-cache` config floor, raised to
-// hosts/16 at seal time.
+// SSSP-tree cache sizing: a fixed floor of 64 trees, raised to hosts/16 at
+// seal time.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -462,20 +470,27 @@ Platform star_platform(int n_hosts) {
 }
 }  // namespace
 
-TEST(LazyRouting, SsspCacheCapacityIsConfigurable) {
-  declare_platform_config();
-  const long saved = sg::config::get(kCfgSsspCache);
-  sg::config::set(kCfgSsspCache, 4);
-  Platform p = star_platform(32);  // hosts/16 = 2 < configured 4
-  p.seal();
-  sg::config::set(kCfgSsspCache, saved);
-  EXPECT_EQ(p.sssp_cache_capacity(), 4u);
-  for (int s = 0; s < 12; ++s)
-    (void)p.route(s, (s + 1) % 32);
-  EXPECT_LE(p.cached_sssp_tree_count(), 4u);
-  // Results stay correct under the tiny cache.
-  for (int s = 0; s < 12; ++s)
-    EXPECT_EQ(p.route(s, (s + 1) % 32).size(), 2u);
+TEST(LazyRouting, SsspCacheCapacityIsMaxOfFloorAndHostsOver16) {
+  for (int n_hosts : {32, 1040, 1600}) {
+    SCOPED_TRACE(std::to_string(n_hosts) + " hosts");
+    Platform p = star_platform(n_hosts);
+    p.seal();
+    const size_t cap = std::max<size_t>(64, static_cast<size_t>(n_hosts) / 16);
+    EXPECT_EQ(p.sssp_cache_capacity(), cap);
+    // Route from every host twice: each source's tree is evicted before its
+    // second query, which must grow it again to the same answer.
+    auto uplink = [&p](int h) { return *p.link_by_name("l" + std::to_string(h)); };
+    for (int pass = 0; pass < 2; ++pass)
+      for (int s = 0; s < n_hosts; ++s) {
+        const int d = (s + 1) % n_hosts;
+        const RouteView got = p.route(s, d);
+        ASSERT_EQ(got.links(), (std::vector<LinkId>{uplink(s), uplink(d)}))
+            << "pass " << pass << ": " << s << " -> " << d;
+        ASSERT_EQ(got.latency(), 2e-4) << "pass " << pass << ": " << s << " -> " << d;
+        ASSERT_LE(p.cached_sssp_tree_count(), cap);
+      }
+    EXPECT_EQ(p.cached_sssp_tree_count(), std::min(cap, static_cast<size_t>(n_hosts)));
+  }
 }
 
 TEST(LazyRouting, SsspCacheGrowsWithPlatformSize) {
