@@ -185,6 +185,52 @@ INSTANTIATE_TEST_SUITE_P(AllArchPairs, CodecRoundTrip, ::testing::ValuesIn(all_c
                                   info.param.receiver;
                          });
 
+// -- pinned wire bytes ------------------------------------------------------------
+//
+// A round trip cannot see a layout change made identically on both sides.
+// These digests can: each is FNV-1a-64 over the frames one codec emits for
+// one message from all six sender architectures, in arch-table order.
+
+std::uint64_t wire_digest(const Codec& codec, const DataDesc& desc, const Value& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto fold = [&h](std::uint8_t b) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  };
+  for (const ArchDesc& sender : arch_table()) {
+    const auto wire = codec.encode(desc, v, sender);
+    for (int i = 0; i < 8; ++i)
+      fold(static_cast<std::uint8_t>(wire.size() >> (8 * i)));
+    for (std::uint8_t b : wire)
+      fold(b);
+  }
+  return h;
+}
+
+TEST(CodecWire, EncodingsArePinned) {
+  ASSERT_EQ(arch_table().size(), 6u);
+  sg::xbt::Rng rng(2006);
+  const Value pastry = make_pastry_message(rng, 64);
+  struct Pin {
+    const char* codec;
+    std::uint64_t sink, sink_null, pastry;
+  };
+  const Pin pins[] = {
+      {"gras", 0xf69d99adc44a1c10ULL, 0xdf6dcb7accabdc0aULL, 0xc2e25a5ee6753e2cULL},
+      {"mpich", 0xcbe42fb3acf20b89ULL, 0x7062158e81a4dac1ULL, 0x3abe67c8dc46ce6dULL},
+      {"omniorb", 0x8eb4de081bd68eccULL, 0x1a9dc086322a310eULL, 0xa6d778ac85509770ULL},
+      {"pbio", 0x675bbf4b10315266ULL, 0x670d0ed77c68e478ULL, 0xbb466e192e8afae4ULL},
+      {"xml", 0xcd8db3585627ed21ULL, 0x6ff9cb68a5ba6f05ULL, 0xc9924ecd775fdf85ULL},
+  };
+  for (const Pin& p : pins) {
+    const Codec& codec = codec_by_name(p.codec);
+    EXPECT_EQ(wire_digest(codec, *kitchen_sink_desc(), kitchen_sink_value(false)), p.sink) << p.codec;
+    EXPECT_EQ(wire_digest(codec, *kitchen_sink_desc(), kitchen_sink_value(true)), p.sink_null)
+        << p.codec;
+    EXPECT_EQ(wire_digest(codec, *pastry_message_desc(), pastry), p.pastry) << p.codec;
+  }
+}
+
 // -- codec specifics -----------------------------------------------------------------
 
 TEST(Ndr, SameArchIsSmallerThanXdrForNarrowTypes) {
