@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "datadesc/arch.hpp"
+#include "datadesc/datadesc.hpp"
 #include "xbt/exception.hpp"
 
 namespace sg::datadesc {
@@ -148,6 +149,16 @@ inline void check_uint_fits(std::uint64_t v, int size, const std::string& what) 
   if (v > hi)
     throw xbt::InvalidArgument(what + ": value " + std::to_string(v) + " does not fit in " +
                                std::to_string(size) + " bytes");
+}
+
+/// Encoders walk the description, so a value of another shape must be caught
+/// before it is indexed: `got` entries where the description node `d` has `want`.
+inline void check_shape(const char* codec, const char* what, const DataDesc& d, size_t got,
+                        size_t want) {
+  if (got != want)
+    throw xbt::InvalidArgument(std::string(codec) + ": " + what + " '" + d.name() + "' describes " +
+                               std::to_string(want) + " entries, the value has " +
+                               std::to_string(got));
 }
 
 inline std::uint64_t float_to_bits(double v, bool single) {

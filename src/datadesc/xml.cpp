@@ -142,14 +142,19 @@ private:
         xml_escape(v.as_string(), out);
         out += "</str>\n";
         break;
-      case DataDesc::Kind::kStruct:
+      case DataDesc::Kind::kStruct: {
+        const ValueStruct& fields = v.as_struct();
+        check_shape("xml", "struct", d, fields.size(), d.fields().size());
         out += "<struct>\n";
-        for (size_t i = 0; i < d.fields().size(); ++i)
-          encode_node(out, *d.fields()[i].desc, v.as_struct()[i].second);
+        for (size_t i = 0; i < fields.size(); ++i)
+          encode_node(out, *d.fields()[i].desc, fields[i].second);
         out += "</struct>\n";
         break;
+      }
       case DataDesc::Kind::kFixedArray:
       case DataDesc::Kind::kDynArray:
+        if (d.kind() == DataDesc::Kind::kFixedArray)
+          check_shape("xml", "fixed array", d, v.as_list().size(), d.array_size());
         out += "<list>\n";
         for (const Value& e : v.as_list())
           encode_node(out, *d.element(), e);
@@ -248,17 +253,6 @@ private:
 const Codec& xml_codec() {
   static XmlCodec codec;
   return codec;
-}
-
-const Codec& codec_by_name(const std::string& name) {
-  for (const Codec* c : all_codecs())
-    if (name == c->name())
-      return *c;
-  throw xbt::InvalidArgument("no codec named '" + name + "'");
-}
-
-std::vector<const Codec*> all_codecs() {
-  return {&ndr_codec(), &xdr_codec(), &cdr_codec(), &pbio_codec(), &xml_codec()};
 }
 
 }  // namespace sg::datadesc

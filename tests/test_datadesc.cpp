@@ -397,6 +397,109 @@ TEST(Xdr, FlippedLengthRejectedBeforeAllocating) { expect_flipped_lengths_reject
 TEST(Cdr, FlippedLengthRejectedBeforeAllocating) { expect_flipped_lengths_rejected(cdr_codec()); }
 TEST(Pbio, FlippedLengthRejectedBeforeAllocating) { expect_flipped_lengths_rejected(pbio_codec()); }
 
+TEST(Cdr, StringWithoutNulRejected) {
+  auto desc = datadesc_by_name("string");
+  auto wire = cdr_codec().encode(*desc, Value("abc"), arch_by_name("x86"));
+  ASSERT_EQ(wire.back(), 0);
+  wire.back() = 'd';
+  try {
+    cdr_codec().decode(*desc, wire, arch_by_name("x86"));
+    ADD_FAILURE() << "a string without its NUL decoded";
+  } catch (const sg::xbt::InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("omniorb: string terminator"), std::string::npos) << e.what();
+  }
+}
+
+// -- values of the wrong shape ------------------------------------------------------
+//
+// Encoders walk the description and index the value by it, so a value with
+// fewer or more struct fields or fixed-array entries must be refused, naming
+// the codec and the description node, before anything is read past its end.
+
+TEST(Codecs, EncodeRejectsValueOfWrongShape) {
+  auto desc = DataDesc::struct_(
+      "pair", {{"a", datadesc_by_name("int")},
+               {"arr", DataDesc::fixed_array(DataDesc::scalar(CType::kInt16, "e"), 3, "arr")}});
+  const ValueList three{Value(1), Value(2), Value(3)};
+  auto pair = [](ValueList arr) {
+    return Value(ValueStruct{{"a", Value(1)}, {"arr", Value(std::move(arr))}});
+  };
+  Value long_struct = pair(three);
+  long_struct.as_struct().emplace_back("extra", Value(2));
+  const struct {
+    const char* what;
+    Value v;
+    const char* node;
+  } cases[] = {
+      // The short struct comes last: an unchecked encoder reads past its end.
+      {"long struct", long_struct, "'pair'"},
+      {"short fixed array", pair({Value(1), Value(2)}), "'arr'"},
+      {"long fixed array", pair({Value(1), Value(2), Value(3), Value(4)}), "'arr'"},
+      {"short struct", Value(ValueStruct{{"a", Value(1)}}), "'pair'"},
+  };
+  ASSERT_NO_THROW(desc->check(pair(three)));
+  for (const auto& c : cases) {
+    for (const Codec* codec : all_codecs()) {
+      try {
+        codec->encode(*desc, c.v, arch_by_name("x86"));
+        ADD_FAILURE() << codec->name() << ": " << c.what << " encoded";
+      } catch (const sg::xbt::InvalidArgument& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind(std::string(codec->name()) + ": ", 0), 0u) << what;
+        EXPECT_NE(what.find(c.node), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+// -- mutated frames -----------------------------------------------------------------
+//
+// Whatever bytes arrive, a decoder either returns a value or throws
+// xbt::InvalidArgument: no crash, no other exception type. Seeded byte flips
+// and truncations of Pastry and kitchen-sink frames, sampled per codec and
+// architecture pair.
+
+TEST(Codecs, MutatedFramesDecodeOrThrowInvalidArgument) {
+  sg::xbt::Rng pastry_rng(2006);
+  const Value pastry = make_pastry_message(pastry_rng, 64);
+  const std::pair<const char*, const char*> pairs[] = {
+      {"x86", "sparc"}, {"amd64", "amd64"}, {"sparc64", "arm32"}};
+  std::uint64_t seed = 0;
+  for (const Codec* codec : all_codecs()) {
+    for (const auto& [snd, rcv] : pairs) {
+      const ArchDesc& receiver = arch_by_name(rcv);
+      const std::vector<std::uint8_t> frames[] = {
+          codec->encode(*pastry_message_desc(), pastry, arch_by_name(snd)),
+          codec->encode(*kitchen_sink_desc(), kitchen_sink_value(false), arch_by_name(snd))};
+      sg::xbt::Rng rng(++seed);
+      int accepted = 0;
+      int rejected = 0;
+      for (int k = 0; k < 512; ++k) {
+        const bool pastry_frame = k % 2 == 0;
+        auto wire = frames[pastry_frame ? 0 : 1];
+        if (rng.uniform01() < 0.75)
+          wire[rng.uniform_int(0, wire.size() - 1)] ^= static_cast<std::uint8_t>(rng.uniform_int(1, 255));
+        else
+          wire.resize(rng.uniform_int(0, wire.size() - 1));
+        const DataDesc& desc = pastry_frame ? *pastry_message_desc() : *kitchen_sink_desc();
+        try {
+          codec->decode(desc, wire, receiver);
+          ++accepted;
+        } catch (const sg::xbt::InvalidArgument&) {
+          ++rejected;
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << codec->name() << " " << snd << "->" << rcv << " mutation " << k << ": "
+                        << e.what();
+        } catch (...) {
+          ADD_FAILURE() << codec->name() << " " << snd << "->" << rcv << " mutation " << k;
+        }
+      }
+      EXPECT_GT(accepted, 0) << codec->name() << " " << snd << "->" << rcv;
+      EXPECT_GT(rejected, 0) << codec->name() << " " << snd << "->" << rcv;
+    }
+  }
+}
+
 TEST(Pastry, GeneratedMessagesMatchDesc) {
   sg::xbt::Rng rng(1);
   for (int i = 0; i < 20; ++i)
