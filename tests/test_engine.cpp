@@ -7,14 +7,17 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <set>
+#include <utility>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "kernel/context.hpp"
 #include "platform/builders.hpp"
+#include "topo/brite.hpp"
 #include "trace/trace.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/random.hpp"
@@ -1442,6 +1445,135 @@ TEST_F(ParallelStepTest, RunUntilSpanStaysValidUntilNextCall) {
   const auto next = e.run_until();
   ASSERT_EQ(next.size(), 1u);
   EXPECT_EQ(next[0].action.get(), c.get());
+}
+
+// ---------------------------------------------------------------------------
+// Pinned event logs. Each test runs a seeded closed-loop churn (one flow in
+// flight per slot, a finished flow replaced by the slot's next one) and pins
+// an FNV-1a-64 digest of the event log plus the final clock. A change that
+// moves a completion date by one ulp moves the digest, so any change to
+// what the simulator computes shows up here as a visible re-pin.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over 64-bit words, as the perfbench driver folds its event log.
+struct EventDigest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (word >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  }
+  void add(double x) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    add(bits);
+  }
+};
+
+/// Replace-on-finish churn: `slots` flows in flight, `events` completions,
+/// then a drain. `next_flow(slot, rng, &src, &dst, &bytes)` draws a flow.
+template <typename NextFlow>
+std::pair<std::uint64_t, double> churn_digest(Engine& e, int slots, int events, std::uint64_t seed,
+                                              NextFlow next_flow) {
+  sg::xbt::Rng rng(seed);
+  EventDigest digest;
+  auto start = [&](int slot) {
+    int src = 0, dst = 0;
+    double bytes = 0;
+    next_flow(slot, rng, &src, &dst, &bytes);
+    e.comm_start(src, dst, bytes)->user_data = reinterpret_cast<void*>(static_cast<std::intptr_t>(slot));
+  };
+  for (int s = 0; s < slots; ++s)
+    start(s);
+  int done = 0;
+  while (e.running_action_count() > 0) {
+    for (const ActionEvent& ev : e.run_until()) {
+      const int slot = static_cast<int>(reinterpret_cast<std::intptr_t>(ev.action->user_data));
+      digest.add(static_cast<std::uint64_t>(slot));
+      digest.add(static_cast<std::uint64_t>(ev.failed));
+      digest.add(ev.action->finish_time());
+      digest.add(ev.action->total());
+      if (++done <= events)
+        start(slot);
+    }
+  }
+  digest.add(e.now());
+  return {digest.h, e.now()};
+}
+
+// Big coupled closures: four 100-node Waxman graphs hanging off a core
+// router, 200 flows per graph between random pairs of one graph, so every
+// event re-solves a component of ~200 flows (perfbench's waxman_coupled).
+TEST_F(EngineTest, CoupledWaxmanChurnEventLogIsPinned) {
+  constexpr int kGraphs = 4;
+  constexpr int kNodes = 100;
+  Platform p;
+  const auto core = p.add_router("core");
+  for (int g = 0; g < kGraphs; ++g) {
+    sg::topo::WaxmanSpec spec;
+    spec.n_nodes = kNodes;
+    spec.seed = 7919 + 104729 * static_cast<std::uint64_t>(g);
+    spec.latency_per_unit = 2e-6;
+    const std::string prefix = "g" + std::to_string(g) + "-n";
+    const auto zone = sg::topo::add_to_platform(p, sg::topo::generate_waxman(spec), prefix);
+    const LinkId up = p.add_link(prefix + "up", 1.25e8, 1e-3);
+    p.add_edge(p.zone_gateway(zone), core, up);
+  }
+  p.seal();
+  Engine e(std::move(p));
+  const auto [digest, clock] =
+      churn_digest(e, kGraphs * 200, 2000, 1, [&](int slot, sg::xbt::Rng& rng, int* src, int* dst, double* bytes) {
+        const int base = (slot % kGraphs) * kNodes;
+        const int s = static_cast<int>(rng.uniform_int(0, kNodes - 1));
+        *src = base + s;
+        *dst = base + static_cast<int>((s + 1 + rng.uniform_int(0, kNodes - 2)) % kNodes);
+        *bytes = std::pow(10.0, rng.uniform(4.0, 6.0));
+      });
+  EXPECT_EQ(digest, 0xac0926126a05f952ull) << std::hex << digest;
+  EXPECT_EQ(clock, 13.3202783988514) << sg::xbt::format("%.17g", clock);
+  const auto& stats = e.sharing_system().solve_stats();
+  EXPECT_GT(stats.vars_visited, 50 * stats.solves) << "closures are not coupled";
+}
+
+// Small closures: four cluster zones with fat-pipe backbones joined by
+// fat-pipe WAN links; each flow has its hosts' private links to itself, so a
+// solve touches one or two flows (perfbench's zones_spread regime).
+TEST_F(EngineTest, ClusterChurnEventLogIsPinned) {
+  constexpr int kZones = 4;
+  constexpr int kPerZone = 32;
+  Platform p;
+  for (int z = 0; z < kZones; ++z) {
+    ClusterZoneSpec zone;
+    zone.name = "c" + std::to_string(z);
+    zone.count = kPerZone;
+    zone.host_speed = 1e9;
+    zone.link_bandwidth = 1.25e8;
+    zone.link_latency = 5e-5;
+    zone.backbone_bandwidth = 1.25e9;
+    zone.backbone_latency = 1e-4;
+    zone.backbone_fatpipe = true;
+    p.add_cluster_zone(zone);
+  }
+  for (int z = 1; z < kZones; ++z) {
+    const LinkId wan = p.add_link("wan" + std::to_string(z), 1.25e9, 2e-3, SharingPolicy::kFatpipe);
+    p.add_edge(p.zone_gateway(0), p.zone_gateway(z), wan);
+  }
+  p.seal();
+  Engine e(std::move(p));
+  const int hosts = kZones * kPerZone;
+  const auto [digest, clock] =
+      churn_digest(e, hosts / 2, 10000, 7, [&](int slot, sg::xbt::Rng& rng, int* src, int* dst, double* bytes) {
+        // Slot s owns hosts 2s and 2s+1; one flow in eight leaves the zone.
+        *src = 2 * slot;
+        *dst = rng.uniform01() < 0.125 ? static_cast<int>((2 * slot + 1 + kPerZone * (1 + rng.uniform_int(0, kZones - 2))) % hosts)
+                                       : 2 * slot + 1;
+        *bytes = std::pow(10.0, rng.uniform(3.0, 6.0));
+      });
+  EXPECT_EQ(digest, 0xd8293ad5ac9e1f1dull) << std::hex << digest;
+  EXPECT_EQ(clock, 0.29455861752134094) << sg::xbt::format("%.17g", clock);
+  const auto& stats = e.sharing_system().solve_stats();
+  EXPECT_LT(stats.vars_visited, 2 * stats.solves) << "closures are not small";
 }
 
 // ---------------------------------------------------------------------------
