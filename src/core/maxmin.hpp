@@ -85,30 +85,65 @@
 ///    release_constraint O(constraint degree), each O(1) per incidence. A
 ///    solve costs O(closure elements), where a fat pipe in the closure
 ///    costs nothing beyond its own entry in each closure variable's list:
-///    caps (capacity / coeff) are read from the variable side.
+///    caps (capacity / coeff) are read from the variable side. A kept
+///    snapshot (below) adds O(variable degree) to release_variable,
+///    set_bound and an expand that brings a new variable in, and
+///    O(constraint degree) to the set_capacity of a fat pipe with kept
+///    users; set_weight and a kept row's set_capacity patch one field. While no snapshot
+///    is kept, each mutation pays one flag or counter check for them.
 ///  * **SoA hot fields.** The fields the closure walk reads per variable
 ///    (`weight`, `bound`, `value`, flags) are parallel arrays indexed by id;
 ///    cold metadata does not share their cache lines.
 ///  * **One fill level over a dense snapshot.** While the closure is
-///    collected, each shared constraint's growing users are captured as a
-///    row of (local variable, coeff) in element-list order, and each
-///    variable folds its bound and its fatpipe caps into one cap; a shared
-///    constraint with a single growing user is a cap too. Filling then runs
-///    on these dense local arrays and never walks the arena again. A
-///    growing variable's value is λ·weight for one global level λ. Each row
-///    keeps its remaining capacity (capacity minus the frozen users'
-///    consumption), its growing weight sum and user count, so its
-///    saturation level is remaining / sum; each capped variable's level is
-///    cap / weight. A round min-scans the dense level array, moves λ there,
-///    and freezes every row and variable within the saturation slack:
-///    a saturated row freezes its growing users at λ·weight, a capped
-///    variable snaps to its cap. A freeze updates each row the variable
-///    crosses in O(1); a row re-sums from its captured users only when its
-///    sum falls below 1e-6 of its last full sum (cancellation guard). A
-///    solve thus costs O(closure elements) plus one dense scan per
-///    saturation level. A closure without rows — a lone variable, say —
-///    is solved directly: each value is its cap. A closure with one row and
-///    no capped variable saturates in one step, at the row's level.
+///    collected, each shared constraint with two or more entries is captured
+///    as a row of (local variable, coeff) in element-list order, each
+///    variable folds its bound, its fatpipe caps and its single-entry shared
+///    constraints into one cap, and a counting sort lays out each variable's
+///    (row, coeff) edges; each entry names the position of its twin in the
+///    other array. Filling then runs on these dense local arrays and never
+///    walks the arena again. It first primes them: a row's growing users
+///    give its weight sum and count, and a row with a single growing user is
+///    a cap on it, as a fat pipe is. A growing variable's
+///    value is λ·weight for one global level λ. Each filling row keeps its
+///    remaining capacity (capacity minus the frozen users' consumption),
+///    its growing weight sum and user count, so its saturation level is
+///    remaining / sum; each capped variable's level is cap / weight. A round
+///    min-scans the dense level array, moves λ there, and freezes every row
+///    and variable within the saturation slack: a saturated row freezes its
+///    growing users at λ·weight, a capped variable snaps to its cap. A
+///    freeze updates each row the variable crosses in O(1); a row re-sums
+///    from its captured users only when its sum falls below 1e-6 of its last
+///    full sum (cancellation guard). A solve thus costs O(closure elements)
+///    plus one dense scan per saturation level. A closure without filling
+///    rows — a lone variable, say — is solved directly: each value is its
+///    cap. A closure with one filling row and no capped variable saturates
+///    in one step, at the row's level.
+///  * **Kept snapshots.** A solve whose closure is one component of at
+///    least kKeepMinVars variables keeps its snapshot (`zones_spread`-like
+///    closures of one or two flows never do; a union of components, seeded
+///    in several of them at once, is not kept either). Its variables and
+///    rows carry kFlagKept and mutations patch it instead of marking seeds:
+///    a new variable whose other shared constraints are its alone (the idle
+///    first hops of a route) joins it, a single-entry constraint of a kept
+///    variable becomes a row when a second entry arrives, a release
+///    swap-removes the variable's entries through their twins, and
+///    set_weight / set_bound / set_capacity patch one weight, cap or row
+///    (a fat pipe's or single-entry constraint's capacity refolds its kept
+///    users' caps). The per-id snapshot id and row arrays grow only up to
+///    the largest kept id, so a system that keeps nothing pays no memory
+///    for them. A patch that
+///    moves no value — a weight-0 variable at value 0 joining or leaving —
+///    leaves the snapshot clean. A solve primes and fills each patched
+///    snapshot from its stored rows: no arena walk, no closure flags.
+///    Whatever is not patched cheaply drops the snapshot and lets the walk
+///    rebuild it: an expand that couples it with another component (a
+///    merge), release_constraint, a snapshot that a split left covering
+///    fewer than half the variables it was built with, or one whose patches
+///    left more dead room than live entries. solve_full() drops every
+///    snapshot before it rebuilds from the arena, so it stays an independent
+///    oracle for the incremental path. Filling a kept snapshot folds sums in
+///    its patched row order, not the walk's, so values may differ from a
+///    fresh solve by a few ulps.
 ///  * **Id recycling.** Variable *and* constraint ids are recycled through
 ///    free lists (release_variable / release_constraint), keeping the id
 ///    space — and with it every parallel array — dense under churn.
@@ -152,6 +187,10 @@ public:
   static constexpr double kNoBound = -1.0;
   /// Rate assigned to a variable that no constraint or bound restricts.
   static constexpr double kUnlimited = 1e30;
+  /// A solve whose closure has at least this many variables keeps its dense
+  /// snapshot, and later mutations patch it; smaller closures are collected
+  /// afresh from the arena on every solve.
+  static constexpr size_t kKeepMinVars = 32;
 
   /// Create a resource constraint. `shared`: capacity divided among users;
   /// otherwise each user is individually capped (fatpipe). Capacities (here
@@ -236,7 +275,8 @@ public:
 
   /// True when a mutation since the last solve may have changed allocations.
   bool needs_solve() const {
-    return full_solve_pending_ || !dirty_vars_.empty() || !dirty_cnsts_.empty();
+    return full_solve_pending_ || !dirty_vars_.empty() || !dirty_cnsts_.empty() ||
+           !dirty_kept_.empty();
   }
 
   /// Variables whose allocation changed in the last solve()/solve_full().
@@ -248,7 +288,7 @@ public:
     size_t solves = 0;        ///< solve() calls that had dirty work to do
     size_t full_solves = 0;   ///< of which ran the from-scratch path
     size_t vars_visited = 0;  ///< cumulative size of the re-solved subsets
-    size_t elements_scanned = 0;  ///< captured row entries plus re-sum reads
+    size_t elements_scanned = 0;  ///< row entries read per fill plus re-sum reads
     size_t rounds = 0;  ///< saturation levels filling stepped through
   };
   const SolveStats& solve_stats() const { return stats_; }
@@ -265,7 +305,9 @@ public:
     size_t arena_nodes_allocated = 0;  ///< nodes ever created (>= in_use)
     size_t arena_bytes = 0;            ///< bytes held by arena chunks
     size_t soa_bytes = 0;              ///< bytes held by the parallel arrays
-    size_t total_bytes() const { return arena_bytes + soa_bytes; }
+    size_t kept_snapshots = 0;         ///< snapshots kept between solves
+    size_t snapshot_bytes = 0;         ///< bytes held by the kept snapshots
+    size_t total_bytes() const { return arena_bytes + soa_bytes + snapshot_bytes; }
   };
   MemoryStats memory_stats() const;
 
@@ -312,55 +354,123 @@ public:
   /// itself (capacity moved). Shared constraints always traverse.
   void mark_cnst_dirty(CnstId cnst, bool need_traverse);
 
-  // -- affected-closure collection -------------------------------------------
-  /// Collect the transitive closure of the dirty seeds into affected_vars_ /
-  /// affected_cnsts_, consume the seeds, and capture the closure's dense
-  /// snapshot (local_vars_, local_rows_). kFlagInSet marks membership while
-  /// collecting; kFlagTraverse doubles as the "users queued" marker (it is
-  /// free then: the dirty seeds that use it are consumed first). Both
-  /// markers are cleared before returning.
-  void closure_collect();
-  void closure_add_var(VarId v);
-  void closure_add_cnst(CnstId c, bool traverse);
-  /// Add a shared constraint's users to the closure and capture its growing
-  /// ones as a row, or as a cap when a single variable grows on it.
-  void capture_row(CnstId c);
-
-  /// Progressive filling of the captured snapshot on one fill level; writes
-  /// the values and appends the moved variables to changed_vars_.
-  void fill();
-  /// The general case of fill(): levels, rounds and freezes.
-  void fill_levels();
-  /// Give local variable i its final value x and update the rows it crosses.
-  void freeze(std::uint32_t i, double x);
-  /// Swap-remove an entry of the level array, repointing the moved owner.
-  void level_remove(std::int32_t slot);
-
-  /// The closure's dense snapshot. Local variable i is affected_vars_[i].
+  // -- dense snapshots -------------------------------------------------------
   static constexpr std::int32_t kNoSlot = -1;
+  static constexpr std::int32_t kFrozen = -2;
   struct LocalVar {
     double weight;
-    double cap;          ///< bound and fatpipe / lone-user caps; kInf: none
-    double old_value;
-    std::uint32_t edges;  ///< first of its (row, coeff) entries in var_edges_
-                          ///< (while collecting: their count)
-    std::int32_t slot;    ///< its entry in the level array, or kNoSlot
-    bool growing;
+    double cap;        ///< bound, fatpipe, single-entry and lone-user row caps
+    double old_value;  ///< value before the fill
+    std::uint32_t edges, edges_end;  ///< its (row, coeff) entries in var_edges
+                                     ///< (while collecting: their count)
+    std::uint32_t active;  ///< growing entries on filling rows
+    std::int32_t slot;     ///< its entry in the level array, kNoSlot, or
+                           ///< kFrozen once it has its value (or no weight)
   };
-  /// A shared constraint with several growing users.
+  /// A shared constraint with at least two entries when captured.
   struct LocalRow {
+    double capacity;
     double remaining;  ///< capacity minus the frozen users' consumption
     double sum;        ///< coeff * weight over the growing users
     double full_sum;   ///< sum when last summed in full
-    double slack;      ///< saturated once remaining - λ·sum falls to this
-    std::uint32_t begin, end;  ///< its users in row_entries_, in list order
-    std::int32_t count;        ///< growing entries left; 0: done
+    std::uint32_t begin, end;  ///< its users in row_entries
+    std::uint32_t limit;       ///< [end, limit) is free room for appends
+    std::int32_t count;        ///< growing entries left; 0: not filling
     std::int32_t slot;         ///< its entry in the level array
   };
   struct LocalEntry {
-    std::int32_t idx;  ///< local variable (row_entries_) or row (var_edges_)
+    std::int32_t idx;    ///< local variable (row_entries) or row (var_edges)
+    std::uint32_t twin;  ///< position of the other copy in the other array
     double coeff;
   };
+  /// A closure's dense snapshot: its variables, its shared constraints of
+  /// two or more entries as rows, and every incidence between them twice —
+  /// once in its row's segment of row_entries, once in its variable's
+  /// segment of var_edges, each naming the other's position.
+  struct Snapshot {
+    std::vector<VarId> vars;  ///< local variable -> VarId
+    std::vector<LocalVar> lvars;
+    std::vector<CnstId> cnsts;  ///< row -> CnstId
+    std::vector<LocalRow> rows;
+    std::vector<LocalEntry> row_entries;
+    std::vector<LocalEntry> var_edges;
+    /// Kept snapshots only: each variable's bound, fatpipe and
+    /// single-entry constraint caps (LocalVar::cap is per fill).
+    std::vector<double> base_caps;
+    size_t entries = 0;  ///< live incidences
+    size_t garbage = 0;  ///< slots left behind by moved or released segments
+    size_t built = 0;    ///< variables when collected
+    bool dirty = false;  ///< a patch since the last fill moved some value
+    size_t bytes() const;
+  };
+  struct Local {
+    std::int32_t snap;  ///< kept snapshot id
+    std::int32_t idx;   ///< row index there
+  };
+
+  // -- affected-closure collection -------------------------------------------
+  /// Collect the transitive closure of the dirty seeds into s (which must be
+  /// empty), consume the seeds, and lay out its var_edges. kFlagInSet marks
+  /// membership while collecting; kFlagTraverse doubles as the "users
+  /// queued" marker (it is free then: the dirty seeds that use it are
+  /// consumed first). Both markers are cleared before returning.
+  void closure_collect(Snapshot& s);
+  void closure_add_var(Snapshot& s, VarId v);
+  void closure_add_cnst(CnstId c, bool traverse);
+  /// Add a shared constraint's users to the closure and capture them as a
+  /// row, unless it has a single entry (its user's var pass caps it).
+  void capture_row(Snapshot& s, CnstId c);
+
+  /// Progressive filling of a snapshot on one fill level; writes the values
+  /// and appends the moved variables to changed_vars_.
+  void fill(Snapshot& s);
+  /// Reset the per-fill fields from the stored rows: weights, caps, each
+  /// row's remaining capacity, sum and count. A row with one growing user
+  /// becomes that user's cap. Returns the number of filling rows.
+  size_t prime(Snapshot& s);
+  /// The general case of fill(): levels, rounds and freezes.
+  void fill_levels(Snapshot& s);
+  /// Give local variable i its final value x and update the rows it crosses.
+  void freeze(Snapshot& s, std::uint32_t i, double x);
+  /// Swap-remove an entry of the level array, repointing the moved owner.
+  void level_remove(Snapshot& s, std::int32_t slot);
+
+  // -- kept snapshots ----------------------------------------------------------
+  /// Keep s (a just-filled closure) when it is one component of at least
+  /// kKeepMinVars variables: its variables and rows are flagged kFlagKept and
+  /// mutations patch it from then on. A union of components (seeds of one
+  /// solve in several of them) is not kept: each would re-solve them all.
+  void keep(Snapshot& s);
+  /// True when every variable of s reaches every other through its rows.
+  bool connected(Snapshot& s);
+  /// Forget kept snapshot id. When it has unsolved patches, its variables
+  /// become dirty seeds, so the next walk rebuilds what it covered.
+  void drop(std::int32_t id);
+  Snapshot& kept(std::int32_t id) { return *kept_[static_cast<size_t>(id)]; }
+  /// The snapshot of kept variable v and v's base cap there.
+  Snapshot& kept_of(VarId v) { return kept(var_snap_[static_cast<size_t>(v)]); }
+  double& kept_cap(VarId v) {
+    return kept_of(v).base_caps[static_cast<size_t>(var_slot_[static_cast<size_t>(v)])];
+  }
+  void mark_kept_dirty(std::int32_t id);
+  /// Mark v's snapshot dirty when v takes or holds capacity (a weight-0
+  /// variable at value 0 moves no one).
+  void touch(VarId v);
+  /// Bound, fatpipe and single-entry caps of v, from its own element list:
+  /// every constraint of v that is not a kept row caps it.
+  double base_cap(VarId v) const;
+  /// Patch the kept snapshots for an incidence just added to the arena.
+  /// False: nothing kept is involved, or a merge dropped it; the caller
+  /// marks dirty as usual.
+  bool keep_expand(CnstId c, VarId v, double coeff);
+  /// Append shared constraint c to kept snapshot id as an empty row.
+  std::int32_t add_row(std::int32_t id, CnstId c);
+  /// Add v, with its shared constraints that it uses alone, to snapshot id.
+  void adopt(std::int32_t id, VarId v);
+  /// Store the incidence (row r, local variable i) in s.
+  void link(Snapshot& s, std::int32_t r, std::int32_t i, double coeff);
+  /// Remove local variable i and its incidences from s.
+  void unlink(Snapshot& s, std::int32_t i);
 
   // -- arena storage ---------------------------------------------------------
   std::vector<std::unique_ptr<ElemNode[]>> chunks_;
@@ -376,6 +486,7 @@ public:
   static constexpr unsigned char kFlagInSet = 4;
   static constexpr unsigned char kFlagTraverse = 8;  ///< cnsts: closure must reach users
   static constexpr unsigned char kFlagShared = 16;   ///< cnsts: capacity is divided
+  static constexpr unsigned char kFlagKept = 32;     ///< in a kept snapshot
 
   // -- constraint storage (indexed by CnstId) --------------------------------
   /// Capacity + arena list head + degree, fused: the solver always reads
@@ -387,6 +498,7 @@ public:
   };
   std::vector<CnstCore> cnst_core_;
   std::vector<unsigned char> cnst_flags_;
+  std::vector<Local> cnst_local_;  ///< its row, while kept (sized on demand)
   std::vector<CnstId> free_cnsts_;
   size_t live_cnsts_ = 0;
 
@@ -400,6 +512,8 @@ public:
     std::int32_t degree;  ///< live entries on that list
   };
   std::vector<VarLink> var_link_;
+  std::vector<std::int32_t> var_slot_;  ///< local index while collecting or kept
+  std::vector<std::int32_t> var_snap_;  ///< kept snapshot id (sized on demand)
   std::vector<VarId> free_vars_;
   size_t live_vars_ = 0;
 
@@ -410,17 +524,18 @@ public:
   std::vector<VarId> changed_vars_;
   SolveStats stats_;
 
+  // -- snapshots -------------------------------------------------------------
+  Snapshot scratch_;  ///< the closure being collected and filled
+  std::vector<std::unique_ptr<Snapshot>> kept_;  ///< by id; null: free
+  std::vector<std::int32_t> free_kept_;
+  size_t kept_live_ = 0;
+  std::vector<std::int32_t> dirty_kept_;  ///< kept snapshots to fill
+
   // -- persistent scratch (reset only for the affected subset, so that an
   //    incremental solve never pays O(system size)) --------------------------
-  std::vector<VarId> affected_vars_;
   std::vector<CnstId> affected_cnsts_;
   std::vector<CnstId> traverse_list_;  ///< closure: cnsts whose users must be added
-  std::vector<std::int32_t> var_slot_;  ///< per VarId: local index while collecting
-  std::vector<LocalVar> local_vars_;
-  std::vector<LocalRow> local_rows_;
-  std::vector<LocalEntry> row_entries_;  ///< (local variable, coeff) per row
-  std::vector<LocalEntry> var_edges_;    ///< (row, coeff) per local variable
-  // The level array: one entry per live row and per growing capped variable.
+  // The level array: one entry per filling row and per growing capped variable.
   std::vector<double> level_;         ///< saturation level
   std::vector<double> trigger_;       ///< level from which it counts as saturated
   std::vector<std::int32_t> owner_;   ///< row index, or ~local variable

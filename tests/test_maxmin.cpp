@@ -627,6 +627,224 @@ TEST(MaxMinIncremental, EquivalentToFullSolveUnderRandomMutations) {
       << ", full=" << stats.full_solves << ")";
 }
 
+// Kept snapshots under the mutations that reshape components. Flows live in
+// three clusters of shared constraints, each big enough that its component
+// keeps its dense snapshot between solves. Bridge variables merge two kept
+// components and their release splits them again; constraints are released
+// with their users on them and their ids recycled; fresh idle constraints
+// join a kept component through their first user; capacities move on shared
+// constraints and on fat pipes every cluster crosses; weights drop to zero
+// and come back. A twin system replays every call and is solved from
+// scratch: each value must match it, and every moved allocation must be
+// reported by changed_variables().
+TEST(MaxMinIncremental, EquivalentToFullSolveUnderMergesAndSplits) {
+  sg::xbt::Rng rng(20261020);
+  MaxMinSystem sys;
+  MaxMinSystem ref;
+  constexpr int kClusters = 3;
+  constexpr int kLinks = 10;  // shared constraints per cluster
+  std::vector<std::vector<MaxMinSystem::CnstId>> links(kClusters);
+  std::vector<MaxMinSystem::CnstId> pipes;
+  auto new_cnst = [&](double cap, bool shared) {
+    const auto c = sys.new_constraint(cap, shared);
+    EXPECT_EQ(ref.new_constraint(cap, shared), c);
+    return c;
+  };
+  for (auto& cl : links)
+    for (int l = 0; l < kLinks; ++l)
+      cl.push_back(new_cnst(rng.uniform(50.0, 500.0), true));
+  for (int f = 0; f < 2; ++f)
+    pipes.push_back(new_cnst(rng.uniform(20.0, 300.0), false));
+
+  std::vector<MaxMinSystem::CnstId> side;  // links of small components
+  std::vector<MaxMinSystem::VarId> live;
+  std::vector<MaxMinSystem::VarId> bridges;
+  std::vector<double> last;  // by var id: the value after the last check
+  auto expand = [&](MaxMinSystem::CnstId c, MaxMinSystem::VarId v) {
+    const double coeff = rng.uniform01() < 0.7 ? 1.0 : rng.uniform(0.5, 2.0);
+    sys.expand(c, v, coeff);
+    ref.expand(c, v, coeff);
+  };
+  auto new_var = [&] {
+    const double w = rng.uniform01() < 0.15 ? 0.0 : rng.uniform(0.5, 3.0);
+    const double b = rng.uniform01() < 0.25 ? rng.uniform(5.0, 100.0) : MaxMinSystem::kNoBound;
+    const auto v = sys.new_variable(w, b);
+    EXPECT_EQ(ref.new_variable(w, b), v);
+    if (last.size() <= static_cast<size_t>(v))
+      last.resize(static_cast<size_t>(v) + 1, 0.0);
+    last[static_cast<size_t>(v)] = 0.0;
+    live.push_back(v);
+    return v;
+  };
+  auto route = [&](size_t cluster, MaxMinSystem::VarId v) {
+    const int hops = 1 + static_cast<int>(rng.uniform_int(0, 3));
+    for (int h = 0; h < hops; ++h) {
+      if (rng.uniform01() < 0.15)
+        expand(pipes[rng.uniform_int(0, pipes.size() - 1)], v);
+      expand(links[cluster][rng.uniform_int(0, links[cluster].size() - 1)], v);
+    }
+  };
+  auto release = [&](MaxMinSystem::VarId v) {
+    sys.release_variable(v);
+    ref.release_variable(v);
+    live.erase(std::find(live.begin(), live.end(), v));
+    bridges.erase(std::remove(bridges.begin(), bridges.end(), v), bridges.end());
+  };
+  for (size_t cl = 0; cl < kClusters; ++cl)
+    for (int i = 0; i < 45; ++i)
+      route(cl, new_var());
+
+  size_t kept_steps = 0;
+  size_t max_kept = 0;
+  size_t checked = 0;
+  for (int step = 1; step <= 4000; ++step) {
+    const double kind = rng.uniform01();
+    const size_t cluster = rng.uniform_int(0, kClusters - 1);
+    if (kind < 0.2 || live.size() < 60) {
+      route(cluster, new_var());
+    } else if (kind < 0.23) {
+      // A bridge: a route through two clusters merges their components.
+      const auto v = new_var();
+      route(cluster, v);
+      route((cluster + 1 + rng.uniform_int(0, kClusters - 2)) % kClusters, v);
+      bridges.push_back(v);
+    } else if (kind < 0.26 && !bridges.empty()) {
+      release(bridges[rng.uniform_int(0, bridges.size() - 1)]);  // a split
+    } else if (kind < 0.45) {
+      release(live[rng.uniform_int(0, live.size() - 1)]);
+    } else if (kind < 0.46) {
+      // A burst of releases: what a snapshot covers shrinks to a fraction.
+      for (size_t k = live.size(); k-- > 0 && live.size() > 60;)
+        if (rng.uniform01() < 0.7)
+          release(live[k]);
+    } else if (kind < 0.6) {
+      const auto v = live[rng.uniform_int(0, live.size() - 1)];
+      const double w = rng.uniform01() < 0.25 ? 0.0 : rng.uniform(0.5, 3.0);
+      sys.set_weight(v, w);
+      ref.set_weight(v, w);
+    } else if (kind < 0.7) {
+      const auto v = live[rng.uniform_int(0, live.size() - 1)];
+      const double b = rng.uniform01() < 0.4 ? MaxMinSystem::kNoBound : rng.uniform(5.0, 100.0);
+      sys.set_bound(v, b);
+      ref.set_bound(v, b);
+    } else if (kind < 0.84) {
+      const bool pipe = rng.uniform01() < 0.3;
+      const auto c = pipe ? pipes[rng.uniform_int(0, pipes.size() - 1)]
+                          : links[cluster][rng.uniform_int(0, links[cluster].size() - 1)];
+      const double cap = rng.uniform01() < 0.1 ? 0.0 : rng.uniform(pipe ? 20.0 : 50.0, pipe ? 300.0 : 500.0);
+      sys.set_capacity(c, cap);
+      ref.set_capacity(c, cap);
+    } else if (kind < 0.855) {
+      // Release a link or a fat pipe under its users; a fresh constraint
+      // recycles its id.
+      const bool pipe = rng.uniform01() < 0.3;
+      auto& pool = pipe ? pipes : links[cluster];
+      const size_t k = rng.uniform_int(0, pool.size() - 1);
+      sys.release_constraint(pool[k]);
+      ref.release_constraint(pool[k]);
+      const auto c = new_cnst(rng.uniform(pipe ? 20.0 : 50.0, pipe ? 300.0 : 500.0), !pipe);
+      EXPECT_EQ(c, pool[k]) << "constraint id not recycled";
+      pool[k] = c;
+    } else if (kind < 0.87) {
+      // An idle link: the next route through it may start there.
+      links[cluster].push_back(new_cnst(rng.uniform(50.0, 500.0), true));
+      const auto v = new_var();
+      expand(links[cluster].back(), v);
+      route(cluster, v);
+    } else if (kind < 0.88) {
+      // A small component of two flows on a link of their own...
+      side.push_back(new_cnst(rng.uniform(50.0, 500.0), true));
+      for (int k = 0; k < 2; ++k)
+        expand(side.back(), new_var());
+    } else if (kind < 0.89 && !side.empty()) {
+      // ...that a route from it into a cluster merges with the cluster's.
+      const auto v = new_var();
+      expand(side[rng.uniform_int(0, side.size() - 1)], v);
+      route(cluster, v);
+    } else {
+      // A flow expanded onto one more link of a cluster (a duplicate, at
+      // times; a merge, when the cluster is another one).
+      const auto v = live[rng.uniform_int(0, live.size() - 1)];
+      expand(links[cluster][rng.uniform_int(0, links[cluster].size() - 1)], v);
+    }
+
+    sys.solve();
+    ref.solve_full();
+    const auto kept = sys.memory_stats().kept_snapshots;
+    kept_steps += kept > 0 ? 1 : 0;
+    max_kept = std::max(max_kept, kept);
+    std::vector<char> reported(last.size(), 0);
+    for (const auto v : sys.changed_variables())
+      reported[static_cast<size_t>(v)] = 1;
+    for (const auto v : live) {
+      const double got = sys.value(v);
+      const double want = ref.value(v);
+      ASSERT_NEAR(got, want, 1e-9 * std::max(1.0, std::abs(want))) << "step " << step << " var " << v;
+      ASSERT_TRUE(got == last[static_cast<size_t>(v)] || reported[static_cast<size_t>(v)])
+          << "step " << step << ": var " << v << " moved from " << last[static_cast<size_t>(v)] << " to "
+          << got << " without a changed_variables report";
+      last[static_cast<size_t>(v)] = got;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100000u);
+  // The sweep must have run on kept snapshots, several at a time.
+  EXPECT_GT(kept_steps, 2000u);
+  EXPECT_GE(max_kept, 2u);
+}
+
+// A variable suspended (weight 0) since the last solve, then expanded onto
+// a kept component, joins that snapshot still holding its old value: the
+// next solve must take it to 0.
+TEST(MaxMinIncremental, SuspendedVariableJoiningAKeptSnapshotDropsToZero) {
+  MaxMinSystem sys;
+  const auto shared = sys.new_constraint(100.0);
+  for (size_t i = 0; i < MaxMinSystem::kKeepMinVars; ++i)
+    sys.expand(shared, sys.new_variable(1.0));
+  const auto own = sys.new_constraint(10.0);
+  const auto v = sys.new_variable(1.0);
+  sys.expand(own, v);
+  sys.solve();
+  ASSERT_EQ(sys.memory_stats().kept_snapshots, 1u);
+  ASSERT_DOUBLE_EQ(sys.value(v), 10.0);
+  sys.set_weight(v, 0.0);
+  sys.expand(shared, v);
+  sys.solve();
+  EXPECT_EQ(sys.value(v), 0.0);
+  EXPECT_DOUBLE_EQ(sys.value(0), 100.0 / MaxMinSystem::kKeepMinVars);
+}
+
+// Kept snapshots count in memory_stats(): the bytes rise when a big
+// component keeps its snapshot and fall back when solve_full() drops it and
+// the component, shrunk below the size that keeps one, is solved afresh.
+TEST(MaxMinIncremental, MemoryStatsCountKeptSnapshots) {
+  MaxMinSystem sys;
+  std::vector<MaxMinSystem::CnstId> links;
+  for (int c = 0; c < 8; ++c)
+    links.push_back(sys.new_constraint(100.0 + c));
+  std::vector<MaxMinSystem::VarId> flows;
+  for (size_t i = 0; i < 2 * MaxMinSystem::kKeepMinVars; ++i) {
+    flows.push_back(sys.new_variable(1.0));
+    sys.expand(links[i % links.size()], flows.back());
+    sys.expand(links[(i + 1) % links.size()], flows.back());
+  }
+  sys.solve();
+  const auto kept = sys.memory_stats();
+  EXPECT_EQ(kept.kept_snapshots, 1u);
+  EXPECT_GT(kept.snapshot_bytes, 0u);
+  EXPECT_EQ(kept.total_bytes(), kept.arena_bytes + kept.soa_bytes + kept.snapshot_bytes);
+
+  while (flows.size() >= MaxMinSystem::kKeepMinVars) {
+    sys.release_variable(flows.back());
+    flows.pop_back();
+  }
+  sys.solve_full();
+  const auto dropped = sys.memory_stats();
+  EXPECT_EQ(dropped.kept_snapshots, 0u);
+  EXPECT_EQ(dropped.snapshot_bytes, 0u);
+  EXPECT_LT(dropped.total_bytes(), kept.total_bytes());
+}
+
 // -- element arena ---------------------------------------------------------------
 //
 // The incidence lists live in a shared arena of 4-entry nodes with an
