@@ -1,9 +1,13 @@
 /// XML codec: tagged-text serialization, the "maximally portable, maximally
 /// expensive" comparison point of the paper's tables. Values are printed and
 /// re-parsed as text; strings are entity-escaped.
+#include <cctype>
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 
 #include "datadesc/codec.hpp"
 #include "datadesc/wire.hpp"
@@ -49,6 +53,27 @@ std::string xml_unescape(const std::string& in) {
     }
   }
   return out;
+}
+
+/// Parse the whole of a scalar's text as one number of type T, as
+/// strtod/strtoll/strtoull read it: an empty text, a leading blank, trailing
+/// junk, a sign on an unsigned number and a value out of T's range are all
+/// refused. Floating-point underflow is not an error: the encoder's %.17g
+/// prints denormals, and they must come back.
+template <typename T, typename Parse>
+T parse_scalar(const std::string& text, const std::string& what, Parse parse) {
+  const char* begin = text.c_str();
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+      (std::is_unsigned_v<T> && (text[0] == '-' || text[0] == '+')))
+    throw xbt::InvalidArgument("xml: " + what + ": '" + text + "' is not a number");
+  char* end = nullptr;
+  errno = 0;
+  const T x = parse(begin, &end);
+  if (end != begin + text.size())
+    throw xbt::InvalidArgument("xml: " + what + ": '" + text + "' is not a number");
+  if (errno == ERANGE && (!std::is_floating_point_v<T> || std::isinf(static_cast<double>(x))))
+    throw xbt::InvalidArgument("xml: " + what + ": '" + text + "' is out of range");
+  return x;
 }
 
 /// Minimal pull parser over the subset we emit.
@@ -181,13 +206,15 @@ private:
         p.close("s");
         const CType t = d.ctype();
         if (ctype_is_float(t))
-          return Value(std::strtod(text.c_str(), nullptr));
+          return Value(parse_scalar<double>(text, d.name(), [](const char* b, char** e) { return std::strtod(b, e); }));
         if (ctype_is_signed(t)) {
-          const std::int64_t x = std::strtoll(text.c_str(), nullptr, 10);
+          const auto x = parse_scalar<std::int64_t>(
+              text, d.name(), [](const char* b, char** e) { return static_cast<std::int64_t>(std::strtoll(b, e, 10)); });
           check_int_fits(x, receiver.size_of(t), d.name() + " (receiver)");
           return Value(x);
         }
-        const std::uint64_t x = std::strtoull(text.c_str(), nullptr, 10);
+        const auto x = parse_scalar<std::uint64_t>(
+            text, d.name(), [](const char* b, char** e) { return static_cast<std::uint64_t>(std::strtoull(b, e, 10)); });
         check_uint_fits(x, receiver.size_of(t), d.name() + " (receiver)");
         return Value(x);
       }

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "datadesc/codec.hpp"
 #include "datadesc/pastry.hpp"
@@ -318,6 +320,45 @@ TEST(Xml, IsLargestEncoding) {
   const size_t ndr = ndr_codec().encode(*desc, msg, x86).size();
   const size_t xml = xml_codec().encode(*desc, msg, x86).size();
   EXPECT_GT(xml, 2 * ndr);
+}
+
+/// An XML frame holding one scalar element with the given text.
+std::vector<std::uint8_t> xml_scalar_frame(const std::string& text) {
+  const std::string frame = "<?xml version=\"1.0\"?>\n<s>" + text + "</s>\n";
+  return {frame.begin(), frame.end()};
+}
+
+TEST(Xml, ScalarTextMustBeOneWholeNumber) {
+  const auto& x86 = arch_by_name("x86");
+  for (const char* type : {"int", "int64", "uint64", "double"})
+    for (const char* text : {"12abc", "", " 7", "7 ", "99999999999999999999999", "1e999", "-1e999"}) {
+      if (std::string(type) == "double" && std::string(text) == "99999999999999999999999")
+        continue;  // a double holds it
+      EXPECT_THROW(xml_codec().decode(*datadesc_by_name(type), xml_scalar_frame(text), x86),
+                   sg::xbt::InvalidArgument)
+          << type << " '" << text << "'";
+    }
+  EXPECT_THROW(xml_codec().decode(*datadesc_by_name("uint64"), xml_scalar_frame("-1"), x86),
+               sg::xbt::InvalidArgument);
+  EXPECT_EQ(xml_codec().decode(*datadesc_by_name("int"), xml_scalar_frame("-7"), x86).as_int(), -7);
+}
+
+TEST(Xml, EveryEncodedScalarRoundTrips) {
+  const auto& x86 = arch_by_name("x86");
+  auto round_trip = [&](const char* type, const Value& v) {
+    const DataDescPtr desc = datadesc_by_name(type);
+    return xml_codec().decode(*desc, xml_codec().encode(*desc, v, x86), x86);
+  };
+  for (double x : {0.1, -0.0, 1e308, std::numeric_limits<double>::max(), std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::infinity(), -std::numeric_limits<double>::infinity()}) {
+    const double got = round_trip("double", Value(x)).as_float();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(x)) << x;
+  }
+  EXPECT_TRUE(std::isnan(round_trip("double", Value(std::numeric_limits<double>::quiet_NaN())).as_float()));
+  for (std::int64_t x : {std::numeric_limits<std::int64_t>::min(), std::numeric_limits<std::int64_t>::max()})
+    EXPECT_EQ(round_trip("int64", Value(x)).as_int(), x);
+  EXPECT_EQ(round_trip("uint64", Value(std::numeric_limits<std::uint64_t>::max())).as_uint(),
+            std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(Codecs, TruncatedBuffersRejected) {
