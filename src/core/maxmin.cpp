@@ -268,8 +268,8 @@ void MaxMinSystem::release_variable(VarId var) {
   const size_t i = static_cast<size_t>(var);
   if (!(var_flags_[i] & kFlagAlive))
     return;
-  // A kept variable leaves its snapshot; its constraints are all rows there
-  // or fat pipes, so nothing else is marked.
+  // A kept variable leaves its snapshot; its other constraints only cap it
+  // (fat pipes, single-entry ones), so nothing else is marked.
   const bool kept_var = (var_flags_[i] & kFlagKept) != 0;
   if (kept_var) {
     touch(var);
