@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,30 @@ private:
   std::string saved_backend_;
 };
 
+/// FNV-1a-64 over the bytes of a scenario's log lines and over 64-bit words,
+/// as the engine's pinned churn logs fold theirs.
+struct LogDigest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void byte(unsigned char b) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  void add(const std::string& line) {
+    for (char c : line)
+      byte(static_cast<unsigned char>(c));
+    byte('\n');
+  }
+  void add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i)
+      byte(static_cast<unsigned char>((word >> (8 * i)) & 0xff));
+  }
+  void add(double x) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &x, sizeof bits);
+    add(bits);
+  }
+};
+
 /// Everything observable about one scenario run: an ordered event log (with
 /// 9-digit clocks, so "identical schedule" means identical interleaving AND
 /// identical timings), the final clock, and the scheduler counters.
@@ -52,7 +77,25 @@ struct ScenarioResult {
   std::uint64_t wakeups = 0;
   std::uint64_t switches = 0;
   int completions = 0;
+
+  std::uint64_t digest() const {
+    LogDigest d;
+    for (const std::string& line : log)
+      d.add(line);
+    d.add(end_clock);
+    d.add(wakeups);
+    d.add(switches);
+    d.add(static_cast<std::uint64_t>(completions));
+    return d.h;
+  }
 };
+
+std::uint64_t digest_of(const std::vector<std::string>& log) {
+  LogDigest d;
+  for (const std::string& line : log)
+    d.add(line);
+  return d.h;
+}
 
 /// Randomized master/worker with fault flaps: a master farms tasks to
 /// auto-restarting workers over per-worker mailboxes while a chaos daemon
@@ -133,25 +176,31 @@ ScenarioResult run_faulty_master_worker(const std::string& backend, unsigned see
   return res;
 }
 
+// Each seed's log, final clock and counters fold into one pinned FNV-1a-64
+// digest, and both backends must reproduce the pins.
 TEST_F(ActorRuntimeTest, ThreadAndFiberBackendsProduceIdenticalSchedules) {
-  for (unsigned seed : {1u, 17u, 424242u}) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const ScenarioResult fiber = run_faulty_master_worker("fiber", seed);
-    const ScenarioResult thread = run_faulty_master_worker("thread", seed);
-
-    EXPECT_EQ(fiber.log, thread.log);
-    EXPECT_NEAR(fiber.end_clock, thread.end_clock, 1e-9);
-    EXPECT_EQ(fiber.completions, thread.completions);
-    EXPECT_EQ(fiber.wakeups, thread.wakeups);
-    EXPECT_EQ(fiber.switches, thread.switches);
-    EXPECT_GT(fiber.completions, 0);        // the scenario must do real work
-    EXPECT_FALSE(fiber.log.empty());
-    // With fault flaps in play, some sends/recvs must have failed — that is
-    // the WakeStatus mapping the equivalence is meant to cover.
-    bool saw_failure = false;
-    for (const std::string& line : fiber.log)
-      saw_failure |= line.find("fail ") != std::string::npos;
-    EXPECT_TRUE(saw_failure);
+  struct Pin {
+    unsigned seed;
+    std::uint64_t digest;
+    double clock;
+  };
+  const Pin pins[] = {{1u, 0x102bf9fa9322f95full, 6.9863164383561642},
+                      {17u, 0x3f01d98db73a3f93ull, 7.0063164383561638},
+                      {424242u, 0xd8e30081d4fd2f94ull, 7.1010164240850191}};
+  for (const Pin& pin : pins) {
+    for (const char* backend : {"fiber", "thread"}) {
+      SCOPED_TRACE(sg::xbt::format("seed=%u backend=%s", pin.seed, backend));
+      const ScenarioResult res = run_faulty_master_worker(backend, pin.seed);
+      EXPECT_EQ(res.digest(), pin.digest) << std::hex << res.digest();
+      EXPECT_EQ(res.end_clock, pin.clock) << sg::xbt::format("%.17g", res.end_clock);
+      EXPECT_GT(res.completions, 0);  // the scenario must do real work
+      // With fault flaps in play, some sends/recvs must have failed: that is
+      // the WakeStatus mapping the pin covers.
+      bool saw_failure = false;
+      for (const std::string& line : res.log)
+        saw_failure |= line.find("fail ") != std::string::npos;
+      EXPECT_TRUE(saw_failure);
+    }
   }
 }
 
@@ -170,7 +219,10 @@ TEST_F(ActorRuntimeTest, BackendsAgreeOnPureYieldInterleaving) {
     k.run();
     return order;
   };
-  EXPECT_EQ(run_yield_storm("fiber"), run_yield_storm("thread"));
+  for (const char* backend : {"fiber", "thread"}) {
+    const std::uint64_t digest = digest_of(run_yield_storm(backend));
+    EXPECT_EQ(digest, 0xda7b5352e9125815ull) << backend << std::hex << " " << digest;
+  }
 }
 
 TEST_F(ActorRuntimeTest, FiberPoolRecyclesStacksAcrossWaves) {
@@ -277,8 +329,8 @@ TEST_F(ActorRuntimeTest, StringAndIdKeyedSimcallsShareTheMailbox) {
   EXPECT_FALSE(k.comm_waiting("never-used"));  // probe must not intern
 }
 
-// A ring over three cluster zones schedules identically on both backends
-// and on a rerun. The name is kept from when the kernel split its ready
+// A ring over three cluster zones reproduces one pinned schedule on both
+// backends and on a rerun. The name is kept from when the kernel split its ready
 // set into per-zone run queues, so the test id stays stable.
 TEST_F(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
   auto run_sharded = [](const std::string& backend) {
@@ -315,11 +367,12 @@ TEST_F(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
     order.push_back(sg::xbt::format("end@%.9f", end));
     return order;
   };
-  const auto fiber = run_sharded("fiber");
-  const auto thread = run_sharded("thread");
-  EXPECT_EQ(fiber, thread);
-  const auto fiber_again = run_sharded("fiber");
-  EXPECT_EQ(fiber, fiber_again);  // rerun determinism, not just agreement
+  for (const char* backend : {"fiber", "thread"}) {
+    const auto order = run_sharded(backend);
+    const std::uint64_t digest = digest_of(order);
+    EXPECT_EQ(digest, 0x5f054744a413623eull) << backend << std::hex << " " << digest;
+    EXPECT_EQ(order, run_sharded(backend));  // rerun determinism
+  }
 }
 
 }  // namespace
