@@ -109,9 +109,9 @@ void bench_scale(long n_actors) {
   g_json.record_bytes(name + "/bytes_per_actor", bytes_per_actor);
 
   std::printf(
-      "%8ld actors [%s]: spawn %.2fs (%.0f/s), run %.2fs (%" PRIu64 " wakeups, %.0f/s), "
-      "%.0f B/actor, %zu stacks in %zu slabs\n",
-      n_actors, k.context_factory().backend_name(), spawn_wall,
+      "%8ld actors [%zu KiB stacks]: spawn %.2fs (%.0f/s), run %.2fs (%" PRIu64
+      " wakeups, %.0f/s), %.0f B/actor, %zu stacks in %zu slabs\n",
+      n_actors, pool.stack_bytes >> 10, spawn_wall,
       static_cast<double>(n_actors) / spawn_wall, run_wall, st.wakeups,
       static_cast<double>(st.wakeups) / run_wall, bytes_per_actor, pool.stacks_allocated,
       pool.slabs);

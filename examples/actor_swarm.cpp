@@ -118,9 +118,9 @@ int main(int argc, char** argv) {
                                       static_cast<double>(n_actors)
                                 : 0.0;
 
-  std::printf("swarm: %ld actors (%ld pairs x %d rounds) on %d hosts in %d zones [%s backend]\n",
-              n_actors, n_pairs, rounds, host_count, zones,
-              kernel.context_factory().backend_name());
+  std::printf("swarm: %ld actors (%ld pairs x %d rounds) on %d hosts in %d zones "
+              "[%zu KiB fiber stacks]\n",
+              n_actors, n_pairs, rounds, host_count, zones, pool.stack_bytes >> 10);
   std::printf("  spawn:    %.2f s (%.0f actors/s)\n", spawn_wall,
               static_cast<double>(n_actors) / spawn_wall);
   std::printf("  run:      %.2f s simulating %.3f s (%" PRIu64 " wakeups, %.0f wakeups/s)\n",

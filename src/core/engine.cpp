@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "xbt/block_pool.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/log.hpp"
 #include "xbt/str.hpp"
@@ -97,45 +98,6 @@ void declare_engine_config() {
                   "SG_PROFILE");
 }
 
-/// LIFO block recycler co-owned by the engine and (via the allocator copy in
-/// every control block) by each of its actions. Living here rather than in
-/// the Engine keeps it safe for ActionPtrs that outlive their engine.
-///
-/// The recycler serves the single block size allocate_shared<ConcreteAction>
-/// requests (action + control block fused). Steady-state churn re-uses the
-/// block freed by the previous event — still cache-hot — instead of paying a
-/// malloc/free round-trip and pulling cold lines per action.
-struct ActionBlockPool {
-  /// Cap on retained free blocks (~10 MB at typical block sizes): beyond a
-  /// concurrency spike of this size, freed blocks go back to the allocator
-  /// instead of pinning peak memory for the rest of the run.
-  static constexpr size_t kMaxFreeBlocks = 64 * 1024;
-  std::vector<void*> free_blocks;
-  size_t block_bytes = 0;  ///< learned from the first allocation
-
-  ~ActionBlockPool() {
-    for (void* p : free_blocks)
-      ::operator delete(p);
-  }
-  void* allocate(size_t bytes) {
-    if (bytes == block_bytes && !free_blocks.empty()) {
-      void* p = free_blocks.back();
-      free_blocks.pop_back();
-      return p;
-    }
-    if (block_bytes == 0)
-      block_bytes = bytes;
-    return ::operator new(bytes);
-  }
-  void deallocate(void* p, size_t bytes) {
-    if (bytes == block_bytes && free_blocks.size() < kMaxFreeBlocks) {
-      free_blocks.push_back(p);
-      return;
-    }
-    ::operator delete(p);
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Action methods (need Engine internals)
 // ---------------------------------------------------------------------------
@@ -217,38 +179,18 @@ struct ConcreteAction : Action {
   ConcreteAction(Engine* engine, ActionKind kind, double total, double priority)
       : Action(engine, kind, total, priority) {}
 };
-
-/// Routes allocate_shared through the engine's block pool. Holds the pool by
-/// shared_ptr: the copy stored in each control block keeps the pool alive
-/// until the last action is gone.
-template <typename T>
-struct PoolAllocator {
-  using value_type = T;
-  std::shared_ptr<ActionBlockPool> pool;
-
-  explicit PoolAllocator(std::shared_ptr<ActionBlockPool> p) : pool(std::move(p)) {}
-  template <typename U>
-  PoolAllocator(const PoolAllocator<U>& other) : pool(other.pool) {}
-
-  T* allocate(size_t n) { return static_cast<T*>(pool->allocate(n * sizeof(T))); }
-  void deallocate(T* p, size_t n) { pool->deallocate(p, n * sizeof(T)); }
-  template <typename U>
-  bool operator==(const PoolAllocator<U>& other) const {
-    return pool == other.pool;
-  }
-};
 }  // namespace
 
 ActionPtr Engine::make_action(ActionKind kind, double total, double priority, std::string_view name) {
-  auto action = std::allocate_shared<ConcreteAction>(PoolAllocator<ConcreteAction>(pool_), this, kind,
-                                                     total, priority);
+  auto action = std::allocate_shared<ConcreteAction>(xbt::PoolAllocator<ConcreteAction>(pool_), this,
+                                                     kind, total, priority);
   if (!name.empty() && name != kDefaultNames[static_cast<size_t>(kind)])
     action->name_ = std::make_unique<std::string>(name);
   return action;
 }
 
 Engine::Engine(platform::Platform platform)
-    : platform_(std::move(platform)), pool_(std::make_shared<ActionBlockPool>()) {
+    : platform_(std::move(platform)), pool_(std::make_shared<xbt::BlockPool>()) {
   if (!platform_.sealed())
     platform_.seal();
   declare_engine_config();
@@ -890,6 +832,12 @@ void Engine::finish_action(ActionPtr action, ActionState final_state, std::vecto
 void Engine::notify(const Action& action, ActionState old_state, ActionState new_state) {
   if (observer_)
     observer_(action, old_state, new_state);
+}
+
+bool Engine::host_is_on(int host) const { return checked(hosts_, host, "host_is_on", "host").on; }
+
+bool Engine::link_is_on(platform::LinkId link) const {
+  return checked(links_, link, "link_is_on", "link").on;
 }
 
 double Engine::host_speed(int host) const {

@@ -38,9 +38,11 @@
 #include "platform/platform.hpp"
 #include "xbt/settings.hpp"
 
-namespace sg::core {
+namespace sg::xbt {
+struct BlockPool;  // LIFO recycler for one-size allocations (xbt/block_pool.hpp)
+}
 
-struct ActionBlockPool;  // LIFO recycler for action allocations (engine.cpp)
+namespace sg::core {
 
 /// Typed config keys owned by the engine; declare_engine_config() registers
 /// them. engine/profile is seeded by SG_PROFILE.
@@ -119,8 +121,9 @@ public:
   double next_event_time();
 
   // -- resource state ----------------------------------------------------------
-  bool host_is_on(int host) const { return hosts_[static_cast<size_t>(host)].on; }
-  bool link_is_on(platform::LinkId link) const { return links_[static_cast<size_t>(link)].on; }
+  /// Up/down state; an id out of range throws xbt::InvalidArgument.
+  bool host_is_on(int host) const;
+  bool link_is_on(platform::LinkId link) const;
   /// Current effective speed (flop/s) including the availability trace.
   double host_speed(int host) const;
   double host_available_speed_fraction(int host) const { return hosts_[static_cast<size_t>(host)].scale; }
@@ -377,8 +380,8 @@ private:
   std::vector<ActionPtr> running_;
   std::vector<size_t> free_slots_;
   size_t running_count_ = 0;
-  /// Block recycler for the actions.
-  std::shared_ptr<ActionBlockPool> pool_;
+  /// Block recycler for the actions (action + control block fused).
+  std::shared_ptr<xbt::BlockPool> pool_;
   /// Availability/state trace events of every resource.
   std::priority_queue<TraceEvent, std::vector<TraceEvent>, std::greater<>> traces_;
   /// Action lookup by solver variable id (nullptr when free).

@@ -1,17 +1,11 @@
 #include "kernel/context.hpp"
 
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <semaphore>
-#include <thread>
-#include <vector>
+#include <cstdint>
 
 #include <sys/mman.h>
 #include <unistd.h>
 
 #include "xbt/exception.hpp"
-#include "xbt/log.hpp"
 
 // AddressSanitizer must be told about every stack switch, or its fake-stack
 // bookkeeping (and stack-use-after-return detection) corrupts the moment a
@@ -20,6 +14,11 @@
 // null save_slot when it is terminating, so ASan retires its fake stack —
 // and the first thing code does on the destination stack is
 // __sanitizer_finish_switch_fiber(own_saved_fake, &from_bottom, &from_size).
+//
+// ThreadSanitizer keeps one state per fiber: __tsan_create_fiber makes it
+// on first resume, __tsan_switch_to_fiber(dest) runs right before every
+// switch (with synchronization, so each quantum happens-after the switch
+// that started it), and the resumer destroys it once the body has ended.
 #if defined(__SANITIZE_ADDRESS__)
 #define SG_ASAN_FIBER 1
 #elif defined(__has_feature)
@@ -28,29 +27,24 @@
 #endif
 #endif
 
+#if defined(__SANITIZE_THREAD__)
+#define SG_TSAN_FIBER 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define SG_TSAN_FIBER 1
+#endif
+#endif
+
 #ifdef SG_ASAN_FIBER
 #include <sanitizer/common_interface_defs.h>
 #endif
-
-// The fiber backend switches stacks with ~20 instructions of hand-rolled
-// assembly on x86-64 (ucontext's swapcontext issues a sigprocmask syscall on
-// every switch, ~10x the cost). Other architectures fall back to ucontext.
-#if defined(__x86_64__) && defined(__GNUC__)
-#define SG_RAW_CONTEXT 1
-#else
-#include <ucontext.h>
+#ifdef SG_TSAN_FIBER
+#include <sanitizer/tsan_interface.h>
 #endif
-
-SG_LOG_NEW_CATEGORY(context, "actor execution contexts");
 
 namespace sg::kernel {
 
 void declare_context_config() {
-  config::declare(kCfgContextBackend, "fiber",
-                  "execution backend for simulated processes: 'fiber' (pooled user-space "
-                  "stacks, scales to millions of actors) or 'thread' (one OS thread per "
-                  "actor, debugger-friendly)",
-                  "SG_CONTEXTS");
   config::declare(kCfgContextStackSize, 128L << 10, 16L << 10, 1L << 30,
                   "usable stack bytes per fiber (rounded up to whole pages); pages are "
                   "committed lazily, so small per-actor footprints come from touching "
@@ -82,148 +76,83 @@ inline void asan_finish_switch(void* own_fake_stack, const void** from_bottom, s
 #endif
 }
 
-// ---------------------------------------------------------------------------
-// Thread backend: one OS thread per actor, serialized by two semaphores.
-// ---------------------------------------------------------------------------
+inline void* tsan_current_fiber() {
+#ifdef SG_TSAN_FIBER
+  return __tsan_get_current_fiber();
+#else
+  return nullptr;
+#endif
+}
 
-class ThreadContext final : public Context {
-public:
-  explicit ThreadContext(std::function<void()> body) : Context(std::move(body)) {
-    thread_ = std::thread([this] { trampoline(); });
-  }
+inline void* tsan_create_fiber() {
+#ifdef SG_TSAN_FIBER
+  return __tsan_create_fiber(0);
+#else
+  return nullptr;
+#endif
+}
 
-  ~ThreadContext() override {
-    if (!finished_) {
-      // The actor never ran to completion; unwind it so the thread can exit.
-      kill_requested_ = true;
-      go_.release();
-      done_.acquire();
-    }
-    if (thread_.joinable())
-      thread_.join();
-  }
+inline void tsan_switch_to(void* fiber) {
+#ifdef SG_TSAN_FIBER
+  __tsan_switch_to_fiber(fiber, 0);
+#else
+  (void)fiber;
+#endif
+}
 
-  bool resume_and_wait() override {
-    go_.release();
-    done_.acquire();
-    return finished_;
-  }
+inline void tsan_destroy_fiber(void* fiber) {
+#ifdef SG_TSAN_FIBER
+  __tsan_destroy_fiber(fiber);
+#else
+  (void)fiber;
+#endif
+}
 
-  void yield() override {
-    done_.release();
-    go_.acquire();
-    if (kill_requested_)
-      throw ForcedExit{};
-  }
+size_t round_up(size_t v, size_t to) { return (v + to - 1) / to * to; }
+size_t page_bytes() { return static_cast<size_t>(sysconf(_SC_PAGESIZE)); }
 
-private:
-  void trampoline() {
-    go_.acquire();  // wait for the first resume
-    run_body();
-    done_.release();  // give control back to maestro, thread exits
-  }
-
-  std::thread thread_;
-  std::binary_semaphore go_{0};    // maestro -> actor
-  std::binary_semaphore done_{0};  // actor -> maestro
-};
-
-class ThreadContextFactory final : public ContextFactory {
-public:
-  std::unique_ptr<Context> create(std::function<void()> body) override {
-    return std::make_unique<ThreadContext>(std::move(body));
-  }
-  const char* backend_name() const override { return "thread"; }
-};
+}  // namespace
 
 // ---------------------------------------------------------------------------
-// Fiber backend: pooled stackful fibers switched in user space.
+// Stack pool
 // ---------------------------------------------------------------------------
 
-/// Slab-allocated stack pool. Stacks are carved out of large anonymous
-/// mmaps (one VMA per ~256 stacks instead of one per stack — Linux caps a
-/// process at vm.max_map_count VMAs, which per-stack mmaps would exhaust
-/// around 65k actors), committed lazily by the kernel as pages are touched,
-/// and recycled LIFO so a respawned actor reuses cache- and TLB-hot pages.
-/// One mutex guards the pool so it stays safe to share across threads; the
-/// kernel acquires and releases stacks from the thread that runs it only,
-/// so the lock is never contended.
-class StackPool {
-public:
-  StackPool(size_t usable_bytes, size_t guard_bytes)
-      : page_(static_cast<size_t>(sysconf(_SC_PAGESIZE))),
-        usable_(round_up(usable_bytes, page_)),
-        guard_(round_up(guard_bytes, page_)),
-        stride_(usable_ + guard_) {}
+StackPool::StackPool(size_t usable_bytes, size_t guard_bytes)
+    : usable_(round_up(usable_bytes, page_bytes())),
+      guard_(round_up(guard_bytes, page_bytes())),
+      stride_(usable_ + guard_) {}
 
-  ~StackPool() {
-    for (void* slab : slabs_)
-      ::munmap(slab, slab_bytes());
+StackPool::~StackPool() {
+  for (void* slab : slabs_)
+    ::munmap(slab, slab_bytes());
+}
+
+void* StackPool::acquire() {
+  if (!free_.empty()) {
+    void* s = free_.back();
+    free_.pop_back();
+    return s;
   }
-
-  StackPool(const StackPool&) = delete;
-  StackPool& operator=(const StackPool&) = delete;
-
-  /// Returns the lowest usable address of a stack (just above its guard).
-  void* acquire() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!free_.empty()) {
-      void* s = free_.back();
-      free_.pop_back();
-      return s;
-    }
-    if (slabs_.empty() || cursor_ == kStacksPerSlab) {
-      void* slab = ::mmap(nullptr, slab_bytes(), PROT_READ | PROT_WRITE,
-                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-      if (slab == MAP_FAILED)
-        throw xbt::InvalidArgument("fiber stack pool: mmap failed (out of memory or VMAs?)");
-      slabs_.push_back(slab);
-      cursor_ = 0;
-    }
-    char* base = static_cast<char*>(slabs_.back()) + cursor_ * stride_;
-    ++cursor_;
-    ++carved_;
-    if (guard_ > 0 && ::mprotect(base, guard_, PROT_NONE) != 0)
-      throw xbt::InvalidArgument("fiber stack pool: mprotect(guard) failed");
-    return base + guard_;
+  if (slabs_.empty() || cursor_ == kStacksPerSlab) {
+    void* slab = ::mmap(nullptr, slab_bytes(), PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (slab == MAP_FAILED)
+      throw xbt::InvalidArgument("fiber stack pool: mmap failed (out of memory or VMAs?)");
+    slabs_.push_back(slab);
+    cursor_ = 0;
   }
+  char* base = static_cast<char*>(slabs_.back()) + cursor_ * stride_;
+  ++cursor_;
+  ++carved_;
+  if (guard_ > 0 && ::mprotect(base, guard_, PROT_NONE) != 0)
+    throw xbt::InvalidArgument("fiber stack pool: mprotect(guard) failed");
+  return base + guard_;
+}
 
-  void release(void* stack) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    free_.push_back(stack);
-  }
+// ---------------------------------------------------------------------------
+// Stack switching
+// ---------------------------------------------------------------------------
 
-  size_t usable_bytes() const { return usable_; }
-  size_t carved() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return carved_;
-  }
-  size_t free_count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return free_.size();
-  }
-  size_t slab_count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return slabs_.size();
-  }
-
-private:
-  static constexpr size_t kStacksPerSlab = 256;
-  static size_t round_up(size_t v, size_t to) { return (v + to - 1) / to * to; }
-  size_t slab_bytes() const { return stride_ * kStacksPerSlab; }
-
-  size_t page_;
-  size_t usable_;
-  size_t guard_;
-  size_t stride_;
-  mutable std::mutex mutex_;       ///< guards everything below
-  std::vector<void*> free_;        ///< LIFO of recycled usable-base pointers
-  std::vector<void*> slabs_;
-  size_t cursor_ = kStacksPerSlab;  ///< next uncarved stack in slabs_.back()
-  size_t carved_ = 0;
-};
-
-class FiberContext;
 extern "C" void sg_fiber_main(void* ctx);  // shared C entry, both switch flavors
 
 #ifdef SG_RAW_CONTEXT
@@ -274,91 +203,81 @@ void sg_fiber_boot();
 
 #endif  // SG_RAW_CONTEXT
 
-class FiberContext final : public Context {
-public:
-  FiberContext(std::function<void()> body, StackPool* pool)
-      : Context(std::move(body)), pool_(pool) {}
+// ---------------------------------------------------------------------------
+// Context
+// ---------------------------------------------------------------------------
 
-  ~FiberContext() override {
-    if (started_ && !finished_) {
-      // Unwind the parked body (ForcedExit out of yield) so RAII runs.
-      kill_requested_ = true;
-      while (!finished_)
-        resume_and_wait();
+Context::~Context() {
+  if (started_ && !finished_) {
+    // Unwind the parked body (ForcedExit out of yield) so RAII runs; the
+    // final resume returns the stack to the pool.
+    kill_requested_ = true;
+    while (!finished_)
+      resume_and_wait();
+  }
+}
+
+bool Context::resume_and_wait() {
+  if (finished_)
+    return true;
+  if (!started_)
+    start();
+  asan_start_switch(&resumer_fake_stack_, stack_, pool_->usable_bytes());
+  tsan_resumer_ = tsan_current_fiber();
+  tsan_switch_to(tsan_fiber_);
+  swap_to_fiber();
+  asan_finish_switch(resumer_fake_stack_, nullptr, nullptr);
+  if (finished_ && stack_ != nullptr) {
+    // The body has fully unwound: recycle the stack right away so a dead
+    // actor costs no committed pages while its Actor record lingers.
+    tsan_destroy_fiber(tsan_fiber_);
+    tsan_fiber_ = nullptr;
+    pool_->release(stack_);
+    stack_ = nullptr;
+  }
+  return finished_;
+}
+
+void Context::yield() {
+  asan_start_switch(&fiber_fake_stack_, resumer_bottom_, resumer_size_);
+  tsan_switch_to(tsan_resumer_);
+  swap_to_resumer();
+  // Re-learn who resumed us: it may be the maestro or another fiber.
+  asan_finish_switch(fiber_fake_stack_, &resumer_bottom_, &resumer_size_);
+  if (kill_requested_)
+    throw ForcedExit{};
+}
+
+void Context::fiber_entry() {
+  // Complete the very first switch; learn the resumer's stack identity.
+  asan_finish_switch(nullptr, &resumer_bottom_, &resumer_size_);
+  if (!kill_requested_) {
+    try {
+      body_();
+    } catch (const ForcedExit&) {
+      // normal kill path
+    } catch (...) {
+      failure_ = std::current_exception();
     }
-    if (stack_ != nullptr)
-      pool_->release(stack_);
   }
+  finished_ = true;
+  // Terminating switch: null save slot tells ASan to retire this fiber's
+  // fake stack; a finished context is never resumed again, so this call
+  // never returns. It is not marked unreachable: a noreturn fiber_entry
+  // would get an __asan_handle_no_return call in sg_fiber_main, on the
+  // fiber stack before the switch to it completed, which ASan rejects.
+  asan_start_switch(nullptr, resumer_bottom_, resumer_size_);
+  tsan_switch_to(tsan_resumer_);
+  swap_to_resumer();
+}
 
-  bool resume_and_wait() override {
-    if (finished_)
-      return true;
-    if (!started_)
-      start();
-    // The resumer's ASan fake stack parks in *this* context (not a global):
-    // resumes nest — an actor killing another unwinds the victim from inside
-    // its own quantum — and each nesting level must keep its own slot.
-    asan_start_switch(&resumer_fake_stack_, stack_, pool_->usable_bytes());
-    swap_to_fiber();
-    asan_finish_switch(resumer_fake_stack_, nullptr, nullptr);
-    if (finished_ && stack_ != nullptr) {
-      // The body has fully unwound: recycle the stack right away so a dead
-      // actor costs no committed pages while its Actor record lingers.
-      pool_->release(stack_);
-      stack_ = nullptr;
-    }
-    return finished_;
-  }
-
-  void yield() override {
-    asan_start_switch(&fiber_fake_stack_, resumer_bottom_, resumer_size_);
-    swap_to_maestro();
-    // Re-learn who resumed us: it may be the maestro or another fiber.
-    asan_finish_switch(fiber_fake_stack_, &resumer_bottom_, &resumer_size_);
-    if (kill_requested_)
-      throw ForcedExit{};
-  }
-
-  /// Body trampoline, running on the fiber stack (called via sg_fiber_main).
-  void fiber_entry() {
-    // Complete the very first switch; learn the resumer's stack identity.
-    asan_finish_switch(nullptr, &resumer_bottom_, &resumer_size_);
-    run_body();
-    // Terminating switch: null save slot tells ASan to retire this fiber's
-    // fake stack; a finished context is never resumed again.
-    asan_start_switch(nullptr, resumer_bottom_, resumer_size_);
-    swap_to_maestro();
-    __builtin_unreachable();
-  }
-
-private:
-  void start();
-  void swap_to_fiber();
-  void swap_to_maestro();
-
-  StackPool* pool_;
-  void* stack_ = nullptr;  ///< lowest usable address; allocated on first resume
-  bool started_ = false;
-  void* fiber_fake_stack_ = nullptr;    ///< ASan fake-stack slot for this fiber
-  void* resumer_fake_stack_ = nullptr;  ///< ASan fake-stack slot of whoever resumed us
-  const void* resumer_bottom_ = nullptr;  ///< resumer's stack, target of our next yield
-  size_t resumer_size_ = 0;
-
-#ifdef SG_RAW_CONTEXT
-  void* fiber_sp_ = nullptr;    ///< fiber's saved stack pointer while parked
-  void* maestro_sp_ = nullptr;  ///< resumer's saved stack pointer while the fiber runs
-#else
-  ucontext_t fiber_uc_;
-  ucontext_t maestro_uc_;
-#endif
-};
-
-extern "C" void sg_fiber_main(void* ctx) { static_cast<FiberContext*>(ctx)->fiber_entry(); }
+extern "C" void sg_fiber_main(void* ctx) { static_cast<Context*>(ctx)->fiber_entry(); }
 
 #ifdef SG_RAW_CONTEXT
 
-void FiberContext::start() {
+void Context::start() {
   stack_ = pool_->acquire();
+  tsan_fiber_ = tsan_create_fiber();
   started_ = true;
   // Build the fake frame sg_raw_swap will pop on first entry (stack grows
   // down from the 16-byte-aligned top): a return-address slot pointing at
@@ -377,8 +296,8 @@ void FiberContext::start() {
   fiber_sp_ = top;
 }
 
-void FiberContext::swap_to_fiber() { sg_raw_swap(&maestro_sp_, fiber_sp_); }
-void FiberContext::swap_to_maestro() { sg_raw_swap(&fiber_sp_, maestro_sp_); }
+void Context::swap_to_fiber() { sg_raw_swap(&resumer_sp_, fiber_sp_); }
+void Context::swap_to_resumer() { sg_raw_swap(&fiber_sp_, resumer_sp_); }
 
 #else  // ucontext fallback
 
@@ -389,8 +308,9 @@ void fiber_uc_entry(unsigned hi, unsigned lo) {
 }
 }  // namespace
 
-void FiberContext::start() {
+void Context::start() {
   stack_ = pool_->acquire();
+  tsan_fiber_ = tsan_create_fiber();
   started_ = true;
   getcontext(&fiber_uc_);
   fiber_uc_.uc_stack.ss_sp = stack_;
@@ -401,42 +321,24 @@ void FiberContext::start() {
               static_cast<unsigned>(addr >> 32), static_cast<unsigned>(addr & 0xffffffffu));
 }
 
-void FiberContext::swap_to_fiber() { swapcontext(&maestro_uc_, &fiber_uc_); }
-void FiberContext::swap_to_maestro() { swapcontext(&fiber_uc_, &maestro_uc_); }
+void Context::swap_to_fiber() { swapcontext(&resumer_uc_, &fiber_uc_); }
+void Context::swap_to_resumer() { swapcontext(&fiber_uc_, &resumer_uc_); }
 
 #endif  // SG_RAW_CONTEXT
 
-class FiberContextFactory final : public ContextFactory {
-public:
-  FiberContextFactory(size_t stack_bytes, size_t guard_bytes) : pool_(stack_bytes, guard_bytes) {}
+// ---------------------------------------------------------------------------
+// Context factory
+// ---------------------------------------------------------------------------
 
-  std::unique_ptr<Context> create(std::function<void()> body) override {
-    return std::make_unique<FiberContext>(std::move(body), &pool_);
-  }
-  const char* backend_name() const override { return "fiber"; }
-
-  PoolStats pool_stats() const override {
-    return {pool_.carved(), pool_.free_count(), pool_.slab_count(), pool_.usable_bytes()};
-  }
-
-private:
-  StackPool pool_;
-};
-
+namespace {
+StackPool pool_from_config() {
+  declare_context_config();
+  const auto stack = static_cast<size_t>(config::get(kCfgContextStackSize));
+  const auto guard_pages = static_cast<size_t>(config::get(kCfgContextGuardPages));
+  return StackPool(stack, guard_pages * page_bytes());
+}
 }  // namespace
 
-std::unique_ptr<ContextFactory> ContextFactory::from_config() {
-  declare_context_config();
-  const std::string backend = config::get(kCfgContextBackend);
-  if (backend == "thread")
-    return std::make_unique<ThreadContextFactory>();
-  if (backend == "fiber") {
-    const auto stack = static_cast<size_t>(config::get(kCfgContextStackSize));
-    const auto guard_pages = static_cast<size_t>(config::get(kCfgContextGuardPages));
-    const auto page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
-    return std::make_unique<FiberContextFactory>(stack, guard_pages * page);
-  }
-  throw xbt::InvalidArgument("contexts/backend must be 'fiber' or 'thread', got '" + backend + "'");
-}
+ContextFactory::ContextFactory() : pool_(pool_from_config()) {}
 
 }  // namespace sg::kernel

@@ -4,9 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <new>
 
+#include "xbt/block_pool.hpp"
 #include "xbt/exception.hpp"
 #include "xbt/log.hpp"
 #include "xbt/str.hpp"
@@ -18,11 +18,10 @@ namespace sg::kernel {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The actor currently executing and its kernel, per OS thread. Under the
-// thread context backend each actor body runs on its own OS thread, and the
-// semaphore handoff publishes the resumer's write to that thread (release
-// before acquire): resume_context sets these on the resuming thread, and
-// ThreadContext bodies publish them in their own slots (see spawn).
+// The actor currently executing and its kernel, published by resume_context
+// around every switch. Per OS thread, because the log providers below read
+// them from whichever thread logs, and GRAS real-mode threads log
+// concurrently.
 // g_active_kernel stays a plain global: it is only written from kernel
 // construction/destruction (serial by definition).
 thread_local Actor* g_current_actor = nullptr;
@@ -59,6 +58,21 @@ void check_send_args(const char* call, double bytes, double rate) {
     throw xbt::InvalidArgument(xbt::format("%s: rate must be finite (got %g)", call, rate));
 }
 
+/// The calling actor. A simcall blocks its caller, and only an actor can
+/// block: called from outside any actor (the maestro, main), it throws
+/// naming the call instead of dereferencing a null actor.
+Actor* require_actor(const char* call) {
+  if (g_current_actor == nullptr)
+    throw xbt::InvalidArgument(xbt::format("%s: must be called from inside an actor", call));
+  return g_current_actor;
+}
+
+/// comm_wait and comm_test need a comm to look at.
+void check_comm(const char* call, const CommPtr& comm) {
+  if (!comm)
+    throw xbt::InvalidArgument(xbt::format("%s: null comm", call));
+}
+
 /// A negative timeout means "wait forever"; NaN means nothing and is refused.
 void check_timeout(const char* call, double timeout) {
   if (std::isnan(timeout))
@@ -71,72 +85,9 @@ Actor::Actor(ActorId id, std::string name, int host, std::function<void()> body,
     : id_(id), host_(host), daemon_(daemon), auto_restart_(auto_restart), name_(std::move(name)),
       body_(std::move(body)) {}
 
-// -- comm control-block pool ---------------------------------------------------
-// Same shape as the engine's ActionBlockPool: allocate_shared fuses the Comm
-// and its shared_ptr control block into one allocation of a single size,
-// which a LIFO free list then recycles — at millions of rendezvous per run
-// the allocator drops off the profile and recycled blocks come back
-// cache-warm. The last CommPtr reference to a block can drop on an actor's
-// own OS thread (thread context backend), so both sides of the free list
-// take the pool's mutex.
-
-struct CommBlockPool {
-  static constexpr size_t kMaxFreeBlocks = 64 * 1024;
-  std::mutex mutex;
-  std::vector<void*> free_blocks;
-  size_t block_bytes = 0;  ///< learned from the first allocation
-
-  ~CommBlockPool() {
-    for (void* p : free_blocks)
-      ::operator delete(p);
-  }
-
-  void* allocate(size_t bytes) {
-    std::lock_guard<std::mutex> lock(mutex);
-    if (block_bytes == 0)
-      block_bytes = bytes;
-    if (bytes == block_bytes && !free_blocks.empty()) {
-      void* p = free_blocks.back();
-      free_blocks.pop_back();
-      return p;
-    }
-    return ::operator new(bytes);
-  }
-
-  void deallocate(void* p, size_t bytes) {
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (bytes == block_bytes && free_blocks.size() < kMaxFreeBlocks) {
-        free_blocks.push_back(p);
-        return;
-      }
-    }
-    ::operator delete(p);
-  }
-};
-
-namespace {
-template <typename T>
-struct CommPoolAllocator {
-  using value_type = T;
-
-  explicit CommPoolAllocator(std::shared_ptr<CommBlockPool> pool) : pool_(std::move(pool)) {}
-  template <typename U>
-  CommPoolAllocator(const CommPoolAllocator<U>& other) : pool_(other.pool_) {}
-
-  T* allocate(size_t n) { return static_cast<T*>(pool_->allocate(n * sizeof(T))); }
-  void deallocate(T* p, size_t n) { pool_->deallocate(p, n * sizeof(T)); }
-
-  template <typename U>
-  bool operator==(const CommPoolAllocator<U>& other) const {
-    return pool_ == other.pool_;
-  }
-
-  std::shared_ptr<CommBlockPool> pool_;
-};
-}  // namespace
-
-CommPtr Kernel::make_comm() { return std::allocate_shared<Comm>(CommPoolAllocator<Comm>(comm_pool_)); }
+// Comms and their shared_ptr control blocks are fused into one pooled
+// block, as the engine does for actions (xbt/block_pool.hpp).
+CommPtr Kernel::make_comm() { return std::allocate_shared<Comm>(xbt::PoolAllocator<Comm>(comm_pool_)); }
 
 // -- actor slot arena ----------------------------------------------------------
 
@@ -196,8 +147,7 @@ void Kernel::host_list_remove(Actor* a) {
 // -- kernel lifecycle ----------------------------------------------------------
 
 Kernel::Kernel(platform::Platform platform)
-    : context_factory_(ContextFactory::from_config()), engine_(std::move(platform)),
-      comm_pool_(std::make_shared<CommBlockPool>()) {
+    : engine_(std::move(platform)), comm_pool_(std::make_shared<xbt::BlockPool>()) {
   engine_.set_resource_observer([this](bool is_host, int index, bool on) {
     if (is_host)
       host_changes_.push_back({index, on});
@@ -206,7 +156,6 @@ Kernel::Kernel(platform::Platform platform)
   g_active_kernel = this;
   xbt::log_set_clock_provider(&clock_provider);
   xbt::log_set_actor_provider(&actor_provider);
-  SG_DEBUG(kernel, "kernel up: %s contexts", context_factory_->backend_name());
 }
 
 Kernel::~Kernel() {
@@ -253,15 +202,7 @@ ActorId Kernel::spawn(const std::string& name, int host, std::function<void()> b
     throw xbt::HostFailureException("spawn: host " + engine_.platform().host(host).name + " is down");
   const ActorId id = next_actor_id_++;
   Actor* a = allocate_actor(id, name, host, std::move(body), daemon, auto_restart);
-  a->context_ = context_factory_->create([this, a] {
-    // Publish identity in the *body's* thread-local slots: thread-backend
-    // actors run on their own OS thread, which resume_context (running on
-    // the maestro) cannot reach. Fibers run on the resuming thread,
-    // where resume_context already published the same values.
-    g_current_actor = a;
-    g_current_kernel = this;
-    a->body_();
-  });
+  a->context_ = context_factory_.create([a] { a->body_(); });
   id_to_slot_.emplace(id, a->slot_);
   host_list_insert(a);
   ++live_count_;
@@ -421,8 +362,7 @@ double Kernel::run() {
 // -- simcalls ---------------------------------------------------------------
 
 void Kernel::execute(double flops, double priority) {
-  Actor* a = self();
-  assert(a != nullptr && "execute() must be called from an actor");
+  Actor* a = require_actor("execute");
   auto action = engine_.exec_start(a->host_, flops, priority, a->name_ + ":exec");
   action->user_data = a;
   a->blocked_action_ = action;
@@ -431,8 +371,7 @@ void Kernel::execute(double flops, double priority) {
 
 void Kernel::execute_parallel(const std::vector<int>& hosts, const std::vector<double>& flops,
                               const std::vector<std::vector<double>>& bytes) {
-  Actor* a = self();
-  assert(a != nullptr && "execute_parallel() must be called from an actor");
+  Actor* a = require_actor("execute_parallel");
   auto action = engine_.ptask_start(hosts, flops, bytes, a->name_ + ":ptask");
   action->user_data = a;
   a->blocked_action_ = action;
@@ -440,8 +379,7 @@ void Kernel::execute_parallel(const std::vector<int>& hosts, const std::vector<d
 }
 
 void Kernel::sleep_for(double duration) {
-  Actor* a = self();
-  assert(a != nullptr && "sleep_for() must be called from an actor");
+  Actor* a = require_actor("sleep_for");
   if (duration <= 0) {
     yield_now();
     return;
@@ -453,15 +391,14 @@ void Kernel::sleep_for(double duration) {
 }
 
 void Kernel::yield_now() {
-  Actor* a = self();
-  assert(a != nullptr);
+  Actor* a = require_actor("yield_now");
   a->state_ = Actor::State::kReady;
   schedule(a);
   a->context_->yield();
 }
 
 void Kernel::exit_self() {
-  assert(self() != nullptr);
+  require_actor("exit_self");
   throw ForcedExit{};
 }
 
@@ -484,8 +421,7 @@ void Kernel::check_mailbox(MailboxId id, const char* call) const {
 }
 
 CommPtr Kernel::send_async(MailboxId mb, void* payload, double bytes, double rate) {
-  Actor* a = self();
-  assert(a != nullptr && "send must be called from an actor");
+  Actor* a = require_actor("send_async");
   check_mailbox(mb, "send_async");
   check_send_args("send_async", bytes, rate);
   return send_async_impl(a, mb, payload, bytes, rate);
@@ -519,8 +455,7 @@ CommPtr Kernel::send_async_impl(Actor* a, MailboxId mb, void* payload, double by
 }
 
 CommPtr Kernel::recv_async(MailboxId mb) {
-  Actor* a = self();
-  assert(a != nullptr && "recv must be called from an actor");
+  Actor* a = require_actor("recv_async");
   check_mailbox(mb, "recv_async");
   Mailbox& box = mailbox_ref(mb);
   if (!box.queued_sends.empty()) {
@@ -564,8 +499,8 @@ void Kernel::finish_comm(const CommPtr& comm, WakeStatus result) {
 }
 
 void* Kernel::comm_wait(const CommPtr& comm, double timeout) {
-  Actor* a = self();
-  assert(a != nullptr);
+  Actor* a = require_actor("comm_wait");
+  check_comm("comm_wait", comm);
   check_timeout("comm_wait", timeout);
   WakeStatus st;
   if (comm->state == Comm::State::kFinished) {
@@ -588,8 +523,7 @@ void* Kernel::comm_wait(const CommPtr& comm, double timeout) {
 }
 
 void Kernel::send(MailboxId mb, void* payload, double bytes, double timeout, double rate) {
-  Actor* a = self();
-  assert(a != nullptr && "send must be called from an actor");
+  Actor* a = require_actor("send");
   check_mailbox(mb, "send");
   check_send_args("send", bytes, rate);
   check_timeout("send", timeout);
@@ -597,14 +531,14 @@ void Kernel::send(MailboxId mb, void* payload, double bytes, double timeout, dou
 }
 
 void Kernel::send_detached(MailboxId mb, void* payload, double bytes, double rate) {
-  Actor* a = self();
-  assert(a != nullptr && "send_detached must be called from an actor");
+  Actor* a = require_actor("send_detached");
   check_mailbox(mb, "send_detached");
   check_send_args("send_detached", bytes, rate);
   send_async_impl(a, mb, payload, bytes, rate)->detached = true;
 }
 
 void* Kernel::recv(MailboxId mb, double timeout, ActorId* source) {
+  require_actor("recv");
   check_mailbox(mb, "recv");
   check_timeout("recv", timeout);
   CommPtr comm = recv_async(mb);
@@ -625,7 +559,10 @@ bool Kernel::comm_waiting(const std::string& mb) {
   return it != mailbox_ids_.end() && comm_waiting(it->second);
 }
 
-bool Kernel::comm_test(const CommPtr& comm) { return comm->state == Comm::State::kFinished; }
+bool Kernel::comm_test(const CommPtr& comm) {
+  check_comm("comm_test", comm);
+  return comm->state == Comm::State::kFinished;
+}
 
 // -- event handling -----------------------------------------------------------
 

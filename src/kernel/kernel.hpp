@@ -20,9 +20,9 @@
 ///  * **Advance the engine** to its next event or the next timeout timer,
 ///    and wake the actors whose actions, comms or timers completed.
 ///
-/// The kernel starts no threads of its own (the thread context backend
-/// gives each actor an OS thread, strictly serialized with the maestro), and
-/// the thread and fiber backends produce identical schedules.
+/// Actors are fibers (kernel/context.hpp) switched on the OS thread that
+/// calls run(); the kernel starts no threads. A simcall made from outside
+/// any actor throws xbt::InvalidArgument naming the call.
 ///
 /// Scale shape (the "millions of users" path): actors live in a chunked slot
 /// arena with O(1) spawn/death and slot+stack recycling, mailbox names are
@@ -44,8 +44,6 @@
 #include "kernel/comm.hpp"
 
 namespace sg::kernel {
-
-struct CommBlockPool;  // LIFO recycler for comm control blocks (kernel.cpp)
 
 class Kernel {
 public:
@@ -181,8 +179,8 @@ public:
     std::uint64_t context_switches = 0;  ///< scheduler -> actor resumes
   };
   Stats stats() const { return stats_; }
-  /// The context backend in use (pool stats, backend name).
-  const ContextFactory& context_factory() const { return *context_factory_; }
+  /// The context factory (fiber stack-pool stats).
+  const ContextFactory& context_factory() const { return context_factory_; }
 
 private:
   struct Timer {
@@ -248,7 +246,7 @@ private:
 
   // Declared first so it is destroyed last: Actor teardown returns fiber
   // stacks to the factory's pool.
-  std::unique_ptr<ContextFactory> context_factory_;
+  ContextFactory context_factory_;
   core::Engine engine_;
 
   // Actor arena + indexes.
@@ -268,10 +266,9 @@ private:
   std::vector<std::string> mailbox_names_;
   std::unordered_map<std::string, MailboxId> mailbox_ids_;
 
-  /// Comm-block pool; deallocation (a CommPtr can drop on an actor's own
-  /// thread) is mutex-guarded inside the pool. Shared with every block's
-  /// allocator, so comms that outlive the kernel can still be freed.
-  std::shared_ptr<CommBlockPool> comm_pool_;
+  /// Comm-block pool, shared with every block's allocator so comms that
+  /// outlive the kernel can still be freed.
+  std::shared_ptr<xbt::BlockPool> comm_pool_;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_;
   std::vector<std::pair<int, bool>> host_changes_;  ///< deferred (host, now_on)
   std::vector<RestartSpec> pending_restarts_;  ///< respawn when host returns

@@ -35,15 +35,26 @@ kernel::MailboxId channel_mailbox(int host, int channel) {
   auto& g = globals();
   if (channel < 0 || channel >= g.channels)
     throw xbt::InvalidArgument(xbt::format("channel %d out of range [0, %d)", channel, g.channels));
-  if (g.channel_mbox.empty())
-    g.channel_mbox.assign(the_kernel().engine().platform().host_count() *
+  const size_t slot =
+      static_cast<size_t>(host) * static_cast<size_t>(g.channels) + static_cast<size_t>(channel);
+  if (slot >= g.channel_mbox.size())  // first use, or hosts joined since
+    g.channel_mbox.resize(the_kernel().engine().platform().host_count() *
                               static_cast<size_t>(g.channels),
                           kernel::kNoMailbox);
-  auto& mbox = g.channel_mbox[static_cast<size_t>(host) * static_cast<size_t>(g.channels) +
-                              static_cast<size_t>(channel)];
+  auto& mbox = g.channel_mbox[slot];
   if (mbox == kernel::kNoMailbox)
     mbox = the_kernel().mailbox_by_name(xbt::format("msg:%d:%d", host, channel));
   return mbox;
+}
+
+/// An m_host_t is a bare index: every call that takes one checks it here,
+/// at the MSG boundary, before it indexes any table.
+int host_index(m_host_t host, const char* call) {
+  const int count = static_cast<int>(the_kernel().engine().platform().host_count());
+  if (host.index < 0 || host.index >= count)
+    throw xbt::InvalidArgument(
+        xbt::format("%s: host handle %d out of range (%d hosts)", call, host.index, count));
+  return host.index;
 }
 
 int self_host_index() {
@@ -92,12 +103,16 @@ m_host_t MSG_host_by_index(int index) {
 }
 
 const std::string& MSG_host_get_name(m_host_t host) {
-  return the_kernel().engine().platform().host(host.index).name;
+  return the_kernel().engine().platform().host(host_index(host, "MSG_host_get_name")).name;
 }
 
-double MSG_host_get_speed(m_host_t host) { return the_kernel().engine().host_speed(host.index); }
+double MSG_host_get_speed(m_host_t host) {
+  return the_kernel().engine().host_speed(host_index(host, "MSG_host_get_speed"));
+}
 
-bool MSG_host_is_on(m_host_t host) { return the_kernel().engine().host_is_on(host.index); }
+bool MSG_host_is_on(m_host_t host) {
+  return the_kernel().engine().host_is_on(host_index(host, "MSG_host_is_on"));
+}
 
 m_host_t MSG_host_self() { return m_host_t{self_host_index()}; }
 
@@ -105,7 +120,8 @@ m_host_t MSG_host_self() { return m_host_t{self_host_index()}; }
 
 kernel::ActorId MSG_process_create(const std::string& name, ProcessFn fn, m_host_t host, bool daemon,
                                    bool auto_restart) {
-  return the_kernel().spawn(name, host.index, std::move(fn), daemon, auto_restart);
+  return the_kernel().spawn(name, host_index(host, "MSG_process_create"), std::move(fn), daemon,
+                            auto_restart);
 }
 
 kernel::ActorId MSG_process_self() {
@@ -153,9 +169,10 @@ namespace {
 void task_put_impl(m_task_t task, m_host_t dest, int channel, double timeout, double rate) {
   if (task == nullptr)
     throw xbt::InvalidArgument("MSG_task_put: null task");
+  const int dest_host = host_index(dest, "MSG_task_put");
   task->source = MSG_host_self();
   task->sender = MSG_process_self();
-  the_kernel().send(channel_mailbox(dest.index, channel), task, task->comm_bytes, timeout, rate);
+  the_kernel().send(channel_mailbox(dest_host, channel), task, task->comm_bytes, timeout, rate);
 }
 }  // namespace
 
@@ -191,7 +208,7 @@ void MSG_parallel_task_execute(const std::string& name, const std::vector<m_host
   std::vector<int> host_indices;
   host_indices.reserve(hosts.size());
   for (const m_host_t& h : hosts)
-    host_indices.push_back(h.index);
+    host_indices.push_back(host_index(h, "MSG_parallel_task_execute"));
   the_kernel().execute_parallel(host_indices, flops, bytes);
 }
 

@@ -11,12 +11,11 @@
 namespace sg::config {
 namespace {
 
-/// One declared key. Flags, ints and numbers keep their value in `num`
-/// (flags as 0/1), strings in `str`; [min, max] bounds `num`.
+/// One declared key. Its value lives in `num` (flags as 0/1), bounded by
+/// [min, max].
 struct Entry {
   Type type = Type::kNumber;
   double num = 0.0;
-  std::string str;
   double min = 0.0, max = 0.0;
   std::string description;
   std::string env;
@@ -32,7 +31,6 @@ const char* type_name(Type t) {
     case Type::kFlag: return "flag";
     case Type::kInt: return "int";
     case Type::kNumber: return "number";
-    case Type::kString: return "string";
   }
   return "?";
 }
@@ -61,7 +59,7 @@ Entry& require(const char* key, Type want) {
   return entry;
 }
 
-/// The one validation step every flag, int and number write goes through.
+/// The one validation step every write goes through.
 /// `origin` says where the value came from, for the diagnostic.
 void store(Entry& entry, const std::string& key, double value, const std::string& origin = "") {
   if (!(value >= entry.min && value <= entry.max))  // NaN fails both
@@ -79,10 +77,6 @@ void store(Entry& entry, const std::string& key, double value, const std::string
 void assign(Entry& entry, const std::string& key, const std::string& raw,
             const std::string& origin = "") {
   const std::string text = xbt::trim(raw);
-  if (entry.type == Type::kString) {
-    entry.str = text;
-    return;
-  }
   double value = 0.0;
   bool ok = true;
   if (entry.type == Type::kFlag) {
@@ -111,8 +105,7 @@ void add(const char* key, Entry entry, const char* env) {
                                  type_name(entry.type));
     return;
   }
-  if (entry.type != Type::kString)
-    store(entry, key, entry.num, " (declared default)");
+  store(entry, key, entry.num, " (declared default)");
   if (env != nullptr) {
     entry.env = env;
     if (const char* text = std::getenv(env))
@@ -124,31 +117,25 @@ void add(const char* key, Entry entry, const char* env) {
 }  // namespace
 
 void declare(FlagKey key, bool default_value, const std::string& description, const char* env) {
-  add(key.name, Entry{Type::kFlag, default_value ? 1.0 : 0.0, {}, 0.0, 1.0, description, {}}, env);
+  add(key.name, Entry{Type::kFlag, default_value ? 1.0 : 0.0, 0.0, 1.0, description, {}}, env);
 }
 
 void declare(IntKey key, long default_value, long min, long max, const std::string& description,
              const char* env) {
   add(key.name,
-      Entry{Type::kInt, static_cast<double>(default_value), {}, static_cast<double>(min),
+      Entry{Type::kInt, static_cast<double>(default_value), static_cast<double>(min),
             static_cast<double>(max), description, {}},
       env);
 }
 
 void declare(NumberKey key, double default_value, double min, double max,
              const std::string& description, const char* env) {
-  add(key.name, Entry{Type::kNumber, default_value, {}, min, max, description, {}}, env);
-}
-
-void declare(StringKey key, const std::string& default_value, const std::string& description,
-             const char* env) {
-  add(key.name, Entry{Type::kString, 0.0, default_value, 0.0, 0.0, description, {}}, env);
+  add(key.name, Entry{Type::kNumber, default_value, min, max, description, {}}, env);
 }
 
 bool get(FlagKey key) { return require(key.name, Type::kFlag).num != 0.0; }
 long get(IntKey key) { return static_cast<long>(require(key.name, Type::kInt).num); }
 double get(NumberKey key) { return require(key.name, Type::kNumber).num; }
-std::string get(StringKey key) { return require(key.name, Type::kString).str; }
 
 void set(FlagKey key, bool value) {
   store(require(key.name, Type::kFlag), key.name, value ? 1.0 : 0.0);
@@ -157,7 +144,6 @@ void set(IntKey key, long value) {
   store(require(key.name, Type::kInt), key.name, static_cast<double>(value));
 }
 void set(NumberKey key, double value) { store(require(key.name, Type::kNumber), key.name, value); }
-void set(StringKey key, const std::string& value) { require(key.name, Type::kString).str = value; }
 
 void apply(const std::string& spec) {
   std::vector<std::pair<Entry*, Entry>> staged;

@@ -24,14 +24,13 @@
 
 namespace sg::config {
 
-enum class Type { kFlag, kInt, kNumber, kString };
+enum class Type { kFlag, kInt, kNumber };
 
 /// Typed key handles. Intentionally trivial (a tagged name) so keys can be
 /// constexpr constants next to the module that owns them.
 struct FlagKey { const char* name; };    ///< boolean
 struct IntKey { const char* name; };     ///< integer with a declared range
 struct NumberKey { const char* name; };  ///< double with a declared range
-struct StringKey { const char* name; };  ///< string
 
 /// Declare a key. Re-declaring it with the same type keeps the current value;
 /// re-declaring it with another type throws. `env`, when given, names the
@@ -44,22 +43,18 @@ void declare(IntKey key, long default_value, long min, long max, const std::stri
              const char* env = nullptr);
 void declare(NumberKey key, double default_value, double min, double max,
              const std::string& description, const char* env = nullptr);
-void declare(StringKey key, const std::string& default_value, const std::string& description,
-             const char* env = nullptr);
 
 /// Typed reads. Throw xbt::InvalidArgument when the key was never declared
 /// (listing the valid keys) or was declared with a different type.
 bool get(FlagKey key);
 long get(IntKey key);
 double get(NumberKey key);
-std::string get(StringKey key);
 
 /// Typed writes, same diagnostics as the getters; a value outside the key's
 /// range (NaN included) throws and leaves the stored value unchanged.
 void set(FlagKey key, bool value);
 void set(IntKey key, long value);
 void set(NumberKey key, double value);
-void set(StringKey key, const std::string& value);
 
 /// Apply "key:value,key:value", each value parsed by its key's declared type.
 /// All items are checked before any is stored: a bad item throws and changes

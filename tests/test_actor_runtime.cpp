@@ -1,8 +1,7 @@
-/// Tests for the pluggable actor runtime: thread-vs-fiber backend
-/// equivalence (identical schedules, completions, clocks, and failure
-/// statuses on randomized fault-flapping scenarios), fiber stack-pool
-/// recycling under spawn/die/restart churn, mailbox interning, and
-/// per-shard scheduling determinism.
+/// Tests for the fiber actor runtime: pinned schedules (FNV-1a-64 digests of
+/// the logs, clocks and counters of randomized fault-flapping scenarios, a
+/// yield storm and a ring over three zones), fiber stack-pool recycling
+/// under spawn/die/restart churn, and mailbox interning.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,26 +22,6 @@ namespace {
 
 using namespace sg::kernel;
 using sg::platform::Platform;
-
-/// Runs each test body once per backend by flipping the config key; restores
-/// the previous backend afterwards so the rest of the suite is unaffected.
-class ActorRuntimeTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    declare_context_config();
-    saved_backend_ = sg::config::get(kCfgContextBackend);
-  }
-  void TearDown() override {
-    sg::config::set(kCfgContextBackend, saved_backend_);
-  }
-
-  static void use_backend(const std::string& name) {
-    sg::config::set(kCfgContextBackend, name);
-  }
-
-private:
-  std::string saved_backend_;
-};
 
 /// FNV-1a-64 over the bytes of a scenario's log lines and over 64-bit words,
 /// as the engine's pinned churn logs fold theirs.
@@ -100,11 +79,9 @@ std::uint64_t digest_of(const std::vector<std::string>& log) {
 /// Randomized master/worker with fault flaps: a master farms tasks to
 /// auto-restarting workers over per-worker mailboxes while a chaos daemon
 /// powers worker hosts off and on. Every completion, timeout, and failure
-/// exception lands in the log, so two backends agree iff they made exactly
-/// the same scheduling decisions and mapped every wake status identically.
-ScenarioResult run_faulty_master_worker(const std::string& backend, unsigned seed) {
-  sg::config::set(kCfgContextBackend, backend);
-
+/// exception lands in the log, so the pinned digest covers every scheduling
+/// decision and every wake status mapping.
+ScenarioResult run_faulty_master_worker(unsigned seed) {
   sg::platform::ClusterSpec spec;
   spec.count = 5;  // node0 = master, nodes 1..4 = workers
   spec.host_speed = 1e9;
@@ -172,13 +149,14 @@ ScenarioResult run_faulty_master_worker(const std::string& backend, unsigned see
   res.end_clock = k.run();
   res.wakeups = k.stats().wakeups;
   res.switches = k.stats().context_switches;
-  EXPECT_EQ(backend, std::string(k.context_factory().backend_name()));
   return res;
 }
 
 // Each seed's log, final clock and counters fold into one pinned FNV-1a-64
-// digest, and both backends must reproduce the pins.
-TEST_F(ActorRuntimeTest, ThreadAndFiberBackendsProduceIdenticalSchedules) {
+// digest. The pins were taken when an OS-thread context backend still ran
+// next to the fibers, and both reproduced them; this test and the next two
+// keep the names they had then, so the test ids stay stable.
+TEST(ActorRuntimeTest, ThreadAndFiberBackendsProduceIdenticalSchedules) {
   struct Pin {
     unsigned seed;
     std::uint64_t digest;
@@ -188,45 +166,36 @@ TEST_F(ActorRuntimeTest, ThreadAndFiberBackendsProduceIdenticalSchedules) {
                       {17u, 0x3f01d98db73a3f93ull, 7.0063164383561638},
                       {424242u, 0xd8e30081d4fd2f94ull, 7.1010164240850191}};
   for (const Pin& pin : pins) {
-    for (const char* backend : {"fiber", "thread"}) {
-      SCOPED_TRACE(sg::xbt::format("seed=%u backend=%s", pin.seed, backend));
-      const ScenarioResult res = run_faulty_master_worker(backend, pin.seed);
-      EXPECT_EQ(res.digest(), pin.digest) << std::hex << res.digest();
-      EXPECT_EQ(res.end_clock, pin.clock) << sg::xbt::format("%.17g", res.end_clock);
-      EXPECT_GT(res.completions, 0);  // the scenario must do real work
-      // With fault flaps in play, some sends/recvs must have failed: that is
-      // the WakeStatus mapping the pin covers.
-      bool saw_failure = false;
-      for (const std::string& line : res.log)
-        saw_failure |= line.find("fail ") != std::string::npos;
-      EXPECT_TRUE(saw_failure);
-    }
+    SCOPED_TRACE("seed=" + std::to_string(pin.seed));
+    const ScenarioResult res = run_faulty_master_worker(pin.seed);
+    EXPECT_EQ(res.digest(), pin.digest) << std::hex << res.digest();
+    EXPECT_EQ(res.end_clock, pin.clock) << sg::xbt::format("%.17g", res.end_clock);
+    EXPECT_GT(res.completions, 0);  // the scenario must do real work
+    // With fault flaps in play, some sends/recvs must have failed: that is
+    // the WakeStatus mapping the pin covers.
+    bool saw_failure = false;
+    for (const std::string& line : res.log)
+      saw_failure |= line.find("fail ") != std::string::npos;
+    EXPECT_TRUE(saw_failure);
   }
 }
 
-TEST_F(ActorRuntimeTest, BackendsAgreeOnPureYieldInterleaving) {
-  auto run_yield_storm = [](const std::string& backend) {
-    sg::config::set(kCfgContextBackend, backend);
-    Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
-    std::vector<std::string> order;
-    for (int a = 0; a < 8; ++a)
-      k.spawn("y" + std::to_string(a), a % 2, [&k, &order, a] {
-        for (int round = 0; round < 5; ++round) {
-          order.push_back(std::to_string(a) + ":" + std::to_string(round));
-          k.yield_now();
-        }
-      });
-    k.run();
-    return order;
-  };
-  for (const char* backend : {"fiber", "thread"}) {
-    const std::uint64_t digest = digest_of(run_yield_storm(backend));
-    EXPECT_EQ(digest, 0xda7b5352e9125815ull) << backend << std::hex << " " << digest;
-  }
+TEST(ActorRuntimeTest, BackendsAgreeOnPureYieldInterleaving) {
+  Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
+  std::vector<std::string> order;
+  for (int a = 0; a < 8; ++a)
+    k.spawn("y" + std::to_string(a), a % 2, [&k, &order, a] {
+      for (int round = 0; round < 5; ++round) {
+        order.push_back(std::to_string(a) + ":" + std::to_string(round));
+        k.yield_now();
+      }
+    });
+  k.run();
+  const std::uint64_t digest = digest_of(order);
+  EXPECT_EQ(digest, 0xda7b5352e9125815ull) << std::hex << digest;
 }
 
-TEST_F(ActorRuntimeTest, FiberPoolRecyclesStacksAcrossWaves) {
-  use_backend("fiber");
+TEST(ActorRuntimeTest, FiberPoolRecyclesStacksAcrossWaves) {
   Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
 
   constexpr int kWaves = 5;
@@ -250,8 +219,7 @@ TEST_F(ActorRuntimeTest, FiberPoolRecyclesStacksAcrossWaves) {
   EXPECT_GE(pool.stack_bytes, 4096u);
 }
 
-TEST_F(ActorRuntimeTest, FiberPoolSurvivesKillRestartChurn) {
-  use_backend("fiber");
+TEST(ActorRuntimeTest, FiberPoolSurvivesKillRestartChurn) {
   sg::platform::ClusterSpec spec;
   spec.count = 3;
   Kernel k(sg::platform::make_cluster(spec));
@@ -282,10 +250,11 @@ TEST_F(ActorRuntimeTest, FiberPoolSurvivesKillRestartChurn) {
   EXPECT_LE(pool.stacks_allocated, 60u);
 }
 
-// contexts/stack-size feeds a size_t cast when the fiber factory is built:
-// a negative, NaN or huge value must stop at the config boundary with an
-// error naming the key, and the fiber backend then still runs an actor.
-TEST_F(ActorRuntimeTest, BadStackSizeIsRefusedBeforeTheFactorySeesIt) {
+// contexts/stack-size feeds a size_t cast when the context factory is
+// built: a negative, NaN or huge value must stop at the config boundary with
+// an error naming the key, and a kernel then still runs an actor.
+TEST(ActorRuntimeTest, BadStackSizeIsRefusedBeforeTheFactorySeesIt) {
+  declare_context_config();
   const long stack = sg::config::get(kCfgContextStackSize);  // bytes, [16 KiB, 1 GiB]
   for (const char* bad : {"-1", "nan", "1e30", "0", "4096", "2e9", "65536.5"})
     EXPECT_THROW(sg::config::apply(std::string("contexts/stack-size:") + bad),
@@ -295,7 +264,6 @@ TEST_F(ActorRuntimeTest, BadStackSizeIsRefusedBeforeTheFactorySeesIt) {
   EXPECT_THROW(sg::config::set(kCfgContextStackSize, 1L << 40), sg::xbt::InvalidArgument);
   EXPECT_EQ(sg::config::get(kCfgContextStackSize), stack);
 
-  use_backend("fiber");
   Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
   bool ran = false;
   k.spawn("probe", 0, [&ran] { ran = true; });
@@ -303,7 +271,7 @@ TEST_F(ActorRuntimeTest, BadStackSizeIsRefusedBeforeTheFactorySeesIt) {
   EXPECT_TRUE(ran);
 }
 
-TEST_F(ActorRuntimeTest, MailboxNamesInternToStableDenseIds) {
+TEST(ActorRuntimeTest, MailboxNamesInternToStableDenseIds) {
   Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
   const MailboxId a = k.mailbox_by_name("alpha");
   const MailboxId b = k.mailbox_by_name("beta");
@@ -314,7 +282,7 @@ TEST_F(ActorRuntimeTest, MailboxNamesInternToStableDenseIds) {
   EXPECT_EQ("beta", k.mailbox_name(b));
 }
 
-TEST_F(ActorRuntimeTest, StringAndIdKeyedSimcallsShareTheMailbox) {
+TEST(ActorRuntimeTest, StringAndIdKeyedSimcallsShareTheMailbox) {
   Kernel k(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
   const MailboxId mbox = k.mailbox_by_name("shared");
   std::intptr_t got = 0;
@@ -329,12 +297,11 @@ TEST_F(ActorRuntimeTest, StringAndIdKeyedSimcallsShareTheMailbox) {
   EXPECT_FALSE(k.comm_waiting("never-used"));  // probe must not intern
 }
 
-// A ring over three cluster zones reproduces one pinned schedule on both
-// backends and on a rerun. The name is kept from when the kernel split its ready
-// set into per-zone run queues, so the test id stays stable.
-TEST_F(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
-  auto run_sharded = [](const std::string& backend) {
-    sg::config::set(kCfgContextBackend, backend);
+// A ring over three cluster zones reproduces one pinned schedule, also on a
+// rerun. The name is kept from when the kernel split its ready set into
+// per-zone run queues and ran two context backends.
+TEST(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
+  auto run_ring = [] {
     Platform p;
     for (int z = 0; z < 3; ++z) {
       sg::platform::ClusterZoneSpec zone;
@@ -367,12 +334,10 @@ TEST_F(ActorRuntimeTest, ShardedRunQueuesStayDeterministicAcrossBackends) {
     order.push_back(sg::xbt::format("end@%.9f", end));
     return order;
   };
-  for (const char* backend : {"fiber", "thread"}) {
-    const auto order = run_sharded(backend);
-    const std::uint64_t digest = digest_of(order);
-    EXPECT_EQ(digest, 0x5f054744a413623eull) << backend << std::hex << " " << digest;
-    EXPECT_EQ(order, run_sharded(backend));  // rerun determinism
-  }
+  const auto order = run_ring();
+  const std::uint64_t digest = digest_of(order);
+  EXPECT_EQ(digest, 0x5f054744a413623eull) << std::hex << digest;
+  EXPECT_EQ(order, run_ring());  // rerun determinism
 }
 
 }  // namespace

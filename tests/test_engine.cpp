@@ -290,6 +290,14 @@ TEST_F(EngineTest, HostSpeedRejectsOutOfRangeHost) {
   EXPECT_DOUBLE_EQ(e.host_speed(1), 1e9);
 }
 
+TEST_F(EngineTest, ResourceStateRejectsOutOfRangeIds) {
+  Engine e(two_by_two());
+  expect_bad_id(e, [&](int h) { (void)e.host_is_on(h); }, "host_is_on");
+  expect_bad_id(e, [&](int l) { (void)e.link_is_on(l); }, "link_is_on");
+  EXPECT_TRUE(e.host_is_on(1));
+  EXPECT_TRUE(e.link_is_on(1));
+}
+
 TEST_F(EngineTest, HostLoadRejectsOutOfRangeHost) {
   Engine e(two_by_two());
   expect_bad_id(e, [&](int h) { (void)e.host_load(h); }, "host_load");
@@ -1585,13 +1593,6 @@ TEST(ConfigRegistryTest, TypedGettersReturnDeclaredValues) {
   sg::kernel::declare_context_config();
   EXPECT_GE(sg::config::get(kCfgTcpGamma), 0.0);
   EXPECT_FALSE(sg::config::get(kCfgKillTransitComms));
-  // contexts/backend defaults to "fiber" but the SG_CONTEXTS env var seeds
-  // the declared default (CI re-runs the suite with SG_CONTEXTS=thread).
-  const std::string backend = sg::config::get(sg::kernel::kCfgContextBackend);
-  if (const char* env = std::getenv("SG_CONTEXTS"))
-    EXPECT_EQ(backend, env);
-  else
-    EXPECT_EQ(backend, "fiber");
   const long guard = sg::config::get(sg::kernel::kCfgContextGuardPages);
   sg::config::set(sg::kernel::kCfgContextGuardPages, 4);
   EXPECT_EQ(sg::config::get(sg::kernel::kCfgContextGuardPages), 4);
@@ -1605,7 +1606,9 @@ TEST(ConfigRegistryTest, TypeMismatchThrows) {
   // bug in the caller and must throw, not silently coerce.
   EXPECT_THROW(sg::config::get(sg::config::IntKey{"engine/kill-transit-comms"}),
                sg::xbt::InvalidArgument);
-  EXPECT_THROW(sg::config::get(sg::config::StringKey{"contexts/guard-pages"}),
+  EXPECT_THROW(sg::config::get(sg::config::NumberKey{"contexts/guard-pages"}),
+               sg::xbt::InvalidArgument);
+  EXPECT_THROW(sg::config::set(sg::config::FlagKey{"contexts/stack-size"}, true),
                sg::xbt::InvalidArgument);
 }
 
@@ -1640,7 +1643,7 @@ TEST(ConfigRegistryTest, IntRangeIsEnforced) {
 TEST(ConfigRegistryTest, KeysEnumerationDocumentsEnvSeeds) {
   declare_engine_config();
   sg::kernel::declare_context_config();
-  bool saw_profile = false, saw_backend = false;
+  bool saw_profile = false, saw_guard = false;
   for (const auto& info : sg::config::keys()) {
     if (info.name == "engine/profile") {
       saw_profile = true;
@@ -1648,18 +1651,19 @@ TEST(ConfigRegistryTest, KeysEnumerationDocumentsEnvSeeds) {
       EXPECT_EQ(info.type, sg::config::Type::kFlag);
       EXPECT_FALSE(info.description.empty());
     }
-    if (info.name == "contexts/backend") {
-      saw_backend = true;
-      EXPECT_EQ(info.env, "SG_CONTEXTS");
-      EXPECT_EQ(info.type, sg::config::Type::kString);
+    if (info.name == "contexts/guard-pages") {
+      saw_guard = true;
+      EXPECT_TRUE(info.env.empty());  // set from code only
+      EXPECT_EQ(info.type, sg::config::Type::kInt);
+      EXPECT_FALSE(info.description.empty());
     }
   }
   EXPECT_TRUE(saw_profile);
-  EXPECT_TRUE(saw_backend);
+  EXPECT_TRUE(saw_guard);
 }
 
-TEST(ConfigRegistryTest, RawStringKeyedAccessKeepsWorking) {
-  // String-keyed apply() and the typed accessors read and write the same
+TEST(ConfigRegistryTest, ApplyAndTypedAccessShareOneValue) {
+  // Name-keyed apply() and the typed accessors read and write the same
   // value.
   sg::kernel::declare_context_config();
   const auto key = sg::kernel::kCfgContextGuardPages;
@@ -1744,8 +1748,6 @@ TEST(ConfigRegistryTest, RedeclaringUnderAnotherTypeThrows) {
   EXPECT_THROW(sg::config::declare(sg::config::IntKey{"test/retyped"}, 1, 0, 2, "test-only key"),
                sg::xbt::InvalidArgument);
   EXPECT_THROW(sg::config::declare(sg::config::FlagKey{"test/retyped"}, true, "test-only key"),
-               sg::xbt::InvalidArgument);
-  EXPECT_THROW(sg::config::declare(sg::config::StringKey{"test/retyped"}, "x", "test-only key"),
                sg::xbt::InvalidArgument);
   sg::config::set(key, 1.5);
   sg::config::declare(key, 1.0, 0.0, 2.0, "test-only key");  // same type: keeps the value

@@ -4,8 +4,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kernel/kernel.hpp"
@@ -609,6 +611,52 @@ TEST_F(KernelTest, IdKeyedMailboxCallsRejectUnknownIds) {
     EXPECT_EQ(errors[i].rfind(std::string(calls[i % 7]) + ": mailbox id", 0), 0u) << errors[i];
     EXPECT_NE(errors[i].find("out of range"), std::string::npos) << errors[i];
   }
+}
+
+// A simcall blocks its caller, and only an actor can block: called from
+// outside any actor, each one throws naming the call (it used to dereference
+// a null actor and segfault). A null comm is refused the same way.
+TEST_F(KernelTest, SimcallsOutsideAnActorThrowInvalidArgument) {
+  Kernel k(two_hosts());
+  const MailboxId mb = k.mailbox_by_name("mb");
+  const std::pair<const char*, std::function<void()>> calls[] = {
+      {"execute", [&] { k.execute(1e6); }},
+      {"execute_parallel", [&] { k.execute_parallel({0, 1}, {1e6, 1e6}, {{0, 0}, {0, 0}}); }},
+      {"sleep_for", [&] { k.sleep_for(1.0); }},
+      {"yield_now", [&] { k.yield_now(); }},
+      {"exit_self", [&] { k.exit_self(); }},
+      {"send", [&] { k.send(mb, nullptr, 1e3); }},
+      {"send_detached", [&] { k.send_detached(mb, nullptr, 1e3); }},
+      {"send_async", [&] { (void)k.send_async(mb, nullptr, 1e3); }},
+      {"recv", [&] { (void)k.recv(mb); }},
+      {"recv_async", [&] { (void)k.recv_async(mb); }},
+      {"comm_wait", [&] { (void)k.comm_wait(nullptr); }},
+  };
+  for (const auto& [name, call] : calls) {
+    try {
+      call();
+      ADD_FAILURE() << name << " ran outside an actor";
+    } catch (const sg::xbt::InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(std::string(name) + ": ", 0), 0u) << what;
+      EXPECT_NE(what.find("actor"), std::string::npos) << what;
+    }
+  }
+  EXPECT_FALSE(k.comm_waiting(mb));  // nothing was queued
+  EXPECT_EQ(k.engine().running_action_count(), 0u);
+
+  EXPECT_THROW((void)k.comm_test(nullptr), sg::xbt::InvalidArgument);
+  std::string null_wait;
+  k.spawn("a", 0, [&] {
+    try {
+      (void)k.comm_wait(nullptr);
+    } catch (const sg::xbt::InvalidArgument& e) {
+      null_wait = e.what();
+    }
+  });
+  k.run();
+  EXPECT_EQ(null_wait, "comm_wait: null comm");
+  EXPECT_EQ(k.now(), 0.0);
 }
 
 // ---------------------------------------------------------------------------

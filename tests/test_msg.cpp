@@ -156,6 +156,49 @@ TEST_F(MsgTest, ChannelRangeChecked) {
   EXPECT_TRUE(threw);
 }
 
+// An m_host_t is a bare index; a handle that names no host used to index
+// the platform and the channel table out of bounds (a segfault).
+TEST_F(MsgTest, BadHostHandleThrowsInvalidArgument) {
+  MSG_init(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
+  auto expect_refused = [](const char* call, auto&& fn) {
+    try {
+      fn();
+      ADD_FAILURE() << call << " accepted a bad host handle";
+    } catch (const sg::xbt::InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(call), std::string::npos) << e.what();
+    }
+  };
+  for (int bad : {-1, 2, 1 << 20, 1 << 24}) {
+    SCOPED_TRACE("handle=" + std::to_string(bad));
+    const m_host_t h{bad};
+    expect_refused("MSG_host_get_name", [&] { (void)MSG_host_get_name(h); });
+    expect_refused("MSG_host_get_speed", [&] { (void)MSG_host_get_speed(h); });
+    expect_refused("MSG_host_is_on", [&] { (void)MSG_host_is_on(h); });
+    expect_refused("MSG_process_create", [&] { MSG_process_create("p", [] {}, h); });
+  }
+  int refused = 0;
+  MSG_process_create("s", [&] {
+    for (int bad : {-1, 2, 1 << 20}) {
+      m_task_t t = MSG_task_create("t", 0, 1e3);
+      try {
+        MSG_task_put(t, m_host_t{bad}, 0);
+      } catch (const sg::xbt::InvalidArgument& e) {
+        refused += std::string(e.what()).find("MSG_task_put") != std::string::npos;
+      }
+      MSG_task_destroy(t);
+      try {
+        MSG_parallel_task_execute("pt", {MSG_host_by_index(0), m_host_t{bad}}, {1e6, 1e6},
+                                  {{0, 0}, {0, 0}});
+      } catch (const sg::xbt::InvalidArgument& e) {
+        refused += std::string(e.what()).find("MSG_parallel_task_execute") != std::string::npos;
+      }
+    }
+  }, MSG_host_by_index(0));
+  MSG_main();
+  EXPECT_EQ(refused, 6);
+  EXPECT_EQ(MSG_host_get_name(MSG_host_by_index(1)), "right");
+}
+
 TEST_F(MsgTest, PutBoundedCapsRate) {
   MSG_init(sg::platform::make_dumbbell(1e9, 1e8, 0.0));
   double done = -1;

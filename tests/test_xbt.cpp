@@ -201,16 +201,20 @@ TEST(Config, UnknownKeyThrows) {
   EXPECT_THROW(sg::config::apply("test/xbt-never-declared:1"), InvalidArgument);
 }
 
+// apply() reads each value from its string form by the key's declared type.
 TEST(Config, StringsAndApply) {
   const sg::config::NumberKey a{"test/xbt-apply-a"};
-  const sg::config::StringKey mode{"test/xbt-apply-mode"};
+  const sg::config::FlagKey on{"test/xbt-apply-on"};
+  const sg::config::IntKey n{"test/xbt-apply-n"};
   sg::config::declare(a, 1.0, 0.0, 10.0, "test key");
-  sg::config::declare(mode, "fluid", "test key");
-  sg::config::apply("test/xbt-apply-a:2.5, test/xbt-apply-mode:packet");
+  sg::config::declare(on, false, "test key");
+  sg::config::declare(n, 0, 0, 100, "test key");
+  sg::config::apply("test/xbt-apply-a:2.5, test/xbt-apply-on:yes, test/xbt-apply-n: 7");
   EXPECT_DOUBLE_EQ(sg::config::get(a), 2.5);
-  EXPECT_EQ(sg::config::get(mode), "packet");
+  EXPECT_TRUE(sg::config::get(on));
+  EXPECT_EQ(sg::config::get(n), 7);
   EXPECT_THROW(sg::config::apply("bogus"), InvalidArgument);
-  sg::config::apply("test/xbt-apply-a:1,test/xbt-apply-mode:fluid");
+  sg::config::apply("test/xbt-apply-a:1,test/xbt-apply-on:off,test/xbt-apply-n:0");
 }
 
 }  // namespace
