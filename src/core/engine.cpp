@@ -840,6 +840,10 @@ bool Engine::link_is_on(platform::LinkId link) const {
   return checked(links_, link, "link_is_on", "link").on;
 }
 
+double Engine::host_available_speed_fraction(int host) const {
+  return checked(hosts_, host, "host_available_speed_fraction", "host").scale;
+}
+
 double Engine::host_speed(int host) const {
   const HostRes& res = checked(hosts_, host, "host_speed", "host");
   return res.on ? platform_.host(host).speed_flops * res.scale : 0.0;

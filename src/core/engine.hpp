@@ -121,12 +121,13 @@ public:
   double next_event_time();
 
   // -- resource state ----------------------------------------------------------
-  /// Up/down state; an id out of range throws xbt::InvalidArgument.
+  // Each accessor throws xbt::InvalidArgument naming itself on an id out of
+  // range.
   bool host_is_on(int host) const;
   bool link_is_on(platform::LinkId link) const;
   /// Current effective speed (flop/s) including the availability trace.
   double host_speed(int host) const;
-  double host_available_speed_fraction(int host) const { return hosts_[static_cast<size_t>(host)].scale; }
+  double host_available_speed_fraction(int host) const;
   double link_bandwidth(platform::LinkId link) const;
   /// Instantaneous load: sum of allocations on the resource's constraint.
   double host_load(int host);

@@ -262,10 +262,10 @@ void Context::fiber_entry() {
   }
   finished_ = true;
   // Terminating switch: null save slot tells ASan to retire this fiber's
-  // fake stack; a finished context is never resumed again, so this call
-  // never returns. It is not marked unreachable: a noreturn fiber_entry
-  // would get an __asan_handle_no_return call in sg_fiber_main, on the
-  // fiber stack before the switch to it completed, which ASan rejects.
+  // fake stack; a finished context is never resumed again, so the swap
+  // never returns. Not marked unreachable: ASan would then treat the call
+  // into fiber_entry as noreturn and check the fiber stack before the first
+  // switch to it has completed, which aborts.
   asan_start_switch(nullptr, resumer_bottom_, resumer_size_);
   tsan_switch_to(tsan_resumer_);
   swap_to_resumer();

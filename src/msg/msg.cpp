@@ -120,8 +120,7 @@ m_host_t MSG_host_self() { return m_host_t{self_host_index()}; }
 
 kernel::ActorId MSG_process_create(const std::string& name, ProcessFn fn, m_host_t host, bool daemon,
                                    bool auto_restart) {
-  return the_kernel().spawn(name, host_index(host, "MSG_process_create"), std::move(fn), daemon,
-                            auto_restart);
+  return the_kernel().spawn(name, host.index, std::move(fn), daemon, auto_restart);
 }
 
 kernel::ActorId MSG_process_self() {

@@ -49,9 +49,9 @@ struct RankState {
   std::deque<std::unique_ptr<Envelope>> unexpected;
 };
 
-// Rank state keyed by kernel actor id, not by thread: under the fiber
-// context backend every rank shares the maestro's OS thread, so a
-// thread_local cannot tell ranks apart. Access is serialized by the kernel.
+// Rank state keyed by kernel actor id, not by thread: every rank is a fiber
+// on the maestro's OS thread, so a thread_local cannot tell ranks apart.
+// Access is serialized by the kernel.
 std::unordered_map<long, RankState*>& actor_ranks() {
   static std::unordered_map<long, RankState*> map;
   return map;

@@ -294,6 +294,8 @@ TEST_F(EngineTest, ResourceStateRejectsOutOfRangeIds) {
   Engine e(two_by_two());
   expect_bad_id(e, [&](int h) { (void)e.host_is_on(h); }, "host_is_on");
   expect_bad_id(e, [&](int l) { (void)e.link_is_on(l); }, "link_is_on");
+  expect_bad_id(e, [&](int h) { (void)e.host_available_speed_fraction(h); },
+                "host_available_speed_fraction");
   EXPECT_TRUE(e.host_is_on(1));
   EXPECT_TRUE(e.link_is_on(1));
 }

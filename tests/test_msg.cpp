@@ -2,10 +2,12 @@
 /// paper's client/server listing.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "msg/msg.hpp"
 #include "platform/builders.hpp"
+#include "platform/platform.hpp"
 #include "xbt/exception.hpp"
 
 #include "ideal_network.hpp"
@@ -174,7 +176,6 @@ TEST_F(MsgTest, BadHostHandleThrowsInvalidArgument) {
     expect_refused("MSG_host_get_name", [&] { (void)MSG_host_get_name(h); });
     expect_refused("MSG_host_get_speed", [&] { (void)MSG_host_get_speed(h); });
     expect_refused("MSG_host_is_on", [&] { (void)MSG_host_is_on(h); });
-    expect_refused("MSG_process_create", [&] { MSG_process_create("p", [] {}, h); });
   }
   int refused = 0;
   MSG_process_create("s", [&] {
@@ -197,6 +198,33 @@ TEST_F(MsgTest, BadHostHandleThrowsInvalidArgument) {
   MSG_main();
   EXPECT_EQ(refused, 6);
   EXPECT_EQ(MSG_host_get_name(MSG_host_by_index(1)), "right");
+}
+
+// The (host, channel) mailbox table is sized on first use; a host that
+// joins later must get channels too, not an index past the table's end.
+TEST_F(MsgTest, ChannelTableCoversJoinedHosts) {
+  sg::platform::Platform p;
+  sg::platform::ClusterZoneSpec spec;
+  spec.count = 2;
+  const sg::platform::ZoneId zone = p.add_cluster_zone(spec);
+  p.seal();
+  MSG_init(std::move(p));
+  std::vector<std::string> got;
+  auto receiver = [&got] {
+    m_task_t t = nullptr;
+    MSG_task_get(&t, 0);
+    got.push_back(t->name);
+    MSG_task_destroy(t);
+  };
+  MSG_process_create("r1", receiver, MSG_host_by_index(1));
+  MSG_process_create("s", [&] {
+    MSG_task_put(MSG_task_create("to-base", 0, 1e3), MSG_host_by_index(1), 0);
+    const m_host_t joined{MSG_kernel().join_host(zone)};
+    MSG_process_create("r2", receiver, joined);
+    MSG_task_put(MSG_task_create("to-joined", 0, 1e3), joined, 0);
+  }, MSG_host_by_index(0));
+  MSG_main();
+  EXPECT_EQ(got, (std::vector<std::string>{"to-base", "to-joined"}));
 }
 
 TEST_F(MsgTest, PutBoundedCapsRate) {
